@@ -9,6 +9,7 @@ same inputs and options.
 
 import argparse
 import hashlib
+import math
 import sys
 
 from . import diagram as dg
@@ -163,15 +164,15 @@ def _cmd_query(args, argv):
             _concept(args.lhs),
             _concept(args.rhs),
             context=context,
-            threads=args.threads,
         )
         _report(argv, args.path, [f"probability: {fmt(p)}"], tolerance=PROB_TOL)
         return 0
 
     if sub == "expected-cost":
         strategy = _strategy(doc, args.strategy, args.forgetful)
-        dist = dg.cost_distribution(kb.diagram, strategy)
-        lines = [f"expected_cost: {fmt(dg.expected_cost(kb.diagram, strategy))}"]
+        table = dg.WorldTable(kb.diagram)
+        dist = table.cost_distribution(strategy)
+        lines = [f"expected_cost: {fmt(dg.expected_cost(table, strategy))}"]
         lines.append("distribution:")
         lines.extend(f"  {fmt(r)}: {fmt(p)}" for r, p in sorted(dist.items()))
         _report(argv, args.path, lines, tolerance=PROB_TOL)
@@ -196,13 +197,11 @@ def _cmd_query(args, argv):
 
     if sub == "worlds":
         strategy = _strategy(doc, args.strategy, args.forgetful)
+        table = dg.WorldTable(kb.diagram)
+        bits = map(kb.diagram.bits, kb.diagram.worlds())
+        rows = zip(bits, table.joint(strategy).tolist(), table.cost.tolist())
         lines = ["worlds:"]
-        for world in kb.diagram.worlds():
-            p = dg.joint_probability(kb.diagram, strategy, world)
-            c = dg.cost_of_valuation(kb.diagram, world)
-            lines.append(
-                f"  - {kb.diagram.bits(world)} probability={fmt(p)} cost={fmt(c)}"
-            )
+        lines.extend(f"  - {b} probability={fmt(p)} cost={fmt(c)}" for b, p, c in rows)
         _report(argv, args.path, lines)
         return 0
 
@@ -213,7 +212,12 @@ def _cmd_query(args, argv):
                     "evidence-conditioned optimization is only supported for "
                     "pure strategies (use --pure)"
                 )
-            result = opt.optimal_mixed_strategy(kb, fully_mixed=args.fully_mixed)
+            epsilon = args.fully_mixed
+            if epsilon is not None and not (math.isfinite(epsilon) and epsilon >= 0.0):
+                raise _InputError(
+                    f"--fully-mixed must be a finite nonnegative number, got {epsilon}"
+                )
+            result = opt.optimal_mixed_strategy(kb, fully_mixed=epsilon)
             lines = [f"value: {fmt(result.value)}", f"kind: {result.kind}"]
             if result.epsilon:
                 lines.append(f"epsilon: {fmt(result.epsilon)}")
@@ -242,6 +246,8 @@ def _cmd_query(args, argv):
         return 0
 
     if sub == "decide":
+        if not math.isfinite(args.bound):
+            raise _InputError(f"--bound must be a finite number, got {args.bound}")
         if args.problem in ("d-dom-opt", "d-dom-pes"):
             if not args.evidence:
                 raise _InputError(f"--problem {args.problem} needs --evidence C D")
@@ -287,7 +293,6 @@ def _build_parser():
         prog="cider",
         description="Contextual influence-diagram expected-cost reasoner",
     )
-    parser.add_argument("--threads", type=int, default=1, help="world-enumeration workers")
     parser.add_argument(
         "--forgetful",
         action="store_true",
@@ -370,6 +375,7 @@ def main(argv=None):
         return 3
     except (
         ev.UndefinedConditionalError,
+        dg.WorldCapError,
         opt.EnumerationCapError,
         opt.InfeasibleEpsilonError,
     ) as exc:

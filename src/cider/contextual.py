@@ -10,6 +10,8 @@ match the strategy-induced joint distribution.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import diagram as dg
 from . import el
 from ._sexpr import Scanner
@@ -34,7 +36,10 @@ __all__ = [
     "print_formula",
     "formula_variables",
     "eval_context",
+    "eval_context_column",
     "restrict",
+    "restriction_groups",
+    "entailment_column",
     "satisfies_vgci",
     "is_tbox_model",
     "is_consistent_with",
@@ -174,6 +179,23 @@ def eval_context(world, f):
     raise TypeError(f"not a formula: {f!r}")
 
 
+def eval_context_column(table, f):
+    """Truth value of a formula in every world of a ``WorldTable``."""
+    if isinstance(f, Truth):
+        return np.ones(table.size, dtype=bool)
+    if isinstance(f, Falsity):
+        return np.zeros(table.size, dtype=bool)
+    if isinstance(f, Var):
+        return table.column(f.name)
+    if isinstance(f, Not):
+        return ~eval_context_column(table, f.arg)
+    if isinstance(f, And):
+        return eval_context_column(table, f.left) & eval_context_column(table, f.right)
+    if isinstance(f, Or):
+        return eval_context_column(table, f.left) | eval_context_column(table, f.right)
+    raise TypeError(f"not a formula: {f!r}")
+
+
 @dataclass(frozen=True)
 class VGCI:
     """A concept inclusion required to hold only where its context is true."""
@@ -204,6 +226,33 @@ class KnowledgeBase:
 def restrict(vtbox, world):
     """Classical TBox of the axioms whose contexts hold in the world."""
     return frozenset(a.gci for a in vtbox if eval_context(world, a.context))
+
+
+def restriction_groups(vtbox, table):
+    """The worlds of a table grouped by their axiom-context truth vector.
+
+    Returns the restricted TBox of each group and, per world, the index
+    of its group.  Each world's truth vector is packed into one integer
+    key, re-numbered densely every 40 axioms so it fits in 64 bits.
+    """
+    key = np.zeros(table.size, dtype=np.int64)
+    for i, axiom in enumerate(vtbox):
+        if i and i % 40 == 0:
+            key = np.unique(key, return_inverse=True)[1]
+        key = (key << 1) | eval_context_column(table, axiom.context)
+    _keys, first, group = np.unique(key, return_index=True, return_inverse=True)
+    tboxes = [restrict(vtbox, table.world(i)) for i in first.tolist()]
+    return tboxes, group
+
+
+def entailment_column(kb, table, c, d):
+    """Whether each world's restricted TBox entails c <= d.
+
+    Entailment is decided once per distinct axiom-context truth vector.
+    """
+    tboxes, group = restriction_groups(kb.vtbox, table)
+    held = np.array([el.is_subsumed(tbox, c, d) for tbox in tboxes], dtype=bool)
+    return held[group]
 
 
 def satisfies_vgci(interp, world, axiom):
@@ -246,15 +295,11 @@ def is_tbox_model(pi, vtbox):
 
 def is_consistent_with(pi, diagram, strategy):
     """Per-world weight totals match the strategy-induced joint distribution."""
-    totals = {}
+    table = dg.WorldTable(diagram)
+    totals = [0.0] * table.size
     for e in pi.entries:
-        bits = diagram.bits(e.world)
-        totals[bits] = totals.get(bits, 0.0) + e.weight
-    for world in diagram.worlds():
-        joint = dg.joint_probability(diagram, strategy, world)
-        if abs(totals.get(diagram.bits(world), 0.0) - joint) > WEIGHT_TOL:
-            return False
-    return True
+        totals[table.index(e.world)] += e.weight
+    return not np.any(np.abs(np.array(totals) - table.joint(strategy)) > WEIGHT_TOL)
 
 
 def is_model(pi, kb, strategy):
@@ -279,13 +324,10 @@ def build_trivial_model(kb, strategy):
         concept_ext={name: frozenset({"d0"}) for name in concepts},
         role_ext={role: frozenset({("d0", "d0")}) for role in roles},
     )
+    weights = dg.WorldTable(kb.diagram).joint(strategy).tolist()
     entries = tuple(
-        ModelEntry(
-            interp=universal,
-            world=world,
-            weight=dg.joint_probability(kb.diagram, strategy, world),
-        )
-        for world in kb.diagram.worlds()
+        ModelEntry(interp=universal, world=world, weight=weight)
+        for world, weight in zip(kb.diagram.worlds(), weights)
     )
     return ProbabilisticInterpretation(entries=entries)
 
@@ -298,33 +340,18 @@ def prob_subsumption_in_model(pi, c, d, context=TRUE):
     )
 
 
-def _map_worlds(fn, worlds, threads=1):
-    if threads <= 1:
-        return [fn(w) for w in worlds]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, worlds))
-
-
-def prob_subsumption(kb, strategy, c, d, context=TRUE, threads=1):
+def prob_subsumption(kb, strategy, c, d, context=TRUE):
     """Tightest probability of the contextual inclusion over all models.
 
     A world contributes its full mass when the context fails there or
     the restricted TBox entails the inclusion; any other world can be
     driven to zero satisfying mass by a countermodel.  Computed as one
-    minus the excluded mass so tautologies come out exactly 1.
+    minus the excluded mass so tautologies come out exactly 1, and
+    clamped at 0 against rounding (the excluded mass is never negative).
     """
-    worlds = list(kb.diagram.worlds())
-
-    def excluded(world):
-        if not eval_context(world, context):
-            return 0.0
-        if el.is_subsumed(restrict(kb.vtbox, world), c, d):
-            return 0.0
-        return dg.joint_probability(kb.diagram, strategy, world)
-
-    return 1.0 - sum(_map_worlds(excluded, worlds, threads))
+    table = dg.WorldTable(kb.diagram)
+    excluded = eval_context_column(table, context) & ~entailment_column(kb, table, c, d)
+    return max(0.0, 1.0 - table.mass(table.joint(strategy), excluded))
 
 
 def context_size_cost(kb, mode="axiom-count"):
@@ -337,20 +364,20 @@ def context_size_cost(kb, mode="axiom-count"):
     if mode not in ("axiom-count", "vocabulary-size"):
         raise ValueError(f"unknown mode {mode!r}")
     d = kb.diagram
-    table = {}
-    for world in d.worlds():
-        restricted = restrict(kb.vtbox, world)
+    table = dg.WorldTable(d)
+    tboxes, group = restriction_groups(kb.vtbox, table)
+    sizes = []
+    for restricted in tboxes:
         if mode == "axiom-count":
-            size = len(restricted)
+            sizes.append(len(restricted))
         else:
             concepts, roles = el.signature(restricted)
-            size = len(concepts) + len(roles)
-        table[dg.rowkey(world, d.variables)] = size
+            sizes.append(len(concepts) + len(roles))
     return dg.InfluenceDiagram(
         variables=d.variables,
         kinds=dict(d.kinds),
         parents=dict(d.parents),
         cpt=dict(d.cpt),
         cost_parents=d.variables,
-        cost_table=table,
+        cost_table=dict(zip(table.rowkeys(), np.array(sizes)[group].tolist())),
     )

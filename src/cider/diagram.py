@@ -8,15 +8,20 @@ declared parent order (the root row key is the empty string).
 
 Worlds (total valuations) are plain ``{variable: bool}`` mappings and
 are always enumerated in binary counting order over the declared
-variable order, so outputs are deterministic.
+variable order, so outputs are deterministic.  A ``WorldTable`` holds
+all of them at once as numpy columns; the per-world functions
+(``joint_probability``, ``cost_of_valuation``) are its reference.
 """
 
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 CHANCE = "chance"
 DECISION = "decision"
 COST_NODE = "cost"  # reserved id; variables may not use or reference it
+WORLD_CAP = 2**20
 
 __all__ = [
     "CHANCE",
@@ -25,8 +30,10 @@ __all__ = [
     "LocalStrategy",
     "GlobalStrategy",
     "Violation",
+    "WorldCapError",
+    "WorldTable",
+    "check_world_count",
     "rowkey",
-    "bits_of",
     "world_from_bits",
     "validate",
     "validate_strategy",
@@ -42,10 +49,6 @@ __all__ = [
 def rowkey(world, variables):
     """Restriction of a world to some variables, as a '0'/'1' row key."""
     return "".join("1" if world[v] else "0" for v in variables)
-
-
-def bits_of(world, variables):
-    return rowkey(world, variables)
 
 
 def world_from_bits(bits, variables):
@@ -309,16 +312,131 @@ def cost_of_valuation(diagram, world):
     return diagram.cost_table[rowkey(world, diagram.cost_parents)]
 
 
+class WorldCapError(RuntimeError):
+    """Too many worlds to tabulate."""
+
+
+def check_world_count(diagram):
+    """Refuse a diagram with more than WORLD_CAP worlds, before allocating."""
+    n = len(diagram.variables)
+    if 2**n > WORLD_CAP:
+        raise WorldCapError(f"2^{n} worlds exceed the world cap {WORLD_CAP}")
+
+
+def _row_array(table, n):
+    """A table over n-bit row keys, indexed by the key read in binary."""
+    return np.array([table[key] for key in _all_rowkeys(n)], dtype=float)
+
+
+def _by_value(table, n):
+    """P(v = value | row) at index 2 * row + value."""
+    p_true = _row_array(table, n)
+    return np.stack([1.0 - p_true, p_true], axis=1).ravel()
+
+
+class WorldTable:
+    """Every world of a diagram as columns over the world index.
+
+    World i is the i-th valuation in binary counting order, so the first
+    declared variable is its most significant bit.  ``values`` holds one
+    Boolean row per variable and ``cost`` the cost of every world.
+    Factors are gathered from the small CPT and strategy rows on each
+    ``joint`` call rather than kept as one column per variable.  A table
+    is built per query and holds nothing beyond the diagram's own data.
+    """
+
+    def __init__(self, diagram):
+        check_world_count(diagram)
+        n = len(diagram.variables)
+        self.diagram = diagram
+        self.size = 1 << n
+        self.position = {v: j for j, v in enumerate(diagram.variables)}
+        index = np.arange(self.size)
+        self.values = np.empty((n, self.size), dtype=bool)
+        for j in range(n):
+            self.values[j] = (index >> (n - 1 - j)) & 1
+        self.chance_rows = {
+            v: _by_value(diagram.cpt[v], len(diagram.parents.get(v, ())))
+            for v in diagram.chance_nodes
+        }
+        cost_rows = _row_array(diagram.cost_table, len(diagram.cost_parents))
+        self.cost = cost_rows[self.code(diagram.cost_parents)]
+        self._last = None
+
+    def column(self, v):
+        return self.values[self.position[v]]
+
+    def code(self, variables):
+        """Every world's row key over some variables, as an integer."""
+        code = np.zeros(self.size, dtype=np.int32)
+        for v in variables:
+            code <<= 1
+            code |= self.column(v)
+        return code
+
+    def _factor(self, by_value, scope, v):
+        """Probability of v's value given the scope row, in every world."""
+        return by_value[2 * self.code(scope) + self.column(v)]
+
+    def joint(self, strategy):
+        """Joint probability of every world under a strategy.
+
+        Factors are multiplied in declared variable order, as
+        ``joint_probability`` multiplies them, so the two agree exactly.
+        """
+        p = np.ones(self.size)
+        for v in self.diagram.variables:
+            if v in self.chance_rows:
+                scope = self.diagram.parents.get(v, ())
+                p *= self._factor(self.chance_rows[v], scope, v)
+            else:
+                local = strategy.locals[v]
+                rows = _by_value(local.table, len(local.scope))
+                p *= self._factor(rows, local.scope, v)
+        return p
+
+    @staticmethod
+    def mass(probability, where):
+        """Total probability of the worlds where the mask holds.
+
+        Added left to right in world order, as a per-world loop adds;
+        ``np.sum`` adds pairwise and can differ in the last bits.
+        """
+        chosen = probability[where]
+        return float(np.add.accumulate(chosen)[-1]) if chosen.size else 0.0
+
+    def cost_distribution(self, strategy):
+        """Probability of paying each cost value under the strategy.
+
+        The last strategy's distribution is kept, so a report that needs
+        the distribution and then its expectation computes it once.
+        """
+        if self._last is None or self._last[0] is not strategy:
+            p = self.joint(strategy)
+            dist = {r: self.mass(p, self.cost == r) for r in self.diagram.cost_values}
+            self._last = (strategy, dist)
+        return dict(self._last[1])
+
+    def rowkeys(self):
+        """Every world's row key over all variables, in table order."""
+        return _all_rowkeys(len(self.diagram.variables))
+
+    def world(self, i):
+        return dict(zip(self.diagram.variables, self.values[:, i].tolist()))
+
+    def index(self, world):
+        return int(self.diagram.bits(world) or "0", 2)
+
+
 def cost_distribution(diagram, strategy):
-    """Probability of paying each cost value under the strategy."""
-    dist = {r: 0.0 for r in diagram.cost_values}
-    for world in diagram.worlds():
-        dist[cost_of_valuation(diagram, world)] += joint_probability(
-            diagram, strategy, world
-        )
-    return dist
+    """Probability of paying each cost value under the strategy.
+
+    ``diagram`` may also be a ``WorldTable`` already built for the query.
+    """
+    table = diagram if isinstance(diagram, WorldTable) else WorldTable(diagram)
+    return table.cost_distribution(strategy)
 
 
 def expected_cost(diagram, strategy):
-    dist = cost_distribution(diagram, strategy)
-    return sum(r * p for r, p in dist.items())
+    """Expected cost under the strategy; ``diagram`` may be a ``WorldTable``."""
+    return sum(r * p for r, p in cost_distribution(diagram, strategy).items())

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diagram as dg
 from . import el
-from .contextual import restrict
+from .contextual import entailment_column
 
 __all__ = [
     "UndefinedConditionalError",
@@ -26,6 +26,8 @@ __all__ = [
     "ConditionalCostResult",
     "conditional_expectation",
     "classify_worlds",
+    "classify_table",
+    "greedy_bound",
     "optimistic_expected_cost",
     "pessimistic_expected_cost",
     "brute_force_conditional_bounds",
@@ -81,22 +83,30 @@ class WorldClassification:
         return tuple(w for w in self.worlds if not w.forced)
 
 
-def classify_worlds(kb, strategy, query, threads=1):
+def classify_worlds(kb, strategy, query):
     """Forced iff the world's restricted TBox entails the query inclusion."""
-    d = kb.diagram
-    worlds = list(d.worlds())
+    table = dg.WorldTable(kb.diagram)
+    forced = entailment_column(kb, table, query.lhs, query.rhs)
+    return classify_table(table, forced, strategy)
 
-    def classify(world):
-        return ClassifiedWorld(
-            bits=d.bits(world),
-            forced=el.is_subsumed(restrict(kb.vtbox, world), query.lhs, query.rhs),
-            probability=dg.joint_probability(d, strategy, world),
-            cost=dg.cost_of_valuation(d, world),
+
+def classify_table(table, forced, strategy):
+    """Classification of a table's worlds, given their forced column.
+
+    Forced status does not depend on the strategy, so a search over
+    strategies decides it once and classifies each strategy here.
+    """
+    return WorldClassification(
+        worlds=tuple(
+            map(
+                ClassifiedWorld,
+                table.rowkeys(),
+                forced.tolist(),
+                table.joint(strategy).tolist(),
+                table.cost.tolist(),
+            )
         )
-
-    from .contextual import _map_worlds
-
-    return WorldClassification(worlds=tuple(_map_worlds(classify, worlds, threads)))
+    )
 
 
 @dataclass(frozen=True)
@@ -119,7 +129,7 @@ def _positive(classification):
     return forced, optional
 
 
-def _greedy_bound(classification, sign):
+def greedy_bound(classification, sign):
     """Shared greedy pass; sign +1 minimizes, -1 maximizes.
 
     Forced worlds are always in.  Optional worlds, visited by ascending
@@ -160,12 +170,12 @@ def _greedy_bound(classification, sign):
 
 def optimistic_expected_cost(kb, strategy, query):
     """Lowest conditional expected cost any model can realize."""
-    return _greedy_bound(classify_worlds(kb, strategy, query), +1)
+    return greedy_bound(classify_worlds(kb, strategy, query), +1)
 
 
 def pessimistic_expected_cost(kb, strategy, query):
     """Highest conditional expected cost any model can realize."""
-    return _greedy_bound(classify_worlds(kb, strategy, query), -1)
+    return greedy_bound(classify_worlds(kb, strategy, query), -1)
 
 
 def brute_force_conditional_bounds(kb, strategy, query, limit=ORACLE_LIMIT):

@@ -76,13 +76,18 @@ def _str_keys(mapping):
     return {str(k): v for k, v in mapping.items()}
 
 
+def _is_number(value):
+    # YAML true/false load as bool, which Python counts as an int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _row_table(raw, what):
     table = {}
     for k, v in _require_mapping(raw, what).items():
         key = str(k)
         if set(key) - {"0", "1"} and key != "":
             raise KBLoadError(f"{what}: row key {key!r} is not a '0'/'1' string")
-        if not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise KBLoadError(f"{what}: row {key!r} value is not a number")
         table[key] = float(v)
     return table
@@ -123,7 +128,7 @@ def load_kb_text(text, forgetful=False):
     cost_table = {}
     for k, v in cost_table_raw.items():
         key = str(k)
-        if not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise KBLoadError(f"cost row {key!r} value is not a number")
         cost_table[key] = float(v)
 

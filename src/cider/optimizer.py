@@ -20,6 +20,7 @@ import numpy as np
 
 from . import diagram as dg
 from . import simplex
+from .contextual import entailment_column
 from .diagram import (
     CHANCE,
     GlobalStrategy,
@@ -28,7 +29,7 @@ from .diagram import (
     rowkey,
     strategy_scope,
 )
-from .evidence import optimistic_expected_cost, pessimistic_expected_cost
+from .evidence import classify_table, greedy_bound
 
 __all__ = [
     "EnumerationCapError",
@@ -144,7 +145,8 @@ def optimal_pure_strategy(
 
     objective "expected" scores plain expected cost; "dominant-optimistic"
     and "dominant-pessimistic" score the corresponding conditional bound
-    given the evidence inclusion.
+    given the evidence inclusion.  The world table and the evidence
+    entailment do not depend on the strategy and are built once.
     """
     if objective not in ("expected", "dominant-optimistic", "dominant-pessimistic"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -153,15 +155,18 @@ def optimal_pure_strategy(
     if direction not in ("min", "max"):
         raise ValueError(f"unknown direction {direction!r}")
     sign = 1.0 if direction == "min" else -1.0
+    table = dg.WorldTable(kb.diagram)
+    if objective != "expected":
+        forced = entailment_column(kb, table, evidence.lhs, evidence.rhs)
+        bound_sign = +1 if objective == "dominant-optimistic" else -1
     best = None
     for pure in enumerate_pure_strategies(kb.diagram, forgetful=forgetful, cap=cap):
         strategy = pure.to_strategy()
         if objective == "expected":
-            value = expected_cost(kb.diagram, strategy)
-        elif objective == "dominant-optimistic":
-            value = optimistic_expected_cost(kb, strategy, evidence).value
+            value = expected_cost(table, strategy)
         else:
-            value = pessimistic_expected_cost(kb, strategy, evidence).value
+            classification = classify_table(table, forced, strategy)
+            value = greedy_bound(classification, bound_sign).value
         if best is None or sign * value < sign * best[0]:
             best = (value, strategy, pure)
     value, strategy, pure = best
@@ -247,6 +252,7 @@ def expansion_order(diagram):
 
 def build_game_tree(diagram):
     """Expand the diagram into a perfect-information tree against chance."""
+    dg.check_world_count(diagram)
     order = expansion_order(diagram)
     sequences = [()]
     seq_index = {(): 0}
@@ -307,6 +313,9 @@ def build_game_tree(diagram):
         return DecisionNode(variable=v, infoset=h, children=tuple(children))
 
     root = expand(0, {}, 1.0, (), ())
+    # the recursive closure refers to itself; dropping it breaks that cycle,
+    # so the build's lists are freed on return, not at the next full collection
+    del expand
     return GameTree(
         diagram=diagram,
         order=order,
@@ -413,8 +422,8 @@ def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
     """
     diagram = getattr(kb_or_diagram, "diagram", kb_or_diagram)
     epsilon = 0.0 if fully_mixed is None else float(fully_mixed)
-    if epsilon < 0.0:
-        raise ValueError("the fully-mixed lower bound must be nonnegative")
+    if not (np.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError("the fully-mixed lower bound must be finite and nonnegative")
     tree = build_game_tree(diagram)
     lp = assemble_lp(tree, epsilon=epsilon)
     try:
@@ -489,5 +498,6 @@ def export_game_tree_dot(tree):
         return my_id
 
     emit(tree.root)
+    del emit  # break the closure's self-reference, as in build_game_tree
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -298,20 +298,89 @@ def test_export_game_tree_is_plain_dot(kb_path, capsys):
     assert "shape=diamond" in stdout
 
 
-def test_threads_flag_does_not_change_output(kb_path, capsys):
-    argv = [
-        "query",
-        kb_path,
-        "prob-subsume",
-        "--strategy",
-        "uniform",
-        "Subject",
-        "Control",
-    ]
-    single = run(capsys, *argv)
-    threaded = run(capsys, "--threads", "4", *argv)
-    # the command echo differs; the payload must not
-    assert single[1].split("result:")[1] == threaded[1].split("result:")[1]
+def test_prob_subsume_never_holding_inclusion_prints_zero(kb_path, capsys):
+    # the excluded mass sums to 1 + 2.2e-16 here; unclamped this printed
+    # a negative probability
+    code, stdout, _ = run(
+        capsys, "query", kb_path, "prob-subsume", "--strategy", "test_a_if_clear",
+        "Fresh", "Other",
+    )
+    assert code == 0
+    assert "probability: 0\n" in stdout
+
+
+def test_decide_nan_bound_exit_two(kb_path, capsys):
+    code, stdout, err = run(
+        capsys, "query", kb_path, "decide", "--problem", "d-opt", "--bound", "nan"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "--bound" in err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.1"])
+def test_optimize_lp_bad_fully_mixed_exit_two(kb_path, capsys, epsilon):
+    code, stdout, err = run(
+        capsys, "query", kb_path, "optimize", "--lp", "--fully-mixed", epsilon
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "--fully-mixed" in err
+
+
+@pytest.mark.parametrize(
+    "cpt, cost",
+    [("{'': true}", "{'0': 0, '1': 1}"), ("{'': 0.5}", "{'0': false, '1': 1}")],
+    ids=["cpt", "cost"],
+)
+def test_yaml_boolean_is_not_a_number(tmp_path, capsys, cpt, cost):
+    path = tmp_path / "bool.kb"
+    path.write_text(
+        "variables: [A]\n"
+        "nodes:\n"
+        f"  A: {{kind: chance, parents: [], cpt: {cpt}}}\n"
+        f"cost: {{parents: [A], table: {cost}}}\n"
+    )
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "is not a number" in err and err.count("\n") == 1
+
+
+def test_world_cap_exits_three_at_once(tmp_path, capsys):
+    names = [f"V{i:02d}" for i in range(25)]
+    nodes = "".join(
+        f"  {v}: {{kind: chance, parents: [], cpt: {{'': 0.5}}}}\n" for v in names
+    )
+    path = tmp_path / "wide.kb"
+    path.write_text(
+        f"variables: [{', '.join(names)}, D]\n"
+        "nodes:\n" + nodes + "  D: {kind: decision, parents: [V00]}\n"
+        "cost: {parents: [V00, D], table: {'00': 0, '01': 1, '10': 5, '11': 2}}\n"
+        "tbox:\n"
+        "  - {lhs: A, rhs: B, context: V01}\n"
+        "strategies:\n"
+        "  s: {D: {'0': 1, '1': 0}}\n"
+    )
+    path = str(path)
+    assert run(capsys, "validate", path)[0] == 0
+    world = "01" + "0" * 24  # V01 holds, so the axiom A <= B applies
+    code, stdout, _ = run(capsys, "query", path, "subsume", "--world", world, "A", "B")
+    assert code == 0 and "subsumed: true" in stdout
+    for argv in (
+        ["expected-cost", "--strategy", "s"],
+        ["worlds", "--strategy", "s"],
+        ["prob-subsume", "--strategy", "s", "A", "B"],
+        ["cond-cost", "--strategy", "s", "--mode", "opt", "A", "B"],
+        ["optimize", "--pure"],
+        ["optimize", "--pure", "--evidence", "A", "B"],
+        ["optimize", "--lp"],
+        ["decide", "--problem", "d-opt", "--bound", "1"],
+        ["export-game-tree"],
+    ):
+        code, stdout, err = run(capsys, "query", path, *argv)
+        assert code == 3, argv
+        assert stdout == ""
+        assert err == "error: 2^26 worlds exceed the world cap 1048576\n"
 
 
 def test_forgetful_flag_changes_strategy_scope(tmp_path, capsys):

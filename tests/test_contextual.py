@@ -254,14 +254,6 @@ def test_prob_subsumption_infimum_is_attained(idelium):
     )
 
 
-def test_prob_subsumption_threads_agree(idelium):
-    kb = idelium.kb
-    s = idelium.strategy("uniform")
-    single = prob_subsumption(kb, s, N("Subject"), N("Control"))
-    threaded = prob_subsumption(kb, s, N("Subject"), N("Control"), threads=4)
-    assert single == threaded
-
-
 def test_context_size_cost(idelium):
     kb = idelium.kb
     by_axioms = context_size_cost(kb, "axiom-count")

@@ -319,8 +319,9 @@ def test_fully_mixed_perturbation(idelium):
 def test_fully_mixed_infeasible(idelium):
     with pytest.raises(opt.InfeasibleEpsilonError):
         opt.optimal_mixed_strategy(idelium.kb, fully_mixed=0.7)
-    with pytest.raises(ValueError):
-        opt.optimal_mixed_strategy(idelium.kb, fully_mixed=-0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            opt.optimal_mixed_strategy(idelium.kb, fully_mixed=bad)
 
 
 def test_lp_matches_backward_induction_randomized():
