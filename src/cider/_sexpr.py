@@ -5,6 +5,10 @@ import re
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _WS_RE = re.compile(r"[ \t\r\n]+")
 
+# Deepest nesting of parenthesised forms an expression may use.  Parsing
+# and the later walks over concepts and formulas recurse once per level.
+MAX_DEPTH = 100
+
 
 class ParseError(ValueError):
     """Malformed expression; carries the character offset of the problem."""
@@ -18,6 +22,7 @@ class Scanner:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message):
         return ParseError(message, self.pos)
@@ -30,6 +35,20 @@ class Scanner:
             self.pos += len(literal)
             return True
         return False
+
+    def try_open(self, literal):
+        """Consume ``literal``, which opens a nested form, if it is next."""
+        if not self.text.startswith(literal, self.pos):
+            return False
+        if self.depth == MAX_DEPTH:
+            raise self.error(f"nested more than {MAX_DEPTH} levels deep")
+        self.depth += 1
+        self.pos += len(literal)
+        return True
+
+    def close(self):
+        self.expect(")")
+        self.depth -= 1
 
     def require_ws(self):
         m = _WS_RE.match(self.text, self.pos)

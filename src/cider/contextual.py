@@ -107,24 +107,24 @@ def parse_formula(text):
 
 
 def _parse_formula(scanner):
-    if scanner.try_consume("(not"):
+    if scanner.try_open("(not"):
         scanner.require_ws()
         arg = _parse_formula(scanner)
-        scanner.expect(")")
+        scanner.close()
         return Not(arg)
-    if scanner.try_consume("(and"):
+    if scanner.try_open("(and"):
         scanner.require_ws()
         left = _parse_formula(scanner)
         scanner.require_ws()
         right = _parse_formula(scanner)
-        scanner.expect(")")
+        scanner.close()
         return And(left, right)
-    if scanner.try_consume("(or"):
+    if scanner.try_open("(or"):
         scanner.require_ws()
         left = _parse_formula(scanner)
         scanner.require_ws()
         right = _parse_formula(scanner)
-        scanner.expect(")")
+        scanner.close()
         return Or(left, right)
     if scanner.try_consume("("):
         raise scanner.error("expected 'not', 'and' or 'or' after '('")

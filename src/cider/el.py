@@ -104,19 +104,19 @@ def parse_concept(text):
 
 
 def _parse_concept(scanner):
-    if scanner.try_consume("(and"):
+    if scanner.try_open("(and"):
         scanner.require_ws()
         left = _parse_concept(scanner)
         scanner.require_ws()
         right = _parse_concept(scanner)
-        scanner.expect(")")
+        scanner.close()
         return Conjunction(left, right)
-    if scanner.try_consume("(some"):
+    if scanner.try_open("(some"):
         scanner.require_ws()
         role = scanner.read_name()
         scanner.require_ws()
         filler = _parse_concept(scanner)
-        scanner.expect(")")
+        scanner.close()
         return Existential(role, filler)
     if scanner.try_consume("("):
         raise scanner.error("expected 'and' or 'some' after '('")

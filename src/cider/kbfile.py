@@ -31,6 +31,10 @@ experiments.
 from dataclasses import dataclass
 
 import yaml
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.cyaml import CParser
+from yaml.resolver import Resolver
 
 from . import diagram as dg
 from . import el
@@ -53,6 +57,49 @@ class KBLoadError(ValueError):
     """The document does not match the KB file schema."""
 
 
+# Deepest nesting of YAML nodes a document may use.  KB and model
+# documents need about five levels; composition recurses once per level.
+MAX_YAML_DEPTH = 100
+
+
+class _Loader(Composer, CParser, SafeConstructor, Resolver):
+    """libyaml's C scanner and parser under PyYAML's Python composer.
+
+    ``yaml.CSafeLoader`` composes in C without a depth limit, and a
+    document nested some tens of thousands of levels deep kills the
+    process.  Here ``Composer`` precedes ``CParser`` in the bases, so the
+    Python composer, which counts the depth, builds the nodes.
+    """
+
+    def __init__(self, text):
+        CParser.__init__(self, text)
+        Composer.__init__(self)
+        SafeConstructor.__init__(self)
+        Resolver.__init__(self)
+        self.depth = 0
+
+    def compose_node(self, parent, index):
+        self.depth += 1
+        if self.depth > MAX_YAML_DEPTH:
+            mark = self.peek_event().start_mark
+            raise KBLoadError(
+                f"not valid YAML: nested more than {MAX_YAML_DEPTH} levels deep "
+                f"at line {mark.line + 1}, column {mark.column + 1}"
+            )
+        node = Composer.compose_node(self, parent, index)
+        self.depth -= 1
+        return node
+
+
+def _parse_yaml(text):
+    """The one YAML entry point: the data of a single document."""
+    try:
+        return _Loader(text).get_single_data()
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:
+        # PyYAML's messages span several lines; the CLI prints one
+        raise KBLoadError(f"not valid YAML: {' '.join(str(exc).split())}") from exc
+
+
 @dataclass(frozen=True)
 class KBDocument:
     kb: KnowledgeBase
@@ -72,6 +119,12 @@ def _require_mapping(value, what):
     return value
 
 
+def _require_list(value, what):
+    if not isinstance(value, list):
+        raise KBLoadError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _str_keys(mapping):
     return {str(k): v for k, v in mapping.items()}
 
@@ -79,6 +132,12 @@ def _str_keys(mapping):
 def _is_number(value):
     # YAML true/false load as bool, which Python counts as an int
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, what):
+    if not _is_number(value):
+        raise KBLoadError(f"{what} is not a number")
+    return float(value)
 
 
 def _row_table(raw, what):
@@ -94,11 +153,7 @@ def _row_table(raw, what):
 
 
 def load_kb_text(text, forgetful=False):
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise KBLoadError(f"not valid YAML: {exc}") from exc
-    raw = _require_mapping(raw, "document")
+    raw = _require_mapping(_parse_yaml(text), "document")
 
     variables = raw.get("variables")
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
@@ -142,7 +197,7 @@ def load_kb_text(text, forgetful=False):
     )
 
     vtbox = []
-    for i, item in enumerate(raw.get("tbox", []) or []):
+    for i, item in enumerate(_require_list(raw.get("tbox") or [], "'tbox'")):
         item = _require_mapping(item, f"tbox[{i}]")
         try:
             vtbox.append(
@@ -192,51 +247,67 @@ class ModelDocument:
     cost_overlays: dict  # name -> [(probability, cost), ...]
 
 
+def _pairs(raw, what):
+    pairs = _require_list(raw, what)
+    for j, pair in enumerate(pairs):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise KBLoadError(f"{what}[{j}] is not a pair")
+    return pairs
+
+
 def load_model_text(text):
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise KBLoadError(f"not valid YAML: {exc}") from exc
-    raw = _require_mapping(raw, "document")
-    variables = tuple(str(v) for v in raw.get("variables", []))
-    domain = frozenset(str(x) for x in raw.get("domain", []))
+    raw = _require_mapping(_parse_yaml(text), "document")
+    variables = tuple(str(v) for v in _require_list(raw.get("variables", []), "'variables'"))
+    domain = frozenset(str(x) for x in _require_list(raw.get("domain", []), "'domain'"))
     entries = []
-    for i, item in enumerate(raw.get("entries", [])):
-        item = _require_mapping(item, f"entries[{i}]")
-        world = dg.world_from_bits(str(item["world"]), variables)
+    for i, item in enumerate(_require_list(raw.get("entries", []) or [], "'entries'")):
+        what = f"entries[{i}]"
+        item = _require_mapping(item, what)
+        for field in ("world", "weight"):
+            if field not in item:
+                raise KBLoadError(f"{what}: missing field {field!r}")
+        try:
+            world = dg.world_from_bits(str(item["world"]), variables)
+        except ValueError as exc:
+            raise KBLoadError(f"{what}: {exc}") from None
         concept_ext = {
-            str(name): frozenset(str(x) for x in elems)
+            str(name): frozenset(
+                str(x) for x in _require_list(elems, f"{what}.concepts.{name}")
+            )
             for name, elems in _require_mapping(
-                item.get("concepts", {}), f"entries[{i}].concepts"
+                item.get("concepts", {}), f"{what}.concepts"
             ).items()
         }
         role_ext = {
             str(role): frozenset(
-                (str(x), str(y)) for x, y in pairs
+                (str(x), str(y)) for x, y in _pairs(pairs, f"{what}.roles.{role}")
             )
             for role, pairs in _require_mapping(
-                item.get("roles", {}) or {}, f"entries[{i}].roles"
+                item.get("roles", {}) or {}, f"{what}.roles"
             ).items()
         }
-        entries.append(
-            ModelEntry(
-                interp=el.FiniteInterpretation(
-                    domain=domain, concept_ext=concept_ext, role_ext=role_ext
-                ),
-                world=world,
-                weight=float(item["weight"]),
+        try:
+            interp = el.FiniteInterpretation(
+                domain=domain, concept_ext=concept_ext, role_ext=role_ext
             )
-        )
+        except ValueError as exc:
+            raise KBLoadError(f"{what}: {exc}") from None
+        weight = _number(item["weight"], f"{what}: 'weight'")
+        entries.append(ModelEntry(interp=interp, world=world, weight=weight))
     overlays = {}
     for name, pairs in _require_mapping(
         raw.get("cost_overlays", {}) or {}, "'cost_overlays'"
     ).items():
-        overlays[str(name)] = [(float(p), float(c)) for p, c in pairs]
-    return ModelDocument(
-        variables=variables,
-        model=ProbabilisticInterpretation(entries=tuple(entries)),
-        cost_overlays=overlays,
-    )
+        what = f"cost overlay {name!r}"
+        overlays[str(name)] = [
+            (_number(p, f"{what}: probability"), _number(c, f"{what}: cost"))
+            for p, c in _pairs(pairs, what)
+        ]
+    try:
+        model = ProbabilisticInterpretation(entries=tuple(entries))
+    except ValueError as exc:
+        raise KBLoadError(f"'entries': {exc}") from None
+    return ModelDocument(variables=variables, model=model, cost_overlays=overlays)
 
 
 def load_model_document(path):

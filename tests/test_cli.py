@@ -1,10 +1,32 @@
 """CLI behaviour: reports, exit codes, fixtures, and document parsing."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+import yaml
+
+import cider
+from cider import kbfile
+from cider._sexpr import MAX_DEPTH
 from cider.cli import main
 from cider.fixtures import fixture_bytes, fixture_names
 from cider.kbfile import KBLoadError, load_kb_text, load_model_text
+
+
+@pytest.fixture(autouse=True)
+def yaml_matches_reference(monkeypatch):
+    """Every document these tests load parses as yaml.SafeLoader reads it."""
+    parse = kbfile._parse_yaml
+
+    def checked(text):
+        data = parse(text)
+        assert data == yaml.safe_load(text)
+        return data
+
+    monkeypatch.setattr(kbfile, "_parse_yaml", checked)
 
 
 @pytest.fixture()
@@ -463,6 +485,17 @@ def test_load_kb_text_bad_tbox_concept():
         )
 
 
+def test_load_kb_text_rejects_a_tbox_that_is_not_a_list():
+    with pytest.raises(KBLoadError, match="'tbox' must be a list, got int"):
+        load_kb_text(
+            "variables: [A]\n"
+            "nodes:\n"
+            "  A: {kind: chance, parents: [], cpt: {'': 0.5}}\n"
+            "cost: {parents: [A], table: {'0': 0, '1': 1}}\n"
+            "tbox: 5\n"
+        )
+
+
 def test_integer_rowkeys_are_normalized():
     doc = load_kb_text(
         "variables: [A, B]\n"
@@ -473,3 +506,112 @@ def test_integer_rowkeys_are_normalized():
     )
     assert doc.kb.validate() == []
     assert doc.kb.diagram.cpt["B"] == {"0": 0.5, "1": 0.5}
+
+
+# --- nesting limits --------------------------------------------------------
+
+
+def _deep_variables(depth, style):
+    if style == "flow":
+        return "variables: " + "[" * depth + "]" * depth + "\n"
+    return "variables:\n" + "- " * depth + "x\n"
+
+
+@pytest.mark.parametrize("style", ["flow", "block"])
+def test_deep_yaml_exits_two(tmp_path, capsys, style):
+    path = tmp_path / "deep.kb"
+    path.write_text(_deep_variables(5000, style))
+    code, stdout, err = run(capsys, "validate", str(path))
+    assert code == 2 and stdout == ""
+    assert f"nested more than {kbfile.MAX_YAML_DEPTH} levels deep" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("style", ["flow", "block"])
+def test_very_deep_yaml_exits_two_in_a_fresh_process(tmp_path, style):
+    # a composer without a depth limit would die by a signal here
+    path = tmp_path / "deep.kb"
+    path.write_text(_deep_variables(100_000, style))
+    env = dict(os.environ, PYTHONPATH=str(Path(cider.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cider.cli", "validate", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"nested more than {kbfile.MAX_YAML_DEPTH} levels deep" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+def _nested_and(depth):
+    return "(and Control " * depth + "Subject" + ")" * depth
+
+
+def _nested_not(depth):
+    return "(not " * depth + "D" + ")" * depth
+
+
+def test_concept_and_context_at_the_nesting_cap(kb_path, capsys):
+    code, stdout, _ = run(
+        capsys, "query", kb_path, "subsume", "--world", "0000",
+        _nested_and(MAX_DEPTH), "Subject",
+    )
+    assert code == 0 and "subsumed: true" in stdout
+    code, stdout, _ = run(
+        capsys, "query", kb_path, "prob-subsume", "--strategy", "always_test_a",
+        "--context", _nested_not(MAX_DEPTH), "Subject", "Subject",
+    )
+    assert code == 0 and "probability: 1" in stdout
+
+
+def test_concept_and_context_past_the_nesting_cap_exit_two(kb_path, capsys):
+    deeper = MAX_DEPTH + 1
+    code, _, err = run(
+        capsys, "query", kb_path, "subsume", "--world", "0000",
+        _nested_and(deeper), "Subject",
+    )
+    assert code == 2 and err.count("\n") == 1
+    assert f"nested more than {MAX_DEPTH} levels deep (at position" in err
+    code, _, err = run(
+        capsys, "query", kb_path, "prob-subsume", "--strategy", "always_test_a",
+        "--context", _nested_not(deeper), "Subject", "Subject",
+    )
+    assert code == 2 and err.count("\n") == 1
+    assert f"nested more than {MAX_DEPTH} levels deep (at position" in err
+
+
+def _kb_with_axiom(tmp_path, lhs, context):
+    path = tmp_path / "axiom.kb"
+    text = fixture_bytes("idelium").decode("utf-8")
+    path.write_text(
+        text.replace("tbox:\n", f"tbox:\n  - {{lhs: '{lhs}', rhs: Safe, context: '{context}'}}\n")
+    )
+    return str(path)
+
+
+def test_tbox_entry_at_the_nesting_cap(tmp_path, capsys):
+    # MAX_DEPTH is even, so the nested negations reduce to D
+    def probability(depth, context):
+        path = _kb_with_axiom(tmp_path, _nested_and(depth), context)
+        assert run(capsys, "validate", path)[0] == 0
+        code, stdout, _ = run(
+            capsys, "query", path, "prob-subsume", "--strategy", "always_test_a",
+            _nested_and(depth), "Safe",
+        )
+        assert code == 0
+        return stdout.rsplit("probability: ", 1)[1]
+
+    assert probability(MAX_DEPTH, _nested_not(MAX_DEPTH)) == probability(1, "D")
+
+
+@pytest.mark.parametrize("deep", ["lhs", "context"])
+def test_tbox_entry_past_the_nesting_cap_exits_two(tmp_path, capsys, deep):
+    lhs = _nested_and(MAX_DEPTH + (deep == "lhs"))
+    context = _nested_not(MAX_DEPTH + (deep == "context"))
+    path = _kb_with_axiom(tmp_path, lhs, context)
+    code, _, err = run(capsys, "validate", path)
+    assert code == 2 and err.count("\n") == 1
+    assert f"tbox[0]: nested more than {MAX_DEPTH} levels deep (at position" in err

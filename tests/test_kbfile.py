@@ -1,0 +1,165 @@
+"""The YAML layer of KB and model documents.
+
+``kbfile._parse_yaml`` reads documents with libyaml; ``yaml.SafeLoader``,
+PyYAML's pure-Python loader, is the reference for the data it returns.
+"""
+
+import contextlib
+import io
+
+import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cider import kbfile
+from cider.cli import main
+from cider.fixtures import fixture_bytes
+from cider.kbfile import MAX_YAML_DEPTH, KBLoadError, load_model_text
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def reference(text):
+    return yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("name", ["idelium", "idelium_model"])
+def test_bundled_fixtures_parse_as_the_reference(name):
+    text = fixture_bytes(name).decode("utf-8")
+    assert kbfile._parse_yaml(text) == reference(text)
+
+
+def test_anchors_aliases_and_merge_keys():
+    text = (
+        "base: &row {'0': 1, '1': 0}\n"
+        "copy: *row\n"
+        "merged: {<<: *row, '1': 1}\n"
+        "list: &l [a, [b, c]]\n"
+        "again: [*l, *l]\n"
+    )
+    data = kbfile._parse_yaml(text)
+    assert data == reference(text)
+    assert data["copy"] is data["base"]
+    assert data["merged"] == {"0": 1, "1": 1}
+
+
+_keys = st.sampled_from(["", "0", "01", "001", "1", "10", "D", "TA", "yes", "null"])
+_scalars = (
+    st.integers(-(10**12), 10**12)
+    | st.floats(allow_nan=False)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=8)
+    | _keys
+)
+_documents = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@PROPERTY
+@given(_documents, st.booleans())
+def test_dumped_documents_parse_as_the_reference(data, flow):
+    text = yaml.safe_dump(data, default_flow_style=flow)
+    assert kbfile._parse_yaml(text) == reference(text) == data
+
+
+def _nested(depth):
+    return "[" * (depth - 1) + "x" + "]" * (depth - 1)
+
+
+def test_nesting_up_to_the_cap_parses():
+    text = _nested(MAX_YAML_DEPTH)
+    assert kbfile._parse_yaml(text) == reference(text)
+
+
+def test_nesting_past_the_cap_is_a_load_error():
+    with pytest.raises(KBLoadError, match=f"nested more than {MAX_YAML_DEPTH} levels"):
+        kbfile._parse_yaml(_nested(MAX_YAML_DEPTH + 1))
+
+
+# --- model documents -------------------------------------------------------
+
+_MODEL = (
+    "variables: [A, B]\n"
+    "domain: [d0]\n"
+    "entries:\n"
+    "  - {world: '10', weight: 0.5, concepts: {C: [d0]}}\n"
+    "  - {ENTRY}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("{weight: 0.5}", "entries[1]: missing field 'world'"),
+        ("{world: '01'}", "entries[1]: missing field 'weight'"),
+        ("{world: '01', weight: half}", "entries[1]: 'weight' is not a number"),
+        ("{world: '011', weight: 0.5}", "entries[1]: world '011' does not match"),
+    ],
+    ids=["missing-world", "missing-weight", "non-numeric-weight", "mismatched-world"],
+)
+def test_bad_model_entry_is_a_load_error(entry, message):
+    with pytest.raises(KBLoadError) as caught:
+        load_model_text(_MODEL.replace("{ENTRY}", entry))
+    assert str(caught.value).startswith(message)
+
+
+def test_model_entry_outside_the_domain_is_a_load_error():
+    entry = "{world: '01', weight: 0.5, roles: {r: [[d0, d1]]}}"
+    with pytest.raises(KBLoadError, match=r"entries\[1\]: extension of role r"):
+        load_model_text(_MODEL.replace("{ENTRY}", entry))
+
+
+# --- mutated documents -----------------------------------------------------
+
+_EDIT_CHARS = "01 :-[]{},'\"\n\t#&*!|>aDSTP.5e"
+
+
+@st.composite
+def _mutations(draw, text):
+    chars = list(text)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(chars) - 1))
+        edit = draw(st.sampled_from(["delete", "insert", "replace"]))
+        if edit == "delete":
+            del chars[at]
+        else:
+            new = draw(st.sampled_from(_EDIT_CHARS))
+            chars[at : at + (edit == "replace")] = [new]
+    return "".join(chars)
+
+
+_KB = fixture_bytes("idelium").decode("utf-8")
+_QUERIES = (
+    ["validate"],
+    ["query", "expected-cost", "--strategy", "always_test_a"],
+    ["query", "optimize", "--pure"],
+)
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants") / "mutant.kb"
+
+
+@settings(PROPERTY, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_mutations(_KB))
+def test_mutated_kb_exits_zero_to_three(mutant_path, text):
+    mutant_path.write_text(text, encoding="utf-8")
+    for command, *rest in _QUERIES:
+        argv = [command, str(mutant_path), *rest]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2, 3), argv
+
+
+@PROPERTY
+@given(text=_mutations(fixture_bytes("idelium_model").decode("utf-8")))
+def test_mutated_model_loads_or_raises_a_load_error(text):
+    try:
+        load_model_text(text)
+    except KBLoadError:
+        pass
