@@ -14,6 +14,7 @@ all of them at once as numpy columns; the per-world functions
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,8 +169,10 @@ def validate(diagram):
     for key, value in diagram.cost_table.items():
         if key not in expected:
             out.append(Violation(COST_NODE, f"unexpected cost row {key!r}"))
-        elif not isinstance(value, (int, float)) or value != value:
-            out.append(Violation(COST_NODE, f"cost in row {key!r} is not a number"))
+        elif not (isinstance(value, (int, float)) and math.isfinite(value)):
+            out.append(
+                Violation(COST_NODE, f"cost in row {key!r} is not a finite number")
+            )
     return out
 
 

@@ -39,7 +39,7 @@ from yaml.resolver import Resolver
 from . import diagram as dg
 from . import el
 from .contextual import KnowledgeBase, ModelEntry, ProbabilisticInterpretation, VGCI
-from .contextual import parse_formula
+from .contextual import FALSE, TRUE, parse_formula
 from .el import parse_concept
 
 __all__ = [
@@ -125,6 +125,22 @@ def _require_list(value, what):
     return value
 
 
+# Names and expressions must be strings: str() of a list that repeats YAML
+# aliases grows exponentially with its nesting.
+
+
+def _text(value, what):
+    if not isinstance(value, str):
+        raise KBLoadError(f"{what} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _names(value, what):
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise KBLoadError(f"{what} must be a list of names")
+    return value
+
+
 def _str_keys(mapping):
     return {str(k): v for k, v in mapping.items()}
 
@@ -155,20 +171,14 @@ def _row_table(raw, what):
 def load_kb_text(text, forgetful=False):
     raw = _require_mapping(_parse_yaml(text), "document")
 
-    variables = raw.get("variables")
-    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise KBLoadError("'variables' must be a list of names")
-    variables = tuple(variables)
+    variables = tuple(_names(raw.get("variables"), "'variables'"))
 
     kinds, parents, cpt = {}, {}, {}
     nodes = _str_keys(_require_mapping(raw.get("nodes", {}), "'nodes'"))
     for v in variables:
         spec = _require_mapping(nodes.get(v, {}), f"node {v!r}")
         kinds[v] = spec.get("kind")
-        node_parents = spec.get("parents", [])
-        if not isinstance(node_parents, list):
-            raise KBLoadError(f"node {v!r}: 'parents' must be a list")
-        parents[v] = tuple(str(p) for p in node_parents)
+        parents[v] = tuple(_names(spec.get("parents", []), f"node {v!r}: 'parents'"))
         if "cpt" in spec:
             cpt[v] = _row_table(spec["cpt"], f"node {v!r} cpt")
     for name in nodes:
@@ -176,9 +186,7 @@ def load_kb_text(text, forgetful=False):
             raise KBLoadError(f"node {name!r} is not a declared variable")
 
     cost = _require_mapping(raw.get("cost", {}), "'cost'")
-    cost_parents = cost.get("parents", [])
-    if not isinstance(cost_parents, list):
-        raise KBLoadError("'cost.parents' must be a list")
+    cost_parents = tuple(_names(cost.get("parents", []), "'cost.parents'"))
     cost_table_raw = _require_mapping(cost.get("table", {}), "'cost.table'")
     cost_table = {}
     for k, v in cost_table_raw.items():
@@ -192,27 +200,27 @@ def load_kb_text(text, forgetful=False):
         kinds=kinds,
         parents=parents,
         cpt=cpt,
-        cost_parents=tuple(str(p) for p in cost_parents),
+        cost_parents=cost_parents,
         cost_table=cost_table,
     )
 
     vtbox = []
     for i, item in enumerate(_require_list(raw.get("tbox") or [], "'tbox'")):
-        item = _require_mapping(item, f"tbox[{i}]")
+        what = f"tbox[{i}]"
+        item = _require_mapping(item, what)
         try:
-            vtbox.append(
-                VGCI(
-                    gci=el.GCI(
-                        parse_concept(str(item["lhs"])),
-                        parse_concept(str(item["rhs"])),
-                    ),
-                    context=parse_formula(str(item.get("context", "true"))),
-                )
-            )
+            lhs = parse_concept(_text(item["lhs"], f"{what}: 'lhs'"))
+            rhs = parse_concept(_text(item["rhs"], f"{what}: 'rhs'"))
+            context = item.get("context", "true")
+            if isinstance(context, bool):  # an unquoted true or false
+                context = TRUE if context else FALSE
+            else:
+                context = parse_formula(_text(context, f"{what}: 'context'"))
         except KeyError as exc:
-            raise KBLoadError(f"tbox[{i}]: missing field {exc}") from exc
+            raise KBLoadError(f"{what}: missing field {exc}") from exc
         except el.ParseError as exc:
-            raise KBLoadError(f"tbox[{i}]: {exc}") from exc
+            raise KBLoadError(f"{what}: {exc}") from exc
+        vtbox.append(VGCI(gci=el.GCI(lhs, rhs), context=context))
     kb = KnowledgeBase(diagram=diagram, vtbox=tuple(vtbox))
 
     strategies = {}
@@ -257,8 +265,8 @@ def _pairs(raw, what):
 
 def load_model_text(text):
     raw = _require_mapping(_parse_yaml(text), "document")
-    variables = tuple(str(v) for v in _require_list(raw.get("variables", []), "'variables'"))
-    domain = frozenset(str(x) for x in _require_list(raw.get("domain", []), "'domain'"))
+    variables = tuple(_names(raw.get("variables", []), "'variables'"))
+    domain = frozenset(_names(raw.get("domain", []), "'domain'"))
     entries = []
     for i, item in enumerate(_require_list(raw.get("entries", []) or [], "'entries'")):
         what = f"entries[{i}]"
@@ -266,21 +274,21 @@ def load_model_text(text):
         for field in ("world", "weight"):
             if field not in item:
                 raise KBLoadError(f"{what}: missing field {field!r}")
+        bits = _text(item["world"], f"{what}: 'world'")
         try:
-            world = dg.world_from_bits(str(item["world"]), variables)
+            world = dg.world_from_bits(bits, variables)
         except ValueError as exc:
             raise KBLoadError(f"{what}: {exc}") from None
         concept_ext = {
-            str(name): frozenset(
-                str(x) for x in _require_list(elems, f"{what}.concepts.{name}")
-            )
+            str(name): frozenset(_names(elems, f"{what}.concepts.{name}"))
             for name, elems in _require_mapping(
                 item.get("concepts", {}), f"{what}.concepts"
             ).items()
         }
         role_ext = {
             str(role): frozenset(
-                (str(x), str(y)) for x, y in _pairs(pairs, f"{what}.roles.{role}")
+                tuple(_names(pair, f"{what}.roles.{role}[{j}]"))
+                for j, pair in enumerate(_pairs(pairs, f"{what}.roles.{role}"))
             )
             for role, pairs in _require_mapping(
                 item.get("roles", {}) or {}, f"{what}.roles"

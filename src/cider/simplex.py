@@ -22,56 +22,58 @@ class SimplexError(RuntimeError):
 
 def _pivot(tableau, basis, row, col):
     tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
+    # one multiply and one subtract per element, as a row-by-row loop does;
+    # rows with a zero factor are skipped, since 0 * inf is nan and x - 0 * y
+    # can flip the sign of a zero
+    rows = tableau[:, col].nonzero()[0]
+    rows = rows[rows != row]
+    tableau[rows] -= tableau[rows, col][:, None] * tableau[row]
     basis[row] = col
 
 
 def _run(tableau, basis, ncols, max_iter, tol):
     """Optimize the tableau in place; the objective row is the last row."""
-    iterations = 0
     m = tableau.shape[0] - 1
-    while True:
-        iterations += 1
-        if iterations > max_iter:
-            raise SimplexError(
-                f"iteration cap {max_iter} exceeded "
-                f"({m} rows, {ncols} columns, basis {sorted(basis)})"
-            )
-        reduced = tableau[-1, :ncols]
-        entering = -1
-        for j in range(ncols):  # Bland: smallest eligible index
-            if reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+    for _ in range(max_iter):
+        eligible = (tableau[-1, :ncols] < -tol).nonzero()[0]
+        if not eligible.size:
             return
+        entering = int(eligible[0])  # Bland: smallest eligible index
+        column = tableau[:m, entering]
+        rows = (column > tol).nonzero()[0]
+        if not rows.size:
+            raise SimplexError("unbounded objective direction")
+        ratios = tableau[rows, -1] / column[rows]
+        # the best ratio moves during the scan, so the tie rule stays
+        # sequential: an argmin can pick another row
         leaving = -1
         best = np.inf
-        for i in range(m):
-            a = tableau[i, entering]
-            if a > tol:
-                ratio = tableau[i, -1] / a
-                if ratio < best - tol or (
-                    ratio < best + tol and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = i
-        if leaving < 0:
-            raise SimplexError("unbounded objective direction")
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best - tol or (
+                ratio < best + tol and (leaving < 0 or basis[i] < basis[leaving])
+            ):
+                best = ratio
+                leaving = i
         _pivot(tableau, basis, leaving, entering)
+    raise SimplexError(
+        f"iteration cap {max_iter} exceeded "
+        f"({m} rows, {ncols} columns, basis {sorted(basis)})"
+    )
 
 
 def minimize(c, A, b, tol=PIVOT_TOL, max_iter=None):
     """Optimal basic solution of  min c.x  s.t.  A x = b, x >= 0.
 
     Returns (x, value).  Raises Infeasible when phase one cannot zero
-    the artificial variables.
+    the artificial variables, and ValueError when an entry of c, A or b
+    is not finite.
     """
     A = np.asarray(A, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
     c = np.asarray(c, dtype=float)
+    for name, values in (("c", c), ("A", A), ("b", b)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} has an entry that is not finite")
     m, n = A.shape
     if max_iter is None:
         max_iter = 10 * (m + n) ** 2
@@ -96,22 +98,16 @@ def minimize(c, A, b, tol=PIVOT_TOL, max_iter=None):
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(tableau[i, j]) > tol:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(tableau, basis, i, pivot_col)
-                keep.append(i)
-            # else: redundant row, dropped below
-        else:
-            keep.append(i)
-    rows = keep + [m]
-    tableau = tableau[rows][:, list(range(n)) + [n + m]]
+            movable = (np.abs(tableau[i, :n]) > tol).nonzero()[0]
+            if not movable.size:
+                continue  # redundant row
+            _pivot(tableau, basis, i, int(movable[0]))
+        keep.append(i)
+    tableau = tableau[keep + [m]][:, [*range(n), n + m]]
     basis = [basis[i] for i in keep]
 
     # phase 2: original objective, reduced against the current basis
+    # row by row (a matrix product would sum in another order)
     tableau[-1, :] = 0.0
     tableau[-1, :n] = c
     for i, j in enumerate(basis):
@@ -119,6 +115,5 @@ def minimize(c, A, b, tol=PIVOT_TOL, max_iter=None):
     _run(tableau, basis, n, max_iter, tol)
 
     x = np.zeros(n)
-    for i, j in enumerate(basis):
-        x[j] = tableau[i, -1]
+    x[basis] = tableau[:-1, -1]
     return x, float(c @ x)

@@ -368,6 +368,21 @@ def test_yaml_boolean_is_not_a_number(tmp_path, capsys, cpt, cost):
     assert "is not a number" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cost", [".inf", "-.inf", ".nan"])
+def test_cost_that_is_not_finite_is_a_violation(tmp_path, capsys, recwarn, cost):
+    path = tmp_path / "inf.kb"
+    text = fixture_bytes("idelium").decode("utf-8")
+    path.write_text(text.replace('"101": 20', f'"101": {cost}'), encoding="utf-8")
+    code, stdout, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert "cost: cost in row '101' is not a finite number" in stdout
+    for argv in (["optimize", "--lp"], ["optimize", "--pure"]):
+        code, stdout, err = run(capsys, "query", str(path), *argv)
+        assert code == 2 and stdout == ""
+        assert "not a finite number" in err and err.count("\n") == 1
+    assert not recwarn.list
+
+
 def test_world_cap_exits_three_at_once(tmp_path, capsys):
     names = [f"V{i:02d}" for i in range(25)]
     nodes = "".join(

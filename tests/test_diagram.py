@@ -1,6 +1,7 @@
 """Diagram validation, influence sets, joint distribution, and costs."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -95,6 +96,23 @@ def test_validate_rejects_decision_cpt(idelium):
         cost_table=d.cost_table,
     )
     assert any("decision node has a CPT" in str(v) for v in validate(broken))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_validate_reports_a_cost_that_is_not_finite(idelium, bad):
+    d = idelium.kb.diagram
+    key = sorted(d.cost_table)[0]
+    broken = InfluenceDiagram(
+        variables=d.variables,
+        kinds=dict(d.kinds),
+        parents=dict(d.parents),
+        cpt=dict(d.cpt),
+        cost_parents=d.cost_parents,
+        cost_table={**d.cost_table, key: bad},
+    )
+    assert [str(v) for v in validate(broken)] == [
+        f"cost: cost in row {key!r} is not a finite number"
+    ]
 
 
 def test_influence_set_fixture(idelium):

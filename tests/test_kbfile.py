@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from cider import kbfile
 from cider.cli import main
 from cider.fixtures import fixture_bytes
-from cider.kbfile import MAX_YAML_DEPTH, KBLoadError, load_model_text
+from cider.contextual import FALSE, TRUE
+from cider.kbfile import MAX_YAML_DEPTH, KBLoadError, load_kb_text, load_model_text
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -112,6 +113,88 @@ def test_model_entry_outside_the_domain_is_a_load_error():
     entry = "{world: '01', weight: 0.5, roles: {r: [[d0, d1]]}}"
     with pytest.raises(KBLoadError, match=r"entries\[1\]: extension of role r"):
         load_model_text(_MODEL.replace("{ENTRY}", entry))
+
+
+# --- values that must be strings -------------------------------------------
+
+
+def _alias_chain(levels):
+    """Anchors a0..a<levels-1>; a<k> lists a<k-1> eight times, so str() of
+    the last one is 8**levels items long."""
+    lines = ["x0: &a0 [x, x, x, x, x, x, x, x]"]
+    for k in range(1, levels):
+        lines.append(f"x{k}: &a{k} [{', '.join([f'*a{k - 1}'] * 8)}]")
+    return "\n".join(lines) + "\n"
+
+
+_DEEP = "*a6"  # the last anchor of _alias_chain(7)
+_AXIOM = "{lhs: Subject, rhs: Infectious, context: D}"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (_AXIOM, f"{{lhs: {_DEEP}, rhs: B}}", "tbox[0]: 'lhs' must be a string, got list"),
+        (_AXIOM, f"{{lhs: A, rhs: {_DEEP}}}", "tbox[0]: 'rhs' must be a string, got list"),
+        (_AXIOM, f"{{lhs: A, rhs: B, context: {_DEEP}}}", "tbox[0]: 'context' must be"),
+        (_AXIOM, "{lhs: 5, rhs: B}", "tbox[0]: 'lhs' must be a string, got int"),
+        ("parents: [D], cpt", f"parents: {_DEEP}, cpt", "node 'S': 'parents' must be"),
+        ("parents: [D, P, TA]", f"parents: [D, {_DEEP}]", "'cost.parents' must be"),
+    ],
+    ids=["lhs", "rhs", "context", "int-lhs", "parents", "cost-parents"],
+)
+def test_kb_field_that_is_not_a_string_is_a_load_error(tmp_path, old, new, message):
+    assert old in _KB
+    text = _alias_chain(7) + _KB.replace(old, new, 1)
+    with pytest.raises(KBLoadError) as caught:
+        load_kb_text(text)
+    assert str(caught.value).startswith(message)
+    path = tmp_path / "alias.kb"
+    path.write_text(text, encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        assert main(["validate", str(path)]) == 2
+    assert message in stderr.getvalue() and stderr.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (f"{{world: {_DEEP}, weight: 0.5}}", "entries[1]: 'world' must be a string"),
+        ("{world: 1, weight: 0.5}", "entries[1]: 'world' must be a string, got int"),
+        (
+            f"{{world: '01', weight: 0.5, concepts: {{C: [d0, {_DEEP}]}}}}",
+            "entries[1].concepts.C must be a list of names",
+        ),
+        (
+            f"{{world: '01', weight: 0.5, roles: {{r: [[d0, {_DEEP}]]}}}}",
+            "entries[1].roles.r[0] must be a list of names",
+        ),
+    ],
+    ids=["world", "int-world", "concept-member", "role-member"],
+)
+def test_model_field_that_is_not_a_string_is_a_load_error(entry, message):
+    text = _alias_chain(7) + _MODEL.replace("{ENTRY}", entry)
+    with pytest.raises(KBLoadError) as caught:
+        load_model_text(text)
+    assert str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize("field", ["variables", "domain"])
+def test_model_list_that_is_not_names_is_a_load_error(field):
+    text = _alias_chain(7) + _MODEL.replace(f"{field}: [", f"{field}: [{_DEEP}, ", 1)
+    with pytest.raises(KBLoadError, match=f"'{field}' must be a list of names"):
+        load_model_text(text)
+
+
+@pytest.mark.parametrize("value, constant", [("true", TRUE), ("false", FALSE)])
+def test_unquoted_boolean_context_is_the_constant(tmp_path, value, constant):
+    text = _KB.replace("context: D}", f"context: {value}}}", 1)
+    assert load_kb_text(text).kb.vtbox[0].context == constant
+    path = tmp_path / "bool.kb"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["validate", str(path)]) == 0
 
 
 # --- mutated documents -----------------------------------------------------
