@@ -8,6 +8,7 @@ same inputs and options.
 """
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -18,7 +19,13 @@ from . import evidence as ev
 from . import fixtures as fx
 from . import optimizer as opt
 from ._format import format_float as fmt
-from .contextual import TRUE, parse_formula, prob_subsumption, restrict
+from .contextual import (
+    TRUE,
+    formula_variables,
+    parse_formula,
+    prob_subsumption,
+    restrict,
+)
 from .el import ParseError, parse_concept
 from .kbfile import KBLoadError, load_kb_document
 
@@ -75,11 +82,15 @@ def _concept(text):
         raise _InputError(f"bad concept {text!r}: {exc}") from exc
 
 
-def _formula(text):
+def _formula(text, variables):
     try:
-        return parse_formula(text)
+        formula = parse_formula(text)
     except ParseError as exc:
         raise _InputError(f"bad context {text!r}: {exc}") from exc
+    unknown = sorted(formula_variables(formula) - set(variables))
+    if unknown:
+        raise _InputError(f"context {text!r} names unknown variables {unknown}")
+    return formula
 
 
 def _strategy(doc, name, forgetful=False):
@@ -157,7 +168,7 @@ def _cmd_query(args, argv):
 
     if sub == "prob-subsume":
         strategy = _strategy(doc, args.strategy, args.forgetful)
-        context = _formula(args.context) if args.context else TRUE
+        context = _formula(args.context, kb.diagram.variables) if args.context else TRUE
         p = prob_subsumption(
             kb,
             strategy,
@@ -212,6 +223,10 @@ def _cmd_query(args, argv):
                     "evidence-conditioned optimization is only supported for "
                     "pure strategies (use --pure)"
                 )
+            if args.direction == "max":
+                raise _Unsupported(
+                    "the LP only minimizes; --direction max needs --pure"
+                )
             epsilon = args.fully_mixed
             if epsilon is not None and not (math.isfinite(epsilon) and epsilon >= 0.0):
                 raise _InputError(
@@ -224,6 +239,8 @@ def _cmd_query(args, argv):
             lines.extend(_strategy_lines(result.strategy))
             _report(argv, args.path, lines, tolerance="1e-07")
             return 0
+        if args.fully_mixed is not None:
+            raise _InputError("--fully-mixed applies to --lp only")
         objective = "expected"
         query = None
         if args.evidence:
@@ -263,6 +280,11 @@ def _cmd_query(args, argv):
                 kb, objective=objective, evidence=query, forgetful=args.forgetful
             )
         else:
+            if args.evidence:
+                raise _InputError(
+                    f"--problem {args.problem} takes no --evidence; "
+                    "only d-dom-opt and d-dom-pes do"
+                )
             direction = "min" if args.problem == "d-opt" else "max"
             result = opt.optimal_pure_strategy(
                 kb, direction=direction, forgetful=args.forgetful
@@ -288,7 +310,10 @@ def _cmd_query(args, argv):
     raise _InputError(f"unknown query subcommand {sub!r}")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and kept for the process;
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cider",
         description="Contextual influence-diagram expected-cost reasoner",

@@ -7,6 +7,12 @@ against an indifferent chance player, behaviour strategies are
 linearized into realization plans, and the optimal plan is the solution
 of  min a.mu  s.t.  R mu = r, mu >= 0  solved by the in-repo simplex.
 
+The tree is held as arrays, not node objects.  Its leaves are the
+valuations in binary counting order of the expansion order, with one
+column each for the cost, the chance weight and the last optimizer
+sequence on the path; information set h, numbered in preorder, has the
+move sequences 1 + 2h + value.
+
 The tree gives the optimizing player perfect information: every node it
 owns is its own singleton information set, so its choices may condition
 on all chance values resolved earlier in the expansion order, which can
@@ -36,7 +42,7 @@ __all__ = [
     "InfeasibleEpsilonError",
     "PureStrategy",
     "GameTree",
-    "Leaf",
+    "Leaves",
     "LinearProgram",
     "RealizationPlan",
     "OptimizationResult",
@@ -188,30 +194,6 @@ def decide_threshold(result, bound, problem):
 
 
 @dataclass(frozen=True)
-class Leaf:
-    world: dict
-    bits: str
-    cost: float
-    chance_weight: float
-    seq1: int  # index into GameTree.sequences
-    seq2: tuple  # chance moves (variable, value) along the path
-
-
-@dataclass(frozen=True)
-class ChanceNode:
-    variable: str
-    p_true: float
-    children: tuple  # (value-false child, value-true child)
-
-
-@dataclass(frozen=True)
-class DecisionNode:
-    variable: str
-    infoset: int
-    children: tuple
-
-
-@dataclass(frozen=True)
 class Infoset:
     """A singleton information set: one tree node owned by the optimizer."""
 
@@ -224,13 +206,29 @@ class Infoset:
 
 
 @dataclass(frozen=True)
+class Leaves:
+    """Columns over the leaves, in binary counting order of the expansion order."""
+
+    cost: np.ndarray
+    chance_weight: np.ndarray  # product of the chance factors on the path
+    seq1: np.ndarray  # the path's last optimizer sequence, 0 if it has none
+
+    def __len__(self):
+        return len(self.cost)
+
+
+@dataclass(frozen=True)
 class GameTree:
+    """The tree level by level: level d holds the 2^d valuations of the
+    first d variables of the expansion order, in binary counting order,
+    so node x of level d has the children 2x and 2x + 1 on level d + 1."""
+
     diagram: dg.InfluenceDiagram
     order: tuple  # expansion order of the variables
-    root: object
-    leaves: tuple
+    p_true: tuple  # per level: P(order[d] true) at each node, None for decisions
+    leaves: Leaves
     sequences: tuple  # optimizer move sequences; sequences[0] == ()
-    infosets: tuple
+    infosets: tuple  # in preorder of their nodes
 
 
 def expansion_order(diagram):
@@ -250,77 +248,71 @@ def expansion_order(diagram):
     return tuple(placed)
 
 
+def _row_code(nodes, depth, level_of, variables):
+    """Row key over some of the first `depth` expanded variables, as an
+    integer, at each node of level `depth`."""
+    code = np.zeros_like(nodes)
+    for v in variables:
+        code = (code << 1) | ((nodes >> (depth - 1 - level_of[v])) & 1)
+    return code
+
+
+def _preorder_ids(depth, decision_levels):
+    """Preorder number of each decision node on level `depth`.
+
+    Node x comes after its ancestors, and after the nodes of every
+    decision level whose subtrees lie wholly to its left.
+    """
+    x = np.arange(1 << depth)
+    ids = np.zeros_like(x)
+    for e in decision_levels:
+        ids += (x >> (depth - e)) + 1 if e < depth else x << (e - depth)
+    return ids
+
+
 def build_game_tree(diagram):
-    """Expand the diagram into a perfect-information tree against chance."""
+    """Expand the diagram into a perfect-information tree against chance.
+
+    Level by level, each node's chance weight is its parent's times the
+    chance factor of its value, multiplied in expansion order as a walk
+    down the tree multiplies.  At information set h, the optimizer's
+    move to `value` is sequence 1 + 2h + value.
+    """
     dg.check_world_count(diagram)
     order = expansion_order(diagram)
-    sequences = [()]
-    seq_index = {(): 0}
-    infosets = []
-    leaves = []
-
-    def expand(depth, world, weight, seq1, seq2):
-        if depth == len(order):
-            leaf = Leaf(
-                world=dict(world),
-                bits=diagram.bits(world),
-                cost=dg.cost_of_valuation(diagram, world),
-                chance_weight=weight,
-                seq1=seq_index[seq1],
-                seq2=seq2,
-            )
-            leaves.append(leaf)
-            return leaf
-        v = order[depth]
+    level_of = {v: d for d, v in enumerate(order)}
+    decision_levels = [d for d, v in enumerate(order) if diagram.kinds[v] != CHANCE]
+    weight = np.ones(1)
+    seq = np.zeros(1, dtype=np.int64)
+    p_true = []
+    infosets = [None] * sum(1 << d for d in decision_levels)
+    for d, v in enumerate(order):
         if diagram.kinds[v] == CHANCE:
-            p = diagram.cpt[v][rowkey(world, diagram.parents.get(v, ()))]
-            children = []
-            for value, branch_p in ((False, 1.0 - p), (True, p)):
-                world[v] = value
-                children.append(
-                    expand(
-                        depth + 1,
-                        world,
-                        weight * branch_p,
-                        seq1,
-                        seq2 + ((v, value),),
-                    )
-                )
-                del world[v]
-            return ChanceNode(variable=v, p_true=p, children=tuple(children))
-        h = len(infosets)
-        extensions = []
-        for value in (False, True):
-            move_seq = seq1 + ((h, value),)
-            seq_index[move_seq] = len(sequences)
-            sequences.append(move_seq)
-            extensions.append(move_seq)
-        infosets.append(
-            Infoset(
-                id=h,
-                variable=v,
-                history=rowkey(world, order[:depth]),
-                seq_in=seq_index[seq1],
-                seq_false=seq_index[extensions[0]],
-                seq_true=seq_index[extensions[1]],
-            )
-        )
-        children = []
-        for value, move_seq in zip((False, True), extensions):
-            world[v] = value
-            children.append(expand(depth + 1, world, weight, move_seq, seq2))
-            del world[v]
-        return DecisionNode(variable=v, infoset=h, children=tuple(children))
-
-    root = expand(0, {}, 1.0, (), ())
-    # the recursive closure refers to itself; dropping it breaks that cycle,
-    # so the build's lists are freed on return, not at the next full collection
-    del expand
+            parents = diagram.parents.get(v, ())
+            rows = dg._row_array(diagram.cpt[v], len(parents))
+            p = rows[_row_code(np.arange(1 << d), d, level_of, parents)]
+            weight = (weight[:, None] * np.stack((1.0 - p, p), axis=1)).ravel()
+            seq = np.repeat(seq, 2)
+            p_true.append(p)
+            continue
+        ids = _preorder_ids(d, decision_levels)
+        for h, history, seq_in in zip(ids.tolist(), dg._all_rowkeys(d), seq.tolist()):
+            infosets[h] = Infoset(h, v, history, seq_in, 1 + 2 * h, 2 + 2 * h)
+        weight = np.repeat(weight, 2)
+        seq = (1 + 2 * ids[:, None] + np.arange(2)).ravel()
+        p_true.append(None)
+    n = len(order)
+    cost_rows = dg._row_array(diagram.cost_table, len(diagram.cost_parents))
+    cost = cost_rows[_row_code(np.arange(1 << n), n, level_of, diagram.cost_parents)]
+    sequences = [()]
+    for h in infosets:
+        base = sequences[h.seq_in]
+        sequences += [base + ((h.id, False),), base + ((h.id, True),)]
     return GameTree(
         diagram=diagram,
         order=order,
-        root=root,
-        leaves=tuple(leaves),
+        p_true=tuple(p_true),
+        leaves=Leaves(cost=cost, chance_weight=weight, seq1=seq),
         sequences=tuple(sequences),
         infosets=tuple(infosets),
     )
@@ -331,11 +323,15 @@ def reduced_objective(tree):
 
     Entry s sums cost * chance weight over the leaves whose optimizer
     sequence is s; the plan value a.mu then equals the expected cost.
+    The sum runs in leaf order (``np.bincount`` adds one leaf at a time;
+    ``np.sum`` would add pairwise and can differ in the last bits).
     """
-    a = np.zeros(len(tree.sequences))
-    for leaf in tree.leaves:
-        a[leaf.seq1] += leaf.cost * leaf.chance_weight
-    return a
+    leaves = tree.leaves
+    return np.bincount(
+        leaves.seq1,
+        weights=leaves.cost * leaves.chance_weight,
+        minlength=len(tree.sequences),
+    )
 
 
 def realization_constraints(tree):
@@ -468,36 +464,39 @@ def pure_plan(tree, strategy):
 
 def export_game_tree_dot(tree):
     """DOT rendering: optimizer nodes as boxes, chance as circles,
-    leaves as cost-labeled diamonds; chance edges carry probabilities."""
+    leaves as cost-labeled diamonds; chance edges carry probabilities.
+
+    Nodes are numbered in preorder, and the edge to a child follows the
+    lines of the child's subtree.
+    """
     from ._format import format_float as fmt
 
+    n = len(tree.order)
+    p_true = [None if p is None else p.tolist() for p in tree.p_true]
+    costs = tree.leaves.cost.tolist()
     lines = ["digraph game_tree {"]
-    counter = itertools.count()
-
-    def emit(node):
-        my_id = f"n{next(counter)}"
-        if isinstance(node, Leaf):
-            lines.append(f'  {my_id} [shape=diamond label="cost={fmt(node.cost)}"];')
-            return my_id
-        if isinstance(node, ChanceNode):
-            lines.append(f'  {my_id} [shape=circle label="{node.variable}"];')
-            probs = (1.0 - node.p_true, node.p_true)
-            for value, child, p in zip((0, 1), node.children, probs):
-                child_id = emit(child)
-                lines.append(
-                    f'  {my_id} -> {child_id} '
-                    f'[label="{node.variable}={value} p={fmt(p)}"];'
-                )
-            return my_id
-        lines.append(f'  {my_id} [shape=box label="{node.variable}"];')
-        for value, child in zip((0, 1), node.children):
-            child_id = emit(child)
-            lines.append(
-                f'  {my_id} -> {child_id} [label="{node.variable}={value}"];'
-            )
-        return my_id
-
-    emit(tree.root)
-    del emit  # break the closure's self-reference, as in build_game_tree
+    pending = [(0, 0, 0)]  # (level, node on the level, preorder id) or a line
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        depth, x, node = item
+        if depth == n:
+            lines.append(f'  n{node} [shape=diamond label="cost={fmt(costs[x])}"];')
+            continue
+        v = tree.order[depth]
+        if p_true[depth] is None:
+            lines.append(f'  n{node} [shape=box label="{v}"];')
+            labels = (f"{v}=0", f"{v}=1")
+        else:
+            p = p_true[depth][x]
+            lines.append(f'  n{node} [shape=circle label="{v}"];')
+            labels = (f"{v}=0 p={fmt(1.0 - p)}", f"{v}=1 p={fmt(p)}")
+        # the false child's subtree holds 2^(n - depth) - 1 nodes
+        children = (node + 1, node + (1 << (n - depth)))
+        for value in (1, 0):
+            pending.append(f'  n{node} -> n{children[value]} [label="{labels[value]}"];')
+            pending.append((depth + 1, 2 * x + value, children[value]))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -185,6 +185,16 @@ def test_prob_subsume(kb_path, capsys):
     assert "probability: 1" in stdout
 
 
+def test_prob_subsume_context_naming_an_unknown_variable_exit_two(kb_path, capsys):
+    code, stdout, err = run(
+        capsys, "query", kb_path, "prob-subsume", "--strategy", "test_a_if_clear",
+        "--context", "(and S Nowhere)", "Subject", "Benefits",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "Nowhere" in err
+
+
 def test_cond_cost_json_payload(kb_path, capsys):
     code, stdout, _ = run(
         capsys,
@@ -302,6 +312,70 @@ def test_decide_dominant_requires_evidence(kb_path, capsys):
     )
     assert code == 0
     assert "answer:" in stdout
+
+
+def test_optimize_lp_direction_max_unsupported(kb_path, capsys):
+    code, stdout, err = run(
+        capsys, "query", kb_path, "optimize", "--lp", "--direction", "max"
+    )
+    assert code == 3
+    assert stdout == ""
+    assert err.count("\n") == 1 and "minimizes" in err
+    code, stdout, _ = run(
+        capsys, "query", kb_path, "optimize", "--lp", "--direction", "min"
+    )
+    assert code == 0 and "value: 2.36" in stdout
+
+
+def test_optimize_pure_fully_mixed_exit_two(kb_path, capsys):
+    code, stdout, err = run(
+        capsys, "query", kb_path, "optimize", "--pure", "--fully-mixed", "0.01"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "--fully-mixed" in err
+
+
+@pytest.mark.parametrize("problem", ["d-opt", "d-pes"])
+def test_decide_plain_problem_with_evidence_exit_two(kb_path, capsys, problem):
+    code, stdout, err = run(
+        capsys, "query", kb_path, "decide", "--problem", problem, "--bound", "5",
+        "--evidence", "Subject", "Infectious",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "--evidence" in err
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_parser_carries_nothing_from_one_call_to_the_next(kb_path, capsys):
+    from cider import cli
+
+    dominant = ("query", kb_path, "decide", "--problem", "d-dom-opt", "--bound", "5")
+    calls = [
+        dominant + ("--evidence", "Subject", "Infectious"),
+        dominant,
+        ("query", kb_path, "optimize", "--pure", "--lp"),
+        ("query", kb_path, "optimize", "--pure"),
+        ("--forgetful", "query", kb_path, "optimize", "--pure"),
+        ("query", kb_path, "optimize", "--lp"),
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    in_one_process = [_outcome(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert in_one_process == fresh
+    assert [code for code, _, _ in in_one_process] == [0, 2, 2, 0, 0, 0]
 
 
 def test_worlds_listing(kb_path, capsys):

@@ -1,12 +1,21 @@
-"""Pure-strategy enumeration, game trees, and the sequence-form LP."""
+"""Pure-strategy enumeration, game trees, and the sequence-form LP.
 
+The game tree is built as arrays; the recursive builder, node classes
+and DOT emitter it replaced are kept here as the reference it must equal
+bit for bit.
+"""
+
+import dataclasses
+import itertools
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from cider import diagram as dg
 from cider import optimizer as opt
+from cider._format import format_float as fmt
 from cider.contextual import KnowledgeBase
 from cider.el import ConceptName as N
 from cider.evidence import EvidenceQuery, optimistic_expected_cost
@@ -14,14 +23,193 @@ from cider.evidence import EvidenceQuery, optimistic_expected_cost
 from conftest import random_diagram, random_strategy
 
 
+# --- the recursive reference ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Leaf:
+    world: dict
+    cost: float
+    chance_weight: float
+    seq1: int  # index into the tree's sequences
+
+
+@dataclass(frozen=True)
+class ChanceNode:
+    variable: str
+    p_true: float
+    children: tuple  # (value-false child, value-true child)
+
+
+@dataclass(frozen=True)
+class DecisionNode:
+    variable: str
+    infoset: int
+    children: tuple
+
+
+@dataclass(frozen=True)
+class RefTree:
+    order: tuple
+    root: object
+    leaves: tuple
+    sequences: tuple
+    infosets: tuple
+
+
+def ref_build_game_tree(diagram):
+    """One node object per tree node, expanded depth first."""
+    order = opt.expansion_order(diagram)
+    sequences = [()]
+    seq_index = {(): 0}
+    infosets = []
+    leaves = []
+
+    def expand(depth, world, weight, seq1):
+        if depth == len(order):
+            leaf = Leaf(
+                world=dict(world),
+                cost=dg.cost_of_valuation(diagram, world),
+                chance_weight=weight,
+                seq1=seq_index[seq1],
+            )
+            leaves.append(leaf)
+            return leaf
+        v = order[depth]
+        if diagram.kinds[v] == dg.CHANCE:
+            p = diagram.cpt[v][dg.rowkey(world, diagram.parents.get(v, ()))]
+            children = []
+            for value, branch_p in ((False, 1.0 - p), (True, p)):
+                world[v] = value
+                children.append(expand(depth + 1, world, weight * branch_p, seq1))
+                del world[v]
+            return ChanceNode(variable=v, p_true=p, children=tuple(children))
+        h = len(infosets)
+        extensions = []
+        for value in (False, True):
+            move_seq = seq1 + ((h, value),)
+            seq_index[move_seq] = len(sequences)
+            sequences.append(move_seq)
+            extensions.append(move_seq)
+        infosets.append(
+            opt.Infoset(
+                id=h,
+                variable=v,
+                history=dg.rowkey(world, order[:depth]),
+                seq_in=seq_index[seq1],
+                seq_false=seq_index[extensions[0]],
+                seq_true=seq_index[extensions[1]],
+            )
+        )
+        children = []
+        for value, move_seq in zip((False, True), extensions):
+            world[v] = value
+            children.append(expand(depth + 1, world, weight, move_seq))
+            del world[v]
+        return DecisionNode(variable=v, infoset=h, children=tuple(children))
+
+    root = expand(0, {}, 1.0, ())
+    return RefTree(
+        order=order,
+        root=root,
+        leaves=tuple(leaves),
+        sequences=tuple(sequences),
+        infosets=tuple(infosets),
+    )
+
+
+def ref_reduced_objective(tree):
+    a = np.zeros(len(tree.sequences))
+    for leaf in tree.leaves:
+        a[leaf.seq1] += leaf.cost * leaf.chance_weight
+    return a
+
+
+def ref_export_dot(tree):
+    lines = ["digraph game_tree {"]
+    counter = itertools.count()
+
+    def emit(node):
+        my_id = f"n{next(counter)}"
+        if isinstance(node, Leaf):
+            lines.append(f'  {my_id} [shape=diamond label="cost={fmt(node.cost)}"];')
+            return my_id
+        if isinstance(node, ChanceNode):
+            lines.append(f'  {my_id} [shape=circle label="{node.variable}"];')
+            probs = (1.0 - node.p_true, node.p_true)
+            for value, child, p in zip((0, 1), node.children, probs):
+                child_id = emit(child)
+                lines.append(
+                    f'  {my_id} -> {child_id} '
+                    f'[label="{node.variable}={value} p={fmt(p)}"];'
+                )
+            return my_id
+        lines.append(f'  {my_id} [shape=box label="{node.variable}"];')
+        for value, child in zip((0, 1), node.children):
+            child_id = emit(child)
+            lines.append(f'  {my_id} -> {child_id} [label="{node.variable}={value}"];')
+        return my_id
+
+    emit(tree.root)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def backward_induction(node):
-    """Independent perfect-information optimum of a game tree."""
-    if isinstance(node, opt.Leaf):
+    """Independent perfect-information optimum of a reference tree."""
+    if isinstance(node, Leaf):
         return node.cost
     values = [backward_induction(child) for child in node.children]
-    if isinstance(node, opt.ChanceNode):
+    if isinstance(node, ChanceNode):
         return (1.0 - node.p_true) * values[0] + node.p_true * values[1]
     return min(values)
+
+
+def _redeclared(diagram, rng):
+    """The same diagram with its variables declared in another order, so
+    that the expansion order often differs from the declared one."""
+    variables = list(diagram.variables)
+    rng.shuffle(variables)
+    return dataclasses.replace(diagram, variables=tuple(variables))
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def assert_tree_matches_reference(diagram):
+    tree = opt.build_game_tree(diagram)
+    ref = ref_build_game_tree(diagram)
+    assert tree.order == ref.order
+    n = len(ref.order)
+    # leaf i is the i-th valuation in binary counting order of the expansion order
+    assert [dg.rowkey(leaf.world, ref.order) for leaf in ref.leaves] == [
+        format(i, f"0{n}b") if n else "" for i in range(len(tree.leaves))
+    ]
+    for name in ("cost", "chance_weight"):
+        expected = np.array([getattr(leaf, name) for leaf in ref.leaves])
+        assert _same_array(getattr(tree.leaves, name), expected), name
+    assert tree.leaves.seq1.tolist() == [leaf.seq1 for leaf in ref.leaves]
+    assert _same_array(opt.reduced_objective(tree), ref_reduced_objective(ref))
+    assert tree.sequences == ref.sequences
+    assert tree.infosets == ref.infosets
+    for array, expected in zip(
+        opt.realization_constraints(tree), opt.realization_constraints(ref)
+    ):
+        assert _same_array(array, expected)
+    assert opt.export_game_tree_dot(tree) == ref_export_dot(ref)
+
+
+def test_tree_matches_the_recursive_reference(random_kb_corpus, idelium):
+    rng = random.Random(73)
+    diagrams = [idelium.kb.diagram] + [kb.diagram for kb, _ in random_kb_corpus]
+    # larger trees put more than eight leaves on one sequence, where a
+    # pairwise sum and a sum in leaf order part
+    diagrams += [random_diagram(rng, n_vars=8, strategy_cap_log2=64) for _ in range(10)]
+    diagrams += [_redeclared(d, rng) for d in diagrams]
+    assert sum(opt.expansion_order(d) != d.variables for d in diagrams) > 100
+    for diagram in diagrams:
+        assert_tree_matches_reference(diagram)
 
 
 # --- enumeration ------------------------------------------------------------
@@ -187,20 +375,15 @@ def test_expansion_order(idelium):
 def test_tree_structure_fixture(idelium):
     tree = opt.build_game_tree(idelium.kb.diagram)
     assert len(tree.leaves) == 16
-    assert {leaf.bits for leaf in tree.leaves} == {
-        format(i, "04b") for i in range(16)
-    }
     # one singleton information set per (D, S) history
     assert len(tree.infosets) == 4
     assert sorted(h.history for h in tree.infosets) == ["00", "01", "10", "11"]
     assert len(tree.sequences) == 1 + 2 * len(tree.infosets)
-    # chance weights along any fixed pure choice of TA sum to one
-    for ta_value in (False, True):
-        total = sum(
-            leaf.chance_weight
-            for leaf in tree.leaves
-            if leaf.world["TA"] == ta_value
-        )
+    # chance weights along any fixed pure choice of TA sum to one; TA is
+    # the third of four variables, so bit 1 of the leaf index
+    ta_value = (np.arange(16) >> 1) & 1
+    for value in (0, 1):
+        total = tree.leaves.chance_weight[ta_value == value].sum()
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -215,7 +398,7 @@ def test_tree_without_decisions():
     )
     tree = opt.build_game_tree(d)
     assert len(tree.sequences) == 1
-    assert sum(leaf.chance_weight for leaf in tree.leaves) == pytest.approx(1.0)
+    assert tree.leaves.chance_weight.sum() == pytest.approx(1.0)
     a = opt.reduced_objective(tree)
     assert a.shape == (1,)
     expected = dg.expected_cost(d, dg.GlobalStrategy(locals={}))
@@ -235,7 +418,7 @@ def test_tree_single_decision_no_chance():
     )
     tree = opt.build_game_tree(d)
     assert len(tree.leaves) == 2
-    assert all(leaf.chance_weight == 1.0 for leaf in tree.leaves)
+    assert tree.leaves.chance_weight.tolist() == [1.0, 1.0]
     result = opt.optimal_mixed_strategy(d)
     assert result.value == pytest.approx(3.0)
     assert result.strategy.locals["D0"].table[""] == pytest.approx(0.0)
@@ -328,7 +511,7 @@ def test_lp_matches_backward_induction_randomized():
     rng = random.Random(2025)
     for _ in range(40):
         d = random_diagram(rng)
-        tree = opt.build_game_tree(d)
+        tree = ref_build_game_tree(d)
         result = opt.optimal_mixed_strategy(d)
         assert result.value == pytest.approx(backward_induction(tree.root), abs=1e-7)
 
