@@ -217,7 +217,11 @@ def _cmd_query(args, argv):
         return 0
 
     if sub == "optimize":
+        if args.mode == "pes" and not args.evidence:
+            raise _InputError("--mode applies to --evidence only")
         if args.lp:
+            if args.forgetful:
+                raise _InputError("--forgetful does not apply to optimize --lp")
             if args.evidence:
                 raise _Unsupported(
                     "evidence-conditioned optimization is only supported for "
@@ -303,6 +307,8 @@ def _cmd_query(args, argv):
         return 0
 
     if sub == "export-game-tree":
+        if args.forgetful:
+            raise _InputError("--forgetful does not apply to export-game-tree")
         tree = opt.build_game_tree(kb.diagram)
         sys.stdout.write(opt.export_game_tree_dot(tree))
         return 0

@@ -7,7 +7,8 @@ anywhere between zero and its full mass by choosing interpretations
 ("optional").  The tightest bounds on the conditional expected cost are
 therefore reached at subsets of the optional worlds, which the greedy
 weighted-average pass below finds and the exhaustive subset oracle
-verifies.
+verifies.  Both are passes over the world table's columns: the forced
+mask, the strategy's joint probability and the cost.
 """
 
 from dataclasses import dataclass
@@ -21,12 +22,9 @@ from .contextual import entailment_column
 __all__ = [
     "UndefinedConditionalError",
     "EvidenceQuery",
-    "ClassifiedWorld",
-    "WorldClassification",
     "ConditionalCostResult",
     "conditional_expectation",
     "classify_worlds",
-    "classify_table",
     "greedy_bound",
     "optimistic_expected_cost",
     "pessimistic_expected_cost",
@@ -60,122 +58,95 @@ def conditional_expectation(outcomes):
     return weighted / total
 
 
-@dataclass(frozen=True)
-class ClassifiedWorld:
-    bits: str
-    forced: bool
-    probability: float
-    cost: float
-
-
-@dataclass(frozen=True)
-class WorldClassification:
-    """Per-world forced/optional status with probabilities and costs."""
-
-    worlds: tuple
-
-    @property
-    def forced(self):
-        return tuple(w for w in self.worlds if w.forced)
-
-    @property
-    def optional(self):
-        return tuple(w for w in self.worlds if not w.forced)
-
-
 def classify_worlds(kb, strategy, query):
-    """Forced iff the world's restricted TBox entails the query inclusion."""
+    """The world table, its forced column and the strategy's joint column.
+
+    A world is forced iff its restricted TBox entails the query inclusion.
+    """
     table = dg.WorldTable(kb.diagram)
     forced = entailment_column(kb, table, query.lhs, query.rhs)
-    return classify_table(table, forced, strategy)
+    return table, forced, table.joint(strategy)
 
 
-def classify_table(table, forced, strategy):
-    """Classification of a table's worlds, given their forced column.
-
-    Forced status does not depend on the strategy, so a search over
-    strategies decides it once and classifies each strategy here.
-    """
-    return WorldClassification(
-        worlds=tuple(
-            map(
-                ClassifiedWorld,
-                table.rowkeys(),
-                forced.tolist(),
-                table.joint(strategy).tolist(),
-                table.cost.tolist(),
-            )
-        )
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalCostResult:
+    """A conditional bound and the worlds whose full mass attains it.
+
+    ``included`` is a Boolean mask over the world table; the worlds
+    become bit strings only when ``included_worlds`` is read.
+    """
+
     value: float
-    included_worlds: frozenset
     evidence_probability: float
+    included: np.ndarray
 
-    def to_json_dict(self):
-        return {
-            "value": self.value,
-            "evidence_probability": self.evidence_probability,
-            "included_worlds": sorted(self.included_worlds),
-        }
-
-
-def _positive(classification):
-    forced = [w for w in classification.forced if w.probability > 0.0]
-    optional = [w for w in classification.optional if w.probability > 0.0]
-    return forced, optional
+    @property
+    def included_worlds(self):
+        """The included worlds as bit strings in declared variable order."""
+        n = (self.included.size - 1).bit_length()
+        # the leading 1 keeps the zero padding, and leaves "" when n is 0
+        return frozenset(
+            format(i | 1 << n, "b")[1:] for i in np.flatnonzero(self.included).tolist()
+        )
 
 
-def greedy_bound(classification, sign):
-    """Shared greedy pass; sign +1 minimizes, -1 maximizes.
+def _split(forced, probability):
+    """Forced and optional masks over the worlds of positive probability."""
+    positive = probability > 0.0
+    return forced & positive, ~forced & positive
+
+
+def greedy_bound(table, forced, probability, sign):
+    """Shared greedy pass over world columns; sign +1 minimizes, -1 maximizes.
 
     Forced worlds are always in.  Optional worlds, visited by ascending
-    (descending) cost, are included while strictly below (above) the
-    running conditional average; ties are excluded since they cannot
-    change the value.
+    (descending) cost with ties in world order, are included while
+    strictly below (above) the running conditional average; ties are
+    excluded since they cannot change the value.  Running sums add left
+    to right, as a per-world loop adds.
     """
-    forced, optional = _positive(classification)
-    if not forced and not optional:
-        raise UndefinedConditionalError("no world has positive probability")
-    if not forced:
+    forced, optional = _split(forced, probability)
+    cost = table.cost
+    if not forced.any():
+        if not optional.any():
+            raise UndefinedConditionalError("no world has positive probability")
         # all satisfying mass can be concentrated on the extreme-cost worlds
-        best = min(w.cost for w in optional) if sign > 0 else max(
-            w.cost for w in optional
-        )
-        chosen = [w for w in optional if w.cost == best]
+        costs = cost[optional]
+        chosen = optional & (cost == (costs.min() if sign > 0 else costs.max()))
         return ConditionalCostResult(
-            value=best,
-            included_worlds=frozenset(w.bits for w in chosen),
-            evidence_probability=sum(w.probability for w in chosen),
+            value=float(cost[chosen][0]),  # the first tied cost: -0.0 ties 0.0
+            evidence_probability=table.mass(probability, chosen),
+            included=chosen,
         )
-    mass = sum(w.probability for w in forced)
-    weighted = sum(w.probability * w.cost for w in forced)
-    included = {w.bits for w in forced}
-    for w in sorted(optional, key=lambda w: (sign * w.cost, w.bits)):
-        if sign * w.cost < sign * (weighted / mass):
-            mass += w.probability
-            weighted += w.probability * w.cost
-            included.add(w.bits)
-        else:
-            break
+    order = np.flatnonzero(optional)
+    order = order[np.argsort(sign * cost[order], kind="stable")]
+    # Running sums for every prefix of the order, the forced totals first.
+    # Like Python floats they overflow to inf quietly; prefixes past the
+    # stopping point are never used.
+    with np.errstate(over="ignore"):
+        weight = probability * cost
+        mass = np.add.accumulate(
+            np.append(table.mass(probability, forced), probability[order])
+        )
+        weighted = np.add.accumulate(np.append(table.mass(weight, forced), weight[order]))
+        below = sign * cost[order] < sign * (weighted[:-1] / mass[:-1])
+    stop = below.size if below.all() else int(below.argmin())
+    forced[order[:stop]] = True
     return ConditionalCostResult(
-        value=weighted / mass,
-        included_worlds=frozenset(included),
-        evidence_probability=mass,
+        value=float(weighted[stop] / mass[stop]),
+        evidence_probability=float(mass[stop]),
+        included=forced,
     )
 
 
 def optimistic_expected_cost(kb, strategy, query):
     """Lowest conditional expected cost any model can realize."""
-    return greedy_bound(classify_worlds(kb, strategy, query), +1)
+    return greedy_bound(*classify_worlds(kb, strategy, query), +1)
 
 
 def pessimistic_expected_cost(kb, strategy, query):
     """Highest conditional expected cost any model can realize."""
-    return greedy_bound(classify_worlds(kb, strategy, query), -1)
+    return greedy_bound(*classify_worlds(kb, strategy, query), -1)
 
 
 def brute_force_conditional_bounds(kb, strategy, query, limit=ORACLE_LIMIT):
@@ -185,23 +156,22 @@ def brute_force_conditional_bounds(kb, strategy, query, limit=ORACLE_LIMIT):
     including a world's mass never beats including all of it or none of
     it in a weighted average.  Refuses beyond ``limit`` optional worlds.
     """
-    forced, optional = _positive(classify_worlds(kb, strategy, query))
-    if len(optional) > limit:
-        raise ValueError(
-            f"{len(optional)} optional worlds exceed the oracle limit {limit}"
-        )
-    if not forced and not optional:
+    table, forced, probability = classify_worlds(kb, strategy, query)
+    forced, optional = _split(forced, probability)
+    count = int(np.count_nonzero(optional))
+    if count > limit:
+        raise ValueError(f"{count} optional worlds exceed the oracle limit {limit}")
+    if not forced.any() and not count:
         raise UndefinedConditionalError("no world has positive probability")
-    base_mass = sum(w.probability for w in forced)
-    base_weighted = sum(w.probability * w.cost for w in forced)
+    weight = probability * table.cost
     # subset sums by doubling: index bit i toggles optional world i
     mass = np.zeros(1)
     weighted = np.zeros(1)
-    for w in optional:
-        mass = np.concatenate([mass, mass + w.probability])
-        weighted = np.concatenate([weighted, weighted + w.probability * w.cost])
-    mass = mass + base_mass
-    weighted = weighted + base_weighted
+    for p, w in zip(probability[optional].tolist(), weight[optional].tolist()):
+        mass = np.concatenate([mass, mass + p])
+        weighted = np.concatenate([weighted, weighted + w])
+    mass = mass + table.mass(probability, forced)
+    weighted = weighted + table.mass(weight, forced)
     values = weighted[mass > 0.0] / mass[mass > 0.0]
     if values.size == 0:
         raise UndefinedConditionalError("no nonempty subset has positive mass")

@@ -35,7 +35,7 @@ from .diagram import (
     rowkey,
     strategy_scope,
 )
-from .evidence import classify_table, greedy_bound
+from .evidence import greedy_bound
 
 __all__ = [
     "EnumerationCapError",
@@ -171,8 +171,7 @@ def optimal_pure_strategy(
         if objective == "expected":
             value = expected_cost(table, strategy)
         else:
-            classification = classify_table(table, forced, strategy)
-            value = greedy_bound(classification, bound_sign).value
+            value = greedy_bound(table, forced, table.joint(strategy), bound_sign).value
         if best is None or sign * value < sign * best[0]:
             best = (value, strategy, pure)
     value, strategy, pure = best

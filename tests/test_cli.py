@@ -1,5 +1,6 @@
 """CLI behaviour: reports, exit codes, fixtures, and document parsing."""
 
+import json
 import os
 import subprocess
 import sys
@@ -195,23 +196,32 @@ def test_prob_subsume_context_naming_an_unknown_variable_exit_two(kb_path, capsy
     assert err.count("\n") == 1 and "Nowhere" in err
 
 
-def test_cond_cost_json_payload(kb_path, capsys):
-    code, stdout, _ = run(
-        capsys,
-        "query",
-        kb_path,
-        "cond-cost",
-        "--strategy",
-        "test_a_if_clear",
-        "--mode",
-        "opt",
-        "Subject",
-        "Infectious",
+def test_cond_cost_json_payload(kb_path, tmp_path, capsys):
+    empty = tmp_path / "empty.kb"
+    empty.write_text(
+        "variables: []\n"
+        "nodes: {}\n"
+        "cost: {parents: [], table: {'': 5}}\n"
+        "strategies: {none: {}}\n"
     )
-    assert code == 0
-    assert '"value": 3.44516129' in stdout
-    assert '"evidence_probability": 0.93' in stdout
-    assert '"included_worlds": [' in stdout
+    cases = [
+        (kb_path, "test_a_if_clear", "Subject", "Infectious", 3.44516129, 0.93,
+         ["0010", "0011", "1010", "1011", "1100", "1101"]),
+        # the one world over no variables is the empty bit string
+        (str(empty), "none", "A", "A", 5, 1, [""]),
+    ]
+    for path, strategy, lhs, rhs, value, mass, worlds in cases:
+        code, stdout, _ = run(
+            capsys, "query", path, "cond-cost", "--strategy", strategy,
+            "--mode", "opt", lhs, rhs,
+        )
+        assert code == 0
+        line = next(x for x in stdout.splitlines() if "conditional: " in x)
+        payload = json.loads(line.split("conditional: ", 1)[1])
+        assert list(payload) == ["value", "evidence_probability", "included_worlds"]
+        assert payload["value"] == value
+        assert payload["evidence_probability"] == mass
+        assert payload["included_worlds"] == sorted(payload["included_worlds"]) == worlds
 
 
 def test_cond_cost_pessimistic_mode(kb_path, capsys):
@@ -334,6 +344,22 @@ def test_optimize_pure_fully_mixed_exit_two(kb_path, capsys):
     assert code == 2
     assert stdout == ""
     assert err.count("\n") == 1 and "--fully-mixed" in err
+
+
+@pytest.mark.parametrize("kind", ["--pure", "--lp"])
+def test_optimize_mode_without_evidence_exit_two(kb_path, capsys, kind):
+    code, stdout, err = run(capsys, "query", kb_path, "optimize", kind, "--mode", "pes")
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "--mode" in err
+
+
+@pytest.mark.parametrize("command", [["optimize", "--lp"], ["export-game-tree"]])
+def test_forgetful_without_a_meaning_exit_two(kb_path, capsys, command):
+    code, stdout, err = run(capsys, "--forgetful", "query", kb_path, *command)
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "--forgetful" in err
 
 
 @pytest.mark.parametrize("problem", ["d-opt", "d-pes"])

@@ -1,12 +1,14 @@
 """Conditional expected costs: worked values, greedy bounds, and the oracle."""
 
+import math
 import random
+import sys
 
 import pytest
 
 from cider import diagram as dg
-from cider.contextual import KnowledgeBase
-from cider.el import ConceptName as N
+from cider.contextual import VGCI, KnowledgeBase, Var
+from cider.el import GCI, ConceptName as N
 from cider.evidence import (
     EvidenceQuery,
     UndefinedConditionalError,
@@ -53,23 +55,23 @@ def test_conditional_expectation_zero_mass():
 def test_classify_worlds_fixture(idelium):
     kb = idelium.kb
     s = idelium.strategy("test_a_if_clear")
-    classification = classify_worlds(kb, s, SUB_INF)
-    assert len(classification.worlds) == 16
-    assert sum(w.probability for w in classification.worlds) == pytest.approx(1.0)
-    for w in classification.worlds:
-        assert w.forced == w.bits.startswith("1")  # exactly the D-worlds
-    positive_forced = [w for w in classification.forced if w.probability > 0]
-    assert len(positive_forced) == 4
-    assert sum(w.probability for w in positive_forced) == pytest.approx(0.3)
+    table, forced, joint = classify_worlds(kb, s, SUB_INF)
+    assert table.size == 16
+    assert joint.sum() == pytest.approx(1.0)
+    # exactly the D-worlds
+    assert forced.tolist() == [b.startswith("1") for b in table.rowkeys()]
+    positive_forced = joint[forced & (joint > 0)]
+    assert positive_forced.size == 4
+    assert positive_forced.sum() == pytest.approx(0.3)
 
 
 def test_classify_worlds_degenerate(idelium):
     kb = idelium.kb
     s = idelium.strategy("test_a_if_clear")
-    assert all(w.forced for w in classify_worlds(kb, s, TAUTOLOGY).worlds)
+    assert classify_worlds(kb, s, TAUTOLOGY)[1].all()
     bare = KnowledgeBase(diagram=kb.diagram, vtbox=())
     fresh = EvidenceQuery(N("Nowhere"), N("Mentioned"))
-    assert not any(w.forced for w in classify_worlds(bare, s, fresh).worlds)
+    assert not classify_worlds(bare, s, fresh)[1].any()
 
 
 def test_optimistic_fixture_trace(idelium):
@@ -111,9 +113,14 @@ def test_no_forced_mass_concentrates_on_extremes(idelium):
     query = EvidenceQuery(N("Fresh"), N("Pair"))
     low = optimistic_expected_cost(bare, s, query)
     high = pessimistic_expected_cost(bare, s, query)
+    table = dg.WorldTable(bare.diagram)
+    p = dict(zip(table.rowkeys(), table.joint(s).tolist()))
     assert low.value == 0.0
+    # cost-0 worlds 0110 and 1111 have probability 0 and stay out
+    assert low.included_worlds == {"0010", "1011"}
+    assert low.evidence_probability == p["0010"] + p["1011"]
     assert high.value == 90.0
-    assert all(b.startswith("1") for b in high.included_worlds)  # the cost-90 world
+    assert high.included_worlds == {"1100"}  # cost-90 world 1000 has probability 0
 
 
 def test_oracle_fixture(idelium):
@@ -150,6 +157,27 @@ def test_single_forced_world():
     assert brute_force_conditional_bounds(kb, s, TAUTOLOGY) == (8.0, 8.0)
 
 
+def test_overflowing_weighted_sums_stay_quiet():
+    """Costs at the float maximum: the weighted sum over all four worlds
+    rounds past it to inf, with no RuntimeWarning, as in Python floats."""
+    d = dg.InfluenceDiagram(
+        variables=("A", "B"),
+        kinds={"A": dg.CHANCE, "B": dg.CHANCE},
+        parents={"A": (), "B": ()},
+        cpt={"A": {"": 0.472}, "B": {"": 0.101}},
+        cost_parents=("A",),
+        cost_table={"0": sys.float_info.max, "1": sys.float_info.max},
+    )
+    axiom = VGCI(gci=GCI(N("X"), N("Y")), context=Var("A"))
+    kb = KnowledgeBase(diagram=d, vtbox=(axiom,))
+    s = dg.GlobalStrategy(locals={})
+    for bound in (optimistic_expected_cost, pessimistic_expected_cost):
+        result = bound(kb, s, EvidenceQuery(N("X"), N("Y")))
+        assert result.value == sys.float_info.max
+        assert result.included_worlds == {"10", "11"}
+        assert bound(kb, s, TAUTOLOGY).value == math.inf
+
+
 def test_intermediate_cost_inclusion_helps():
     """Including a middle-cost world can lower the average further than
     only the cheapest one: forced (0.1 mass, cost 10); optional
@@ -173,16 +201,10 @@ def test_greedy_matches_oracle_randomized(random_kb_corpus):
 def test_greedy_included_worlds_cover_forced(idelium):
     kb = idelium.kb
     s = idelium.strategy("test_a_if_clear")
-    classification = classify_worlds(kb, s, SUB_INF)
-    forced_bits = {w.bits for w in classification.forced if w.probability > 0}
+    table, forced, joint = classify_worlds(kb, s, SUB_INF)
+    forced_bits = {
+        b for b, f, p in zip(table.rowkeys(), forced, joint) if f and p > 0
+    }
     for bound in (optimistic_expected_cost, pessimistic_expected_cost):
         result = bound(kb, s, SUB_INF)
         assert forced_bits <= result.included_worlds
-
-
-def test_result_serialization(idelium):
-    kb = idelium.kb
-    s = idelium.strategy("test_a_if_clear")
-    payload = optimistic_expected_cost(kb, s, SUB_INF).to_json_dict()
-    assert set(payload) == {"value", "evidence_probability", "included_worlds"}
-    assert payload["included_worlds"] == sorted(payload["included_worlds"])

@@ -2,11 +2,14 @@
 
 The reference loops over ``diagram.worlds()`` with ``joint_probability``,
 ``cost_of_valuation``, ``restrict`` and ``el.is_subsumed``, adding in
-world order.  The table must give the same floats bit for bit, so the
-reports built from it stay byte-identical.
+world order; the evidence bounds are checked against a greedy pass and
+a subset oracle that walk one ``ClassifiedWorld`` object per world.  The
+table must give the same floats bit for bit, so the reports built from
+it stay byte-identical.
 """
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -20,11 +23,12 @@ from cider.contextual import (
 )
 from cider.el import ConceptName as N
 from cider.evidence import (
-    ClassifiedWorld,
     EvidenceQuery,
+    UndefinedConditionalError,
+    brute_force_conditional_bounds,
     classify_worlds,
-    greedy_bound,
-    WorldClassification,
+    optimistic_expected_cost,
+    pessimistic_expected_cost,
 )
 from cider.optimizer import enumerate_pure_strategies, optimal_pure_strategy
 
@@ -46,6 +50,76 @@ def reference_rows(kb, strategy, c, d):
     ]
 
 
+@dataclass(frozen=True)
+class ClassifiedWorld:
+    bits: str
+    forced: bool
+    probability: float
+    cost: float
+
+
+def classified(rows, joint=None):
+    """One ClassifiedWorld per reference row, optionally with another joint."""
+    probabilities = joint or [p for *_, p, _cost in rows]
+    return [
+        ClassifiedWorld(b, f, p, cost)
+        for (_w, b, f, _p, cost), p in zip(rows, probabilities)
+    ]
+
+
+def _positive(worlds):
+    forced = [w for w in worlds if w.forced and w.probability > 0.0]
+    optional = [w for w in worlds if not w.forced and w.probability > 0.0]
+    return forced, optional
+
+
+def _sums(worlds):
+    """Mass and weighted cost, added left to right (``sum`` of floats
+    compensates its rounding from Python 3.12 on)."""
+    mass = weighted = 0.0
+    for w in worlds:
+        mass += w.probability
+        weighted += w.probability * w.cost
+    return mass, weighted
+
+
+def reference_bound(worlds, sign):
+    """(value, evidence probability, sorted included bits) of the greedy
+    pass, walking one object per world."""
+    forced, optional = _positive(worlds)
+    if not forced and not optional:
+        raise UndefinedConditionalError("no world has positive probability")
+    if not forced:
+        best = (min if sign > 0 else max)(w.cost for w in optional)
+        chosen = [w for w in optional if w.cost == best]
+        return best, _sums(chosen)[0], sorted(w.bits for w in chosen)
+    mass, weighted = _sums(forced)
+    included = [w.bits for w in forced]
+    for w in sorted(optional, key=lambda w: (sign * w.cost, w.bits)):
+        if not sign * w.cost < sign * (weighted / mass):
+            break
+        mass += w.probability
+        weighted += w.probability * w.cost
+        included.append(w.bits)
+    return weighted / mass, mass, sorted(included)
+
+
+def reference_oracle(worlds):
+    """(min, max) conditional expectation over every optional subset."""
+    forced, optional = _positive(worlds)
+    base_mass, base_weighted = _sums(forced)
+    mass, weighted = [0.0], [0.0]
+    for w in optional:
+        mass += [m + w.probability for m in mass]
+        weighted += [x + w.probability * w.cost for x in weighted]
+    values = [
+        (x + base_weighted) / (m + base_mass)
+        for m, x in zip(mass, weighted)
+        if m + base_mass > 0.0
+    ]
+    return min(values), max(values)
+
+
 def test_table_matches_per_world_reference(random_kb_corpus):
     rng = random.Random(41)
     for kb, s in random_kb_corpus:
@@ -63,10 +137,10 @@ def test_table_matches_per_world_reference(random_kb_corpus):
                 excluded += p
         assert prob_subsumption(kb, s, c, d, context) == max(0.0, 1.0 - excluded)
 
-        expected = WorldClassification(
-            worlds=tuple(ClassifiedWorld(b, f, p, cost) for _w, b, f, p, cost in rows)
-        )
-        assert classify_worlds(kb, s, EvidenceQuery(c, d)) == expected
+        table, forced, joint = classify_worlds(kb, s, EvidenceQuery(c, d))
+        assert forced.tolist() == [f for _w, _b, f, *_ in rows]
+        assert joint.tolist() == [p for *_, p, _cost in rows]
+        assert table.cost.tolist() == [cost for *_, cost in rows]
 
         dist = {r: 0.0 for r in kb.diagram.cost_values}
         for *_, p, cost in rows:
@@ -76,6 +150,21 @@ def test_table_matches_per_world_reference(random_kb_corpus):
 
         sizes = {b: len(restrict(kb.vtbox, w)) for w, b, *_ in rows}
         assert context_size_cost(kb).cost_table == sizes
+
+
+@pytest.mark.parametrize("bound, sign", [
+    (optimistic_expected_cost, +1), (pessimistic_expected_cost, -1),
+])
+def test_bounds_match_per_world_reference(random_kb_corpus, bound, sign):
+    rng = random.Random(47)
+    for kb, s in random_kb_corpus:
+        query = EvidenceQuery(random_concept(rng), random_concept(rng))
+        worlds = classified(reference_rows(kb, s, query.lhs, query.rhs))
+        result = bound(kb, s, query)
+        assert (
+            result.value, result.evidence_probability, sorted(result.included_worlds)
+        ) == reference_bound(worlds, sign)
+        assert brute_force_conditional_bounds(kb, s, query) == reference_oracle(worlds)
 
 
 @pytest.mark.parametrize("objective, sign", [
@@ -90,11 +179,7 @@ def test_evidence_search_matches_per_world_reference(random_kb_corpus, objective
         for pure in enumerate_pure_strategies(kb.diagram):
             strategy = pure.to_strategy()
             joint = [dg.joint_probability(kb.diagram, strategy, w) for w, *_ in rows]
-            classification = WorldClassification(worlds=tuple(
-                ClassifiedWorld(b, f, p, cost)
-                for (_w, b, f, _p, cost), p in zip(rows, joint)
-            ))
-            value = greedy_bound(classification, sign).value
+            value = reference_bound(classified(rows, joint), sign)[0]
             if best is None or value < best[0]:
                 best = (value, strategy)
         result = optimal_pure_strategy(kb, objective=objective, evidence=query)
