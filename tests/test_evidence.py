@@ -1,5 +1,6 @@
 """Conditional expected costs: worked values, greedy bounds, and the oracle."""
 
+import json
 import math
 import random
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from cider import diagram as dg
+from cider.cli import _conditional_json
 from cider.contextual import VGCI, KnowledgeBase, Var
 from cider.el import GCI, ConceptName as N
 from cider.evidence import (
@@ -138,6 +140,16 @@ def test_oracle_refuses_large_instances(idelium):
     s = idelium.strategy("uniform")
     with pytest.raises(ValueError, match="exceed"):
         brute_force_conditional_bounds(bare, s, EvidenceQuery(N("A"), N("B")), limit=3)
+
+
+def test_result_serialization(idelium):
+    kb = idelium.kb
+    s = idelium.strategy("test_a_if_clear")
+    result = optimistic_expected_cost(kb, s, SUB_INF)
+    payload = json.loads(_conditional_json(result))
+    assert set(payload) == {"value", "evidence_probability", "included_worlds"}
+    assert payload["included_worlds"] == sorted(payload["included_worlds"])
+    assert set(payload["included_worlds"]) == result.included_worlds
 
 
 def test_single_forced_world():
