@@ -117,7 +117,7 @@ def _strategy_lines(strategy):
 
 
 def _conditional_json(result):
-    worlds = ", ".join(f'"{b}"' for b in sorted(result.included_worlds))
+    worlds = ", ".join(f'"{b}"' for b in ev.bit_strings(result.included))
     return (
         "{"
         + f'"value": {fmt(result.value)}, '
@@ -217,7 +217,7 @@ def _cmd_query(args, argv):
         return 0
 
     if sub == "optimize":
-        if args.mode == "pes" and not args.evidence:
+        if args.mode and not args.evidence:
             raise _InputError("--mode applies to --evidence only")
         if args.lp:
             if args.forgetful:
@@ -249,7 +249,7 @@ def _cmd_query(args, argv):
         query = None
         if args.evidence:
             objective = (
-                "dominant-optimistic" if args.mode == "opt" else "dominant-pessimistic"
+                "dominant-pessimistic" if args.mode == "pes" else "dominant-optimistic"
             )
             query = ev.EvidenceQuery(
                 _concept(args.evidence[0]), _concept(args.evidence[1])
@@ -367,7 +367,7 @@ def _build_parser():
     group.add_argument("--pure", action="store_true")
     group.add_argument("--lp", action="store_true")
     p.add_argument("--evidence", nargs=2, metavar=("C", "D"), default=None)
-    p.add_argument("--mode", choices=("opt", "pes"), default="opt")
+    p.add_argument("--mode", choices=("opt", "pes"), default=None)
     p.add_argument("--direction", choices=("min", "max"), default="min")
     p.add_argument("--fully-mixed", type=float, default=None)
 

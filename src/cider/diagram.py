@@ -148,8 +148,9 @@ def validate(diagram):
         if table is None:
             out.append(Violation(v, "chance node has no CPT"))
             continue
-        expected = _all_rowkeys(len(diagram.parents.get(v, ())))
-        for key in expected:
+        keys = _all_rowkeys(len(diagram.parents.get(v, ())))
+        expected = set(keys)  # a list would make the row check quadratic
+        for key in keys:
             if key not in table:
                 out.append(Violation(v, f"missing CPT row {key!r}"))
         for key, p in table.items():
@@ -162,8 +163,9 @@ def validate(diagram):
             out.append(Violation(COST_NODE, f"unknown cost parent {p!r}"))
         if p == COST_NODE:
             out.append(Violation(COST_NODE, "cost node cannot be its own parent"))
-    expected = _all_rowkeys(len(diagram.cost_parents))
-    for key in expected:
+    keys = _all_rowkeys(len(diagram.cost_parents))
+    expected = set(keys)
+    for key in keys:
         if key not in diagram.cost_table:
             out.append(Violation(COST_NODE, f"missing cost row {key!r}"))
     for key, value in diagram.cost_table.items():
@@ -177,27 +179,29 @@ def validate(diagram):
 
 
 def _find_cycle(diagram):
-    """Name of some node on a parent-graph cycle, or None."""
+    """Name of some node on a parent-graph cycle, or None.
+
+    The depth-first search keeps its own stack, so a chain of any length
+    stays within the interpreter's recursion limit."""
     state = {}  # 0 visiting, 1 done
-
-    def visit(v):
-        if state.get(v) == 0:
-            return v
-        if state.get(v) == 1:
-            return None
-        state[v] = 0
-        for p in diagram.parents.get(v, ()):
-            if p in diagram.kinds:
-                hit = visit(p)
-                if hit:
-                    return hit
-        state[v] = 1
-        return None
-
-    for v in diagram.variables:
-        hit = visit(v)
-        if hit:
-            return hit
+    for root in diagram.variables:
+        if root in state:
+            continue
+        state[root] = 0
+        stack = [(root, iter(diagram.parents.get(root, ())))]
+        while stack:
+            v, parents = stack[-1]
+            for p in parents:
+                if p not in diagram.kinds or state.get(p) == 1:
+                    continue
+                if state.get(p) == 0:
+                    return p
+                state[p] = 0
+                stack.append((p, iter(diagram.parents.get(p, ()))))
+                break
+            else:
+                state[v] = 1
+                stack.pop()
     return None
 
 
@@ -264,7 +268,7 @@ class GlobalStrategy:
 
 
 def validate_strategy(diagram, strategy, forgetful=False):
-    """Check totality and probability range of a global strategy."""
+    """Check totality, row keys and probability range of a global strategy."""
     out = []
     decisions = set(diagram.decision_nodes)
     if set(strategy.locals) != decisions:
@@ -282,11 +286,15 @@ def validate_strategy(diagram, strategy, forgetful=False):
                 Violation(d, f"scope {local.scope} differs from {expected_scope}")
             )
             continue
-        for key in _all_rowkeys(len(expected_scope)):
+        keys = _all_rowkeys(len(expected_scope))
+        expected = set(keys)
+        for key in keys:
             if key not in local.table:
                 out.append(Violation(d, f"missing strategy row {key!r}"))
         for key, p in local.table.items():
-            if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
+            if key not in expected:
+                out.append(Violation(d, f"unexpected strategy row {key!r}"))
+            elif not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
                 out.append(Violation(d, f"probability out of range in row {key!r}"))
     return out
 
@@ -362,8 +370,7 @@ class WorldTable:
             v: _by_value(diagram.cpt[v], len(diagram.parents.get(v, ())))
             for v in diagram.chance_nodes
         }
-        cost_rows = _row_array(diagram.cost_table, len(diagram.cost_parents))
-        self.cost = cost_rows[self.code(diagram.cost_parents)]
+        self.cost = self.gather(diagram.cost_table, diagram.cost_parents)
         self._last = None
 
     def column(self, v):
@@ -376,6 +383,10 @@ class WorldTable:
             code <<= 1
             code |= self.column(v)
         return code
+
+    def gather(self, table, scope):
+        """Every world's entry of a table keyed by row keys over scope."""
+        return _row_array(table, len(scope))[self.code(scope)]
 
     def _factor(self, by_value, scope, v):
         """Probability of v's value given the scope row, in every world."""

@@ -7,11 +7,12 @@ against an indifferent chance player, behaviour strategies are
 linearized into realization plans, and the optimal plan is the solution
 of  min a.mu  s.t.  R mu = r, mu >= 0  solved by the in-repo simplex.
 
-The tree is held as arrays, not node objects.  Its leaves are the
-valuations in binary counting order of the expansion order, with one
+The tree is held as columns, not node objects.  Its leaves are the
+world table of the diagram redeclared in expansion order, with one
 column each for the cost, the chance weight and the last optimizer
-sequence on the path; information set h, numbered in preorder, has the
-move sequences 1 + 2h + value.
+sequence on the path.  Information sets, numbered in preorder, are one
+column of incoming sequences; set h has the move sequences
+1 + 2h + value.
 
 The tree gives the optimizing player perfect information: every node it
 owns is its own singleton information set, so its choices may condition
@@ -19,6 +20,7 @@ on all chance values resolved earlier in the expansion order, which can
 be strictly more than a local strategy's conditioning scope.
 """
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -32,7 +34,6 @@ from .diagram import (
     GlobalStrategy,
     LocalStrategy,
     expected_cost,
-    rowkey,
     strategy_scope,
 )
 from .evidence import greedy_bound
@@ -193,20 +194,8 @@ def decide_threshold(result, bound, problem):
 
 
 @dataclass(frozen=True)
-class Infoset:
-    """A singleton information set: one tree node owned by the optimizer."""
-
-    id: int
-    variable: str
-    history: str  # values of the variables expanded earlier, as a row key
-    seq_in: int
-    seq_false: int
-    seq_true: int
-
-
-@dataclass(frozen=True)
 class Leaves:
-    """Columns over the leaves, in binary counting order of the expansion order."""
+    """Columns over the leaves, which are the worlds of the tree's table."""
 
     cost: np.ndarray
     chance_weight: np.ndarray  # product of the chance factors on the path
@@ -218,16 +207,22 @@ class Leaves:
 
 @dataclass(frozen=True)
 class GameTree:
-    """The tree level by level: level d holds the 2^d valuations of the
-    first d variables of the expansion order, in binary counting order,
-    so node x of level d has the children 2x and 2x + 1 on level d + 1."""
+    """The tree level by level over the world table of the diagram
+    redeclared in expansion order, so world i is leaf i.  Level d holds
+    the 2^d valuations of the first d variables in binary counting
+    order: node x of level d has the children 2x and 2x + 1 on level
+    d + 1, and its leftmost leaf is x << (n - d)."""
 
-    diagram: dg.InfluenceDiagram
-    order: tuple  # expansion order of the variables
+    table: dg.WorldTable
     p_true: tuple  # per level: P(order[d] true) at each node, None for decisions
+    ids: tuple  # per level: preorder id of each node's information set, None for chance
     leaves: Leaves
-    sequences: tuple  # optimizer move sequences; sequences[0] == ()
-    infosets: tuple  # in preorder of their nodes
+    sequences: range  # sequence 0 is empty; information set h has 1 + 2h and 2 + 2h
+    infosets: np.ndarray  # the incoming sequence of each information set
+
+    @property
+    def order(self):
+        return self.table.diagram.variables
 
 
 def expansion_order(diagram):
@@ -247,15 +242,6 @@ def expansion_order(diagram):
     return tuple(placed)
 
 
-def _row_code(nodes, depth, level_of, variables):
-    """Row key over some of the first `depth` expanded variables, as an
-    integer, at each node of level `depth`."""
-    code = np.zeros_like(nodes)
-    for v in variables:
-        code = (code << 1) | ((nodes >> (depth - 1 - level_of[v])) & 1)
-    return code
-
-
 def _preorder_ids(depth, decision_levels):
     """Preorder number of each decision node on level `depth`.
 
@@ -272,48 +258,42 @@ def _preorder_ids(depth, decision_levels):
 def build_game_tree(diagram):
     """Expand the diagram into a perfect-information tree against chance.
 
-    Level by level, each node's chance weight is its parent's times the
-    chance factor of its value, multiplied in expansion order as a walk
-    down the tree multiplies.  At information set h, the optimizer's
-    move to `value` is sequence 1 + 2h + value.
+    Each leaf's chance weight is the product of its chance factors,
+    multiplied in expansion order as a walk down the tree multiplies.
+    Every decision node is its own information set h, and the
+    optimizer's move to `value` there is sequence 1 + 2h + value.
     """
-    dg.check_world_count(diagram)
+    dg.check_world_count(diagram)  # before ordering a document of any size
     order = expansion_order(diagram)
-    level_of = {v: d for d, v in enumerate(order)}
-    decision_levels = [d for d, v in enumerate(order) if diagram.kinds[v] != CHANCE]
-    weight = np.ones(1)
-    seq = np.zeros(1, dtype=np.int64)
-    p_true = []
-    infosets = [None] * sum(1 << d for d in decision_levels)
-    for d, v in enumerate(order):
-        if diagram.kinds[v] == CHANCE:
-            parents = diagram.parents.get(v, ())
-            rows = dg._row_array(diagram.cpt[v], len(parents))
-            p = rows[_row_code(np.arange(1 << d), d, level_of, parents)]
-            weight = (weight[:, None] * np.stack((1.0 - p, p), axis=1)).ravel()
-            seq = np.repeat(seq, 2)
-            p_true.append(p)
-            continue
-        ids = _preorder_ids(d, decision_levels)
-        for h, history, seq_in in zip(ids.tolist(), dg._all_rowkeys(d), seq.tolist()):
-            infosets[h] = Infoset(h, v, history, seq_in, 1 + 2 * h, 2 + 2 * h)
-        weight = np.repeat(weight, 2)
-        seq = (1 + 2 * ids[:, None] + np.arange(2)).ravel()
-        p_true.append(None)
+    table = dg.WorldTable(dataclasses.replace(diagram, variables=order))
     n = len(order)
-    cost_rows = dg._row_array(diagram.cost_table, len(diagram.cost_parents))
-    cost = cost_rows[_row_code(np.arange(1 << n), n, level_of, diagram.cost_parents)]
-    sequences = [()]
-    for h in infosets:
-        base = sequences[h.seq_in]
-        sequences += [base + ((h.id, False),), base + ((h.id, True),)]
+    decision_levels = [d for d, v in enumerate(order) if diagram.kinds[v] != CHANCE]
+    weight = np.ones(table.size)
+    seq = np.zeros(1, dtype=np.int64)  # last optimizer sequence at each node
+    infosets = np.empty(sum(1 << d for d in decision_levels), dtype=np.int64)
+    p_true = []
+    ids = []
+    for d, v in enumerate(order):
+        if diagram.kinds[v] != CHANCE:
+            level = _preorder_ids(d, decision_levels)
+            infosets[level] = seq
+            seq = (1 + 2 * level[:, None] + np.arange(2)).ravel()
+            p_true.append(None)
+            ids.append(level)
+            continue
+        rows = table.chance_rows[v]
+        code = 2 * table.code(diagram.parents.get(v, ()))
+        weight *= rows[code + table.column(v)]
+        seq = np.repeat(seq, 2)
+        p_true.append(rows[code[:: 1 << (n - d)] + 1])
+        ids.append(None)
     return GameTree(
-        diagram=diagram,
-        order=order,
+        table=table,
         p_true=tuple(p_true),
-        leaves=Leaves(cost=cost, chance_weight=weight, seq1=seq),
-        sequences=tuple(sequences),
-        infosets=tuple(infosets),
+        ids=tuple(ids),
+        leaves=Leaves(cost=table.cost, chance_weight=weight, seq1=seq),
+        sequences=range(1 + 2 * len(infosets)),
+        infosets=infosets,
     )
 
 
@@ -334,16 +314,16 @@ def reduced_objective(tree):
 
 
 def realization_constraints(tree):
-    """Flow-conservation system R mu = r over the optimizer sequences."""
-    n = len(tree.sequences)
-    R = np.zeros((1 + len(tree.infosets), n))
-    r = np.zeros(1 + len(tree.infosets))
-    R[0, 0] = 1.0
-    r[0] = 1.0
-    for h in tree.infosets:
-        R[1 + h.id, h.seq_in] -= 1.0
-        R[1 + h.id, h.seq_false] += 1.0
-        R[1 + h.id, h.seq_true] += 1.0
+    """Flow-conservation system R mu = r over the optimizer sequences:
+    the empty sequence has weight 1, and row 1 + h says the two moves of
+    information set h add up to its incoming sequence."""
+    h = np.arange(len(tree.infosets))
+    R = np.zeros((1 + h.size, len(tree.sequences)))
+    r = np.zeros(1 + h.size)
+    R[0, 0] = r[0] = 1.0
+    R[1 + h, tree.infosets] = -1.0
+    R[1 + h, 1 + 2 * h] = 1.0
+    R[1 + h, 2 + 2 * h] = 1.0
     return R, r
 
 
@@ -372,7 +352,6 @@ class RealizationPlan:
     information set's extensions sum to its incoming entry."""
 
     entries: np.ndarray
-    sequences: tuple
 
 
 def solve_lp(lp):
@@ -381,31 +360,29 @@ def solve_lp(lp):
     shifted_rhs = lp.rhs - lp.constraints @ lb
     x, value = simplex.minimize(lp.objective, lp.constraints, shifted_rhs)
     entries = x + lb
-    plan = RealizationPlan(entries=entries, sequences=None)
-    return plan, value + float(lp.objective @ lb)
+    return RealizationPlan(entries=entries), value + float(lp.objective @ lb)
 
 
 def plan_to_strategy(tree, plan):
     """Behaviour strategy: per-node move fractions of the realization plan.
 
     Each decision's table conditions on every variable expanded before
-    it (its full observed history).  Nodes the plan never reaches get
-    the uniform row.
+    it (its full observed history), whose row keys count in binary as
+    the nodes of its level do.  Nodes the plan never reaches get the
+    uniform row.
     """
     entries = plan.entries
-    tables = {}
-    for h in tree.infosets:
-        incoming = entries[h.seq_in]
-        if incoming <= PURE_TOL:
-            p = 0.5
-        else:
-            p = min(1.0, max(0.0, entries[h.seq_true] / incoming))
-        tables.setdefault(h.variable, {})[h.history] = p
-    order = tree.order
     locals_ = {}
-    for v, table in tables.items():
-        scope = tuple(order[: order.index(v)])
-        locals_[v] = LocalStrategy(decision=v, scope=scope, table=table)
+    for d, ids in enumerate(tree.ids):
+        if ids is None:
+            continue
+        incoming = entries[tree.infosets[ids]]
+        reached = incoming > PURE_TOL
+        p = np.full(ids.size, 0.5)
+        p[reached] = np.clip(entries[2 + 2 * ids[reached]] / incoming[reached], 0.0, 1.0)
+        v = tree.order[d]
+        table = dict(zip(dg._all_rowkeys(d), p.tolist()))
+        locals_[v] = LocalStrategy(decision=v, scope=tree.order[:d], table=table)
     return GlobalStrategy(locals=locals_)
 
 
@@ -427,7 +404,6 @@ def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
         raise InfeasibleEpsilonError(
             f"no realization plan with every entry >= {epsilon}: {exc}"
         ) from exc
-    plan = RealizationPlan(entries=plan.entries, sequences=tree.sequences)
     strategy = plan_to_strategy(tree, plan)
     pure = all(
         min(p, 1.0 - p) <= PURE_TOL
@@ -447,18 +423,21 @@ def pure_plan(tree, strategy):
     """Realization plan induced by a (pure or mixed) global strategy.
 
     Entry of a sequence is the product of the strategy's move
-    probabilities along it, evaluated on each node's history.
+    probabilities along it, evaluated on each node's history: node x of
+    level d reads its scope row at its leftmost leaf x << (n - d).
     """
     entries = np.zeros(len(tree.sequences))
     entries[0] = 1.0
-    order = tree.order
-    for h in tree.infosets:
-        local = strategy.locals[h.variable]
-        history_world = dg.world_from_bits(h.history, order[: len(h.history)])
-        p = local.table[rowkey(history_world, local.scope)]
-        entries[h.seq_true] = entries[h.seq_in] * p
-        entries[h.seq_false] = entries[h.seq_in] * (1.0 - p)
-    return RealizationPlan(entries=entries, sequences=tree.sequences)
+    n = len(tree.order)
+    for d, ids in enumerate(tree.ids):
+        if ids is None:
+            continue
+        local = strategy.locals[tree.order[d]]
+        p = tree.table.gather(local.table, local.scope)[:: 1 << (n - d)]
+        incoming = entries[tree.infosets[ids]]
+        entries[2 + 2 * ids] = incoming * p
+        entries[1 + 2 * ids] = incoming * (1.0 - p)
+    return RealizationPlan(entries=entries)
 
 
 def export_game_tree_dot(tree):

@@ -95,6 +95,38 @@ def test_validate_violations_exit_one(tmp_path, capsys):
     assert "cycle" in stdout
 
 
+def _chain(n, closed):
+    """V0 -> V1 -> ... -> V(n-1), declared child first, so a depth-first
+    search from the first declared variable walks the whole chain;
+    closed, V0 also has the last variable as its parent."""
+    names = [f"V{i}" for i in range(n)]
+    rows = "{'0': 0.25, '1': 0.75}"
+    first = f"[{names[-1]}], cpt: {rows}" if closed else "[], cpt: {'': 0.5}"
+    nodes = [f"  V0: {{kind: chance, parents: {first}}}\n"]
+    nodes += [
+        f"  {v}: {{kind: chance, parents: [{p}], cpt: {rows}}}\n"
+        for p, v in zip(names, names[1:])
+    ]
+    return (
+        f"variables: [{', '.join(reversed(names))}]\n"
+        "nodes:\n" + "".join(nodes) + "cost: {parents: [V0], table: {'0': 0, '1': 1}}\n"
+    )
+
+
+def test_long_chain_declared_child_first(tmp_path, capsys):
+    path = tmp_path / "chain.kb"
+    path.write_text(_chain(1500, closed=False))
+    code, stdout, err = run(capsys, "validate", str(path))
+    assert code == 0 and stdout.endswith("result:\n  ok\n") and err == ""
+    path.write_text(_chain(1500, closed=True))
+    code, stdout, err = run(capsys, "validate", str(path))
+    assert code == 1 and err == ""
+    (violation,) = [line for line in stdout.splitlines() if line.startswith("    - ")]
+    node, message = violation.removeprefix("    - ").split(": ")
+    assert message == "parent graph has a cycle through this node"
+    assert node in {f"V{i}" for i in range(1500)}
+
+
 def test_missing_file_exit_two(capsys):
     code, _, err = run(capsys, "validate", "no/such/file.kb")
     assert code == 2
@@ -128,6 +160,20 @@ def test_unknown_strategy_exit_two(kb_path, capsys):
     code, _, err = run(capsys, "query", kb_path, "expected-cost", "--strategy", "nope")
     assert code == 2
     assert "unknown strategy" in err
+
+
+def test_unexpected_strategy_row_exit_two(tmp_path, capsys):
+    path = tmp_path / "extra_row.kb"
+    path.write_bytes(
+        fixture_bytes("idelium") + b'  extra_row:\n    TA: {"0": 1, "1": 1, "00": 0.5}\n'
+    )
+    code, stdout, err = run(
+        capsys, "query", str(path), "expected-cost", "--strategy", "extra_row"
+    )
+    assert (code, stdout) == (2, "")
+    assert err == (
+        "error: strategy 'extra_row' is not valid: TA: unexpected strategy row '00'\n"
+    )
 
 
 def test_subsume_world(kb_path, capsys):
@@ -265,6 +311,12 @@ def test_optimize_pure_with_evidence(kb_path, capsys):
     )
     assert code == 0
     assert "value:" in stdout
+    # --evidence alone asks for the optimistic bound
+    code, alone, _ = run(
+        capsys, "query", kb_path, "optimize", "--pure", "--evidence", "Subject", "Infectious"
+    )
+    assert code == 0
+    assert alone.split("result:")[1] == stdout.split("result:")[1]
 
 
 def test_optimize_lp_with_evidence_unsupported(kb_path, capsys):
@@ -346,9 +398,17 @@ def test_optimize_pure_fully_mixed_exit_two(kb_path, capsys):
     assert err.count("\n") == 1 and "--fully-mixed" in err
 
 
-@pytest.mark.parametrize("kind", ["--pure", "--lp"])
-def test_optimize_mode_without_evidence_exit_two(kb_path, capsys, kind):
-    code, stdout, err = run(capsys, "query", kb_path, "optimize", kind, "--mode", "pes")
+@pytest.mark.parametrize(
+    "kind, mode",
+    [
+        pytest.param("--pure", "pes", id="--pure"),
+        pytest.param("--lp", "pes", id="--lp"),
+        pytest.param("--pure", "opt", id="--pure-opt"),
+        pytest.param("--lp", "opt", id="--lp-opt"),
+    ],
+)
+def test_optimize_mode_without_evidence_exit_two(kb_path, capsys, kind, mode):
+    code, stdout, err = run(capsys, "query", kb_path, "optimize", kind, "--mode", mode)
     assert code == 2
     assert stdout == ""
     assert err.count("\n") == 1 and "--mode" in err

@@ -1,8 +1,8 @@
 """Pure-strategy enumeration, game trees, and the sequence-form LP.
 
-The game tree is built as arrays; the recursive builder, node classes
-and DOT emitter it replaced are kept here as the reference it must equal
-bit for bit.
+The game tree is built as columns over the world table; the recursive
+builder, node and information-set classes and DOT emitter it replaced
+are kept here as the reference it must equal bit for bit.
 """
 
 import dataclasses
@@ -24,6 +24,18 @@ from conftest import random_diagram, random_strategy
 
 
 # --- the recursive reference ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Infoset:
+    """A singleton information set: one tree node owned by the optimizer."""
+
+    id: int
+    variable: str
+    history: str  # values of the variables expanded earlier, as a row key
+    seq_in: int
+    seq_false: int
+    seq_true: int
 
 
 @dataclass(frozen=True)
@@ -92,7 +104,7 @@ def ref_build_game_tree(diagram):
             sequences.append(move_seq)
             extensions.append(move_seq)
         infosets.append(
-            opt.Infoset(
+            Infoset(
                 id=h,
                 variable=v,
                 history=dg.rowkey(world, order[:depth]),
@@ -123,6 +135,18 @@ def ref_reduced_objective(tree):
     for leaf in tree.leaves:
         a[leaf.seq1] += leaf.cost * leaf.chance_weight
     return a
+
+
+def ref_realization_constraints(tree):
+    R = np.zeros((1 + len(tree.infosets), len(tree.sequences)))
+    r = np.zeros(1 + len(tree.infosets))
+    R[0, 0] = 1.0
+    r[0] = 1.0
+    for h in tree.infosets:
+        R[1 + h.id, h.seq_in] -= 1.0
+        R[1 + h.id, h.seq_false] += 1.0
+        R[1 + h.id, h.seq_true] += 1.0
+    return R, r
 
 
 def ref_export_dot(tree):
@@ -186,15 +210,30 @@ def assert_tree_matches_reference(diagram):
     assert [dg.rowkey(leaf.world, ref.order) for leaf in ref.leaves] == [
         format(i, f"0{n}b") if n else "" for i in range(len(tree.leaves))
     ]
-    for name in ("cost", "chance_weight"):
-        expected = np.array([getattr(leaf, name) for leaf in ref.leaves])
+    for name, dtype in (("cost", float), ("chance_weight", float), ("seq1", np.int64)):
+        expected = np.array([getattr(leaf, name) for leaf in ref.leaves], dtype=dtype)
         assert _same_array(getattr(tree.leaves, name), expected), name
-    assert tree.leaves.seq1.tolist() == [leaf.seq1 for leaf in ref.leaves]
     assert _same_array(opt.reduced_objective(tree), ref_reduced_objective(ref))
-    assert tree.sequences == ref.sequences
-    assert tree.infosets == ref.infosets
+    # information set h is the h-th in preorder; its node's level and its
+    # place on the level are the length and the binary value of its history
+    assert tree.infosets.tolist() == [h.seq_in for h in ref.infosets]
+    ids = [
+        None if diagram.kinds[v] == dg.CHANCE else [None] * (1 << d)
+        for d, v in enumerate(ref.order)
+    ]
+    for h in ref.infosets:
+        assert ref.order[len(h.history)] == h.variable
+        ids[len(h.history)][int(h.history or "0", 2)] = h.id
+    assert [None if level is None else level.tolist() for level in tree.ids] == ids
+    assert [p is None for p in tree.p_true] == [level is not None for level in ids]
+    # the move tuples, rebuilt from the incoming-sequence column
+    sequences = [()]
+    for h, seq_in in enumerate(tree.infosets.tolist()):
+        sequences += [sequences[seq_in] + ((h, value),) for value in (False, True)]
+    assert len(tree.sequences) == len(sequences)
+    assert tuple(sequences) == ref.sequences
     for array, expected in zip(
-        opt.realization_constraints(tree), opt.realization_constraints(ref)
+        opt.realization_constraints(tree), ref_realization_constraints(ref)
     ):
         assert _same_array(array, expected)
     assert opt.export_game_tree_dot(tree) == ref_export_dot(ref)
@@ -375,9 +414,11 @@ def test_expansion_order(idelium):
 def test_tree_structure_fixture(idelium):
     tree = opt.build_game_tree(idelium.kb.diagram)
     assert len(tree.leaves) == 16
-    # one singleton information set per (D, S) history
-    assert len(tree.infosets) == 4
-    assert sorted(h.history for h in tree.infosets) == ["00", "01", "10", "11"]
+    # one singleton information set per (D, S) history, each reached by
+    # the empty sequence
+    assert tree.infosets.tolist() == [0, 0, 0, 0]
+    ids = [None if level is None else level.tolist() for level in tree.ids]
+    assert ids == [None, None, [0, 1, 2, 3], None]
     assert len(tree.sequences) == 1 + 2 * len(tree.infosets)
     # chance weights along any fixed pure choice of TA sum to one; TA is
     # the third of four variables, so bit 1 of the leaf index
@@ -433,6 +474,31 @@ def test_reduced_objective_reproduces_strategy_costs(idelium):
         assert float(a @ plan.entries) == pytest.approx(
             dg.expected_cost(idelium.kb.diagram, s), abs=1e-9
         )
+
+
+def test_plan_to_strategy_inverts_pure_plan():
+    """Per node, the plan's move fraction is the strategy's row; nodes the
+    plan never reaches get the uniform row."""
+    d = dg.InfluenceDiagram(
+        variables=("D0", "C", "D1"),
+        kinds={"D0": dg.DECISION, "C": dg.CHANCE, "D1": dg.DECISION},
+        parents={"D0": (), "C": ("D0",), "D1": ("C",)},
+        cpt={"C": {"0": 0.5, "1": 0.25}},
+        cost_parents=("D1",),
+        cost_table={"0": 0.0, "1": 1.0},
+    )
+    strategy = dg.GlobalStrategy(
+        locals={
+            "D0": dg.LocalStrategy("D0", (), {"": 1.0}),
+            "D1": dg.LocalStrategy("D1", ("D0", "C"), {"00": 1, "01": 1, "10": 1, "11": 0}),
+        }
+    )
+    tree = opt.build_game_tree(d)
+    back = opt.plan_to_strategy(tree, opt.pure_plan(tree, strategy))
+    assert back.locals["D0"] == strategy.locals["D0"]
+    assert back.locals["D1"] == dg.LocalStrategy(
+        "D1", ("D0", "C"), {"00": 0.5, "01": 0.5, "10": 1.0, "11": 0.0}
+    )
 
 
 def test_realization_constraints_shape_and_feasibility(idelium):
@@ -587,10 +653,10 @@ def test_simplex_optimal_against_plan_enumeration():
         for mask in range(2 ** len(tree.infosets)):
             entries = np.zeros(len(tree.sequences))
             entries[0] = 1.0
-            for h in tree.infosets:
-                take_true = bool(mask >> h.id & 1)
-                entries[h.seq_true] = entries[h.seq_in] if take_true else 0.0
-                entries[h.seq_false] = 0.0 if take_true else entries[h.seq_in]
+            for h, seq_in in enumerate(tree.infosets.tolist()):
+                take_true = bool(mask >> h & 1)
+                entries[2 + 2 * h] = entries[seq_in] if take_true else 0.0
+                entries[1 + 2 * h] = 0.0 if take_true else entries[seq_in]
             best = min(best, float(a @ entries))
         assert value == pytest.approx(best, abs=1e-7)
 
