@@ -1,11 +1,16 @@
-"""Strategy optimization: exhaustive pure search and a sequence-form LP.
+"""Strategy optimization: exhaustive pure search and the game-tree optimum.
 
 Pure strategies are enumerated directly (their count is doubly
 exponential, so a cap guards the search).  Arbitrary strategies go
 through a game-tree detour: the diagram is expanded into a tree played
-against an indifferent chance player, behaviour strategies are
-linearized into realization plans, and the optimal plan is the solution
-of  min a.mu  s.t.  R mu = r, mu >= 0  solved by the in-repo simplex.
+against an indifferent chance player, and behaviour strategies are
+linearized into realization plans.  The optimal plan minimizes  a.mu
+s.t.  R mu = r, mu >= 0.  Because the optimizer has perfect information
+in the tree, that optimum is attained by a 0/1 plan that backward
+induction finds, one minimum or chance-weighted sum per level; exact
+ties take the false move.  The in-repo simplex solves the program only
+when a fully-mixed lower bound is set, and a cap on its dense tableau
+refuses trees with too many information sets.
 
 The tree is held as columns, not node objects.  Its leaves are the
 world table of the diagram redeclared in expansion order, with one
@@ -41,6 +46,7 @@ from .evidence import greedy_bound
 __all__ = [
     "EnumerationCapError",
     "InfeasibleEpsilonError",
+    "TableauCapError",
     "PureStrategy",
     "GameTree",
     "Leaves",
@@ -57,6 +63,7 @@ __all__ = [
     "realization_constraints",
     "assemble_lp",
     "solve_lp",
+    "backward_induction",
     "plan_to_strategy",
     "optimal_mixed_strategy",
     "export_game_tree_dot",
@@ -64,6 +71,7 @@ __all__ = [
 
 DEFAULT_CAP = 2**20
 PURE_TOL = 1e-9
+TABLEAU_CAP = 2**23  # cells of the fully-mixed LP's phase-one simplex tableau
 
 
 class EnumerationCapError(RuntimeError):
@@ -72,6 +80,10 @@ class EnumerationCapError(RuntimeError):
 
 class InfeasibleEpsilonError(ValueError):
     """The fully-mixed lower bound leaves no feasible realization plan."""
+
+
+class TableauCapError(RuntimeError):
+    """The fully-mixed LP's dense simplex tableau would be too large."""
 
 
 @dataclass(frozen=True)
@@ -363,6 +375,29 @@ def solve_lp(lp):
     return RealizationPlan(entries=entries), value + float(lp.objective @ lb)
 
 
+def backward_induction(tree):
+    """Optimal 0/1 realization plan of the perfect-information tree.
+
+    Walks the levels bottom-up over the leaf costs: a chance node weighs
+    its children's values by its probabilities, and a decision node
+    takes the true move only when that child's value is strictly
+    smaller, so an exact tie takes false.  Returns (plan, value), the
+    value summed as ``solve_lp`` sums it.
+    """
+    v = tree.leaves.cost
+    take_true = [None] * len(tree.ids)
+    for d in reversed(range(len(tree.ids))):
+        false, true = v[0::2], v[1::2]
+        if tree.ids[d] is None:
+            p = tree.p_true[d]
+            v = (1.0 - p) * false + p * true
+        else:
+            take_true[d] = true < false
+            v = np.where(take_true[d], true, false)
+    plan = _plan(tree, take_true)
+    return plan, float(reduced_objective(tree) @ plan.entries)
+
+
 def plan_to_strategy(tree, plan):
     """Behaviour strategy: per-node move fractions of the realization plan.
 
@@ -386,24 +421,45 @@ def plan_to_strategy(tree, plan):
     return GlobalStrategy(locals=locals_)
 
 
-def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
-    """Optimal arbitrary strategy through the sequence-form program.
+def _check_tableau_size(infosets):
+    """Refuse, before allocating, an LP whose simplex tableau exceeds the cap.
 
-    fully_mixed, when set, is the positive lower bound applied to every
-    plan entry; an unattainable bound raises InfeasibleEpsilonError.
+    With H information sets the program has 1 + H rows and 1 + 2H
+    sequences, so phase one's tableau is (H + 2) x (3H + 3).
+    """
+    rows, cols = infosets + 2, 3 * infosets + 3
+    if rows * cols > TABLEAU_CAP:
+        raise TableauCapError(
+            f"the fully-mixed LP over {infosets} information sets needs a "
+            f"{rows} x {cols} simplex tableau, past the cap of {TABLEAU_CAP} cells"
+        )
+
+
+def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
+    """Optimal arbitrary strategy over the game tree.
+
+    Without a fully-mixed bound (or with bound 0) the optimum is the
+    backward-induction plan.  fully_mixed, when positive, is the lower
+    bound applied to every plan entry, and the sequence-form program is
+    solved by the simplex; an unattainable bound raises
+    InfeasibleEpsilonError and an oversized tableau TableauCapError.
     """
     diagram = getattr(kb_or_diagram, "diagram", kb_or_diagram)
     epsilon = 0.0 if fully_mixed is None else float(fully_mixed)
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError("the fully-mixed lower bound must be finite and nonnegative")
     tree = build_game_tree(diagram)
-    lp = assemble_lp(tree, epsilon=epsilon)
-    try:
-        plan, value = solve_lp(lp)
-    except simplex.Infeasible as exc:
-        raise InfeasibleEpsilonError(
-            f"no realization plan with every entry >= {epsilon}: {exc}"
-        ) from exc
+    if epsilon == 0.0:
+        plan, value = backward_induction(tree)
+    else:
+        _check_tableau_size(len(tree.infosets))
+        lp = assemble_lp(tree, epsilon=epsilon)
+        try:
+            plan, value = solve_lp(lp)
+        except simplex.Infeasible as exc:
+            raise InfeasibleEpsilonError(
+                f"no realization plan with every entry >= {epsilon}: {exc}"
+            ) from exc
     strategy = plan_to_strategy(tree, plan)
     pure = all(
         min(p, 1.0 - p) <= PURE_TOL
@@ -419,25 +475,32 @@ def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
     )
 
 
-def pure_plan(tree, strategy):
-    """Realization plan induced by a (pure or mixed) global strategy.
-
-    Entry of a sequence is the product of the strategy's move
-    probabilities along it, evaluated on each node's history: node x of
-    level d reads its scope row at its leftmost leaf x << (n - d).
-    """
+def _plan(tree, p_true):
+    """Realization plan from each decision level's per-node probability
+    of the true move (None on chance levels): an entry is the product of
+    the move probabilities along its sequence."""
     entries = np.zeros(len(tree.sequences))
     entries[0] = 1.0
-    n = len(tree.order)
-    for d, ids in enumerate(tree.ids):
+    for ids, p in zip(tree.ids, p_true):
         if ids is None:
             continue
-        local = strategy.locals[tree.order[d]]
-        p = tree.table.gather(local.table, local.scope)[:: 1 << (n - d)]
         incoming = entries[tree.infosets[ids]]
         entries[2 + 2 * ids] = incoming * p
         entries[1 + 2 * ids] = incoming * (1.0 - p)
     return RealizationPlan(entries=entries)
+
+
+def pure_plan(tree, strategy):
+    """Realization plan induced by a (pure or mixed) global strategy,
+    evaluated on each node's history: node x of level d reads its scope
+    row at its leftmost leaf x << (n - d)."""
+    n = len(tree.order)
+    p_true = [None] * len(tree.ids)
+    for d, ids in enumerate(tree.ids):
+        if ids is not None:
+            local = strategy.locals[tree.order[d]]
+            p_true[d] = tree.table.gather(local.table, local.scope)[:: 1 << (n - d)]
+    return _plan(tree, p_true)
 
 
 def export_game_tree_dot(tree):

@@ -11,6 +11,7 @@ import yaml
 
 import cider
 from cider import kbfile
+from cider import optimizer as opt
 from cider._sexpr import MAX_DEPTH
 from cider.cli import main
 from cider.fixtures import fixture_bytes, fixture_names
@@ -578,6 +579,38 @@ def test_world_cap_exits_three_at_once(tmp_path, capsys):
         assert code == 3, argv
         assert stdout == ""
         assert err == "error: 2^26 worlds exceed the world cap 1048576\n"
+
+
+def test_fully_mixed_past_the_tableau_cap_exits_three(tmp_path, capsys, monkeypatch):
+    """Decisions on levels 11 to 13 of a 14-variable KB give 14336
+    information sets: the fully-mixed LP is refused before it is built."""
+    names = [f"C{i:02d}" for i in range(11)]
+    nodes = "".join(
+        f"  {v}: {{kind: chance, parents: [], cpt: {{'': 0.5}}}}\n" for v in names
+    )
+    nodes += "".join(f"  {v}: {{kind: decision, parents: []}}\n" for v in ("D0", "D1", "D2"))
+    path = tmp_path / "late.kb"
+    path.write_text(
+        f"variables: [{', '.join(names)}, D0, D1, D2]\n"
+        "nodes:\n" + nodes +
+        "cost: {parents: [C00, D2], table: {'00': 0, '01': 1, '10': 5, '11': 2}}\n"
+    )
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the fully-mixed LP was allocated")
+
+    monkeypatch.setattr(opt, "assemble_lp", fail)
+    monkeypatch.setattr(opt.simplex, "minimize", fail)
+    code, stdout, err = run(
+        capsys, "query", str(path), "optimize", "--lp", "--fully-mixed", "1e-6"
+    )
+    assert code == 3 and stdout == ""
+    assert err == (
+        "error: the fully-mixed LP over 14336 information sets needs a "
+        f"14338 x 43011 simplex tableau, past the cap of {opt.TABLEAU_CAP} cells\n"
+    )
+    code, stdout, _ = run(capsys, "query", str(path), "optimize", "--lp")
+    assert code == 0 and "value: 1\n" in stdout
 
 
 def test_forgetful_flag_changes_strategy_scope(tmp_path, capsys):

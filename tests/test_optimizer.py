@@ -671,6 +671,108 @@ def test_mixed_result_reproduces_value_randomized():
         )
 
 
+# --- backward induction -----------------------------------------------------
+
+
+def _child_values(tree):
+    """Per decision level, the values of each node's false and true child,
+    summed level by level as backward induction sums them."""
+    v = tree.leaves.cost
+    children = [None] * len(tree.ids)
+    for d in reversed(range(len(tree.ids))):
+        false, true = v[0::2], v[1::2]
+        if tree.ids[d] is None:
+            v = (1.0 - tree.p_true[d]) * false + tree.p_true[d] * true
+        else:
+            children[d] = (false, true)
+            v = np.minimum(false, true)
+    return children
+
+
+def _tie_differences(tree, plan, reference):
+    """Count the decision nodes both 0/1 plans reach where they take
+    different moves, asserting that the node's two moves tie exactly."""
+    for entries in (plan.entries, reference.entries):
+        assert set(entries.tolist()) <= {0.0, 1.0}
+    count = 0
+    for ids, children in zip(tree.ids, _child_values(tree)):
+        if ids is None:
+            continue
+        incoming = tree.infosets[ids]
+        both = (plan.entries[incoming] == 1.0) & (reference.entries[incoming] == 1.0)
+        differ = both & (plan.entries[2 + 2 * ids] != reference.entries[2 + 2 * ids])
+        false, true = children
+        assert np.array_equal(false[differ], true[differ])
+        count += int(differ.sum())
+    return count
+
+
+def test_backward_induction_matches_the_simplex(random_kb_corpus, idelium):
+    """The simplex is the oracle: the same value to the last bit, and the
+    same plan except at decision nodes whose two moves tie exactly."""
+    rng = random.Random(1)
+    generated = [random_diagram(rng) for _ in range(400)]
+    diagrams = [idelium.kb.diagram] + [kb.diagram for kb, _ in random_kb_corpus]
+    diagrams += [_redeclared(d, rng) if i % 2 else d for i, d in enumerate(generated)]
+    ties = 0
+    for diagram in diagrams:
+        tree = opt.build_game_tree(diagram)
+        plan, value = opt.backward_induction(tree)
+        lp_plan, lp_value = opt.solve_lp(opt.assemble_lp(tree))
+        assert value.hex() == lp_value.hex()
+        ties += _tie_differences(tree, plan, lp_plan)
+    assert ties > 0  # the corpus does reach ties the two break differently
+
+
+def test_lp_exact_tie_takes_false():
+    """D1 is no ancestor of the cost, so its two moves tie exactly: the
+    rows the plan reaches take false, and the rows it never reaches (after
+    D0 = 0) get the uniform row."""
+    d = dg.InfluenceDiagram(
+        variables=("D0", "C", "D1"),
+        kinds={"D0": dg.DECISION, "C": dg.CHANCE, "D1": dg.DECISION},
+        parents={"D0": (), "C": ("D0",), "D1": ("C",)},
+        cpt={"C": {"0": 0.5, "1": 0.25}},
+        cost_parents=("D0", "C"),
+        cost_table={"00": 4.0, "01": 4.0, "10": 0.0, "11": 2.0},
+    )
+    result = opt.optimal_mixed_strategy(d)
+    assert result.value == 0.5
+    assert result.strategy.locals["D0"].table == {"": 1.0}
+    assert result.strategy.locals["D1"].table == {
+        "00": 0.5, "01": 0.5, "10": 0.0, "11": 0.0
+    }
+
+
+def test_fully_mixed_lp_past_the_tableau_cap_is_refused(monkeypatch):
+    """14 variables whose decisions sit on levels 11 to 13 give the tree
+    2^11 + 2^12 + 2^13 = 14336 information sets: the fully-mixed LP is
+    refused before anything of it is allocated."""
+    chance = tuple(f"C{i:02d}" for i in range(11))
+    decisions = ("D0", "D1", "D2")
+    d = dg.InfluenceDiagram(
+        variables=chance + decisions,
+        kinds={**{v: dg.CHANCE for v in chance}, **{v: dg.DECISION for v in decisions}},
+        parents={v: () for v in chance + decisions},
+        cpt={v: {"": 0.5} for v in chance},
+        cost_parents=("C00", "D2"),
+        cost_table={"00": 0.0, "01": 1.0, "10": 5.0, "11": 2.0},
+    )
+    assert len(opt.build_game_tree(d).infosets) == 14336
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the fully-mixed LP was allocated")
+
+    for module, name in ((opt, "assemble_lp"), (opt, "realization_constraints"),
+                         (opt.simplex, "minimize")):
+        monkeypatch.setattr(module, name, fail)
+    with pytest.raises(opt.TableauCapError, match="14336 information sets"):
+        opt.optimal_mixed_strategy(d, fully_mixed=1e-6)
+    # without the lower bound no tableau is needed
+    result = opt.optimal_mixed_strategy(d)
+    assert result.value == 1.0
+
+
 # --- DOT export -------------------------------------------------------------
 
 
