@@ -409,7 +409,6 @@ def main(argv=None):
         dg.WorldCapError,
         opt.EnumerationCapError,
         opt.InfeasibleEpsilonError,
-        opt.TableauCapError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -248,23 +248,12 @@ class LocalStrategy:
     scope: tuple
     table: dict
 
-    @property
-    def is_pure(self):
-        return all(p in (0, 1) for p in self.table.values())
-
 
 @dataclass(frozen=True)
 class GlobalStrategy:
     """One local strategy per decision node."""
 
     locals: dict
-
-    def for_decision(self, decision):
-        return self.locals[decision]
-
-    @property
-    def is_pure(self):
-        return all(ls.is_pure for ls in self.locals.values())
 
 
 def validate_strategy(diagram, strategy, forgetful=False):

@@ -5,12 +5,11 @@ exponential, so a cap guards the search).  Arbitrary strategies go
 through a game-tree detour: the diagram is expanded into a tree played
 against an indifferent chance player, and behaviour strategies are
 linearized into realization plans.  The optimal plan minimizes  a.mu
-s.t.  R mu = r, mu >= 0.  Because the optimizer has perfect information
-in the tree, that optimum is attained by a 0/1 plan that backward
-induction finds, one minimum or chance-weighted sum per level; exact
-ties take the false move.  The in-repo simplex solves the program only
-when a fully-mixed lower bound is set, and a cap on its dense tableau
-refuses trees with too many information sets.
+s.t.  R mu = r, mu >= E, the sequence form of Koller, Megiddo and von
+Stengel; E > 0 is the fully-mixed perturbation.  Because the optimizer
+has perfect information in the tree, backward induction solves that
+program exactly for every E, one minimum or chance-weighted sum per
+level; exact ties take the false move.
 
 The tree is held as columns, not node objects.  Its leaves are the
 world table of the diagram redeclared in expansion order, with one
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagram as dg
-from . import simplex
 from .contextual import entailment_column
 from .diagram import (
     CHANCE,
@@ -46,11 +44,9 @@ from .evidence import greedy_bound
 __all__ = [
     "EnumerationCapError",
     "InfeasibleEpsilonError",
-    "TableauCapError",
     "PureStrategy",
     "GameTree",
     "Leaves",
-    "LinearProgram",
     "RealizationPlan",
     "OptimizationResult",
     "enumerate_pure_strategies",
@@ -60,9 +56,6 @@ __all__ = [
     "expansion_order",
     "build_game_tree",
     "reduced_objective",
-    "realization_constraints",
-    "assemble_lp",
-    "solve_lp",
     "backward_induction",
     "plan_to_strategy",
     "optimal_mixed_strategy",
@@ -71,7 +64,6 @@ __all__ = [
 
 DEFAULT_CAP = 2**20
 PURE_TOL = 1e-9
-TABLEAU_CAP = 2**23  # cells of the fully-mixed LP's phase-one simplex tableau
 
 
 class EnumerationCapError(RuntimeError):
@@ -80,10 +72,6 @@ class EnumerationCapError(RuntimeError):
 
 class InfeasibleEpsilonError(ValueError):
     """The fully-mixed lower bound leaves no feasible realization plan."""
-
-
-class TableauCapError(RuntimeError):
-    """The fully-mixed LP's dense simplex tableau would be too large."""
 
 
 @dataclass(frozen=True)
@@ -325,39 +313,6 @@ def reduced_objective(tree):
     )
 
 
-def realization_constraints(tree):
-    """Flow-conservation system R mu = r over the optimizer sequences:
-    the empty sequence has weight 1, and row 1 + h says the two moves of
-    information set h add up to its incoming sequence."""
-    h = np.arange(len(tree.infosets))
-    R = np.zeros((1 + h.size, len(tree.sequences)))
-    r = np.zeros(1 + h.size)
-    R[0, 0] = r[0] = 1.0
-    R[1 + h, tree.infosets] = -1.0
-    R[1 + h, 1 + 2 * h] = 1.0
-    R[1 + h, 2 + 2 * h] = 1.0
-    return R, r
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    objective: np.ndarray
-    constraints: np.ndarray
-    rhs: np.ndarray
-    lower_bounds: np.ndarray
-
-
-def assemble_lp(tree, epsilon=0.0):
-    a = reduced_objective(tree)
-    R, r = realization_constraints(tree)
-    return LinearProgram(
-        objective=a,
-        constraints=R,
-        rhs=r,
-        lower_bounds=np.full(len(tree.sequences), float(epsilon)),
-    )
-
-
 @dataclass(frozen=True)
 class RealizationPlan:
     """Nonnegative sequence weights; the root entry is 1 and every
@@ -366,26 +321,31 @@ class RealizationPlan:
     entries: np.ndarray
 
 
-def solve_lp(lp):
-    """Optimal realization plan via the shifted standard-form simplex."""
-    lb = lp.lower_bounds
-    shifted_rhs = lp.rhs - lp.constraints @ lb
-    x, value = simplex.minimize(lp.objective, lp.constraints, shifted_rhs)
-    entries = x + lb
-    return RealizationPlan(entries=entries), value + float(lp.objective @ lb)
-
-
-def backward_induction(tree):
-    """Optimal 0/1 realization plan of the perfect-information tree.
+def backward_induction(tree, epsilon=0.0):
+    """Optimal realization plan of the perfect-information tree with
+    every entry at least epsilon.
 
     Walks the levels bottom-up over the leaf costs: a chance node weighs
     its children's values by its probabilities, and a decision node
     takes the true move only when that child's value is strictly
-    smaller, so an exact tie takes false.  Returns (plan, value), the
-    value summed as ``solve_lp`` sums it.
+    smaller, so an exact tie takes false.  The choices do not depend on
+    epsilon.  Going down, the move not taken at the j-th of the K
+    decision levels gets its lower bound  epsilon * 2^(K-1-j), the least
+    weight that leaves every sequence below it its bound, and the move
+    taken gets the rest.  A node's optimal cost is affine in its incoming
+    weight, with the unperturbed value as slope, so the plan is optimal.
+    It exists iff  epsilon * 2^K <= 1, which floats decide exactly;
+    otherwise InfeasibleEpsilonError.  Returns (plan, value).
     """
+    levels = [d for d, ids in enumerate(tree.ids) if ids is not None]
+    k = len(levels)
+    if epsilon * 2.0**k > 1.0:
+        raise InfeasibleEpsilonError(
+            f"no realization plan has every entry >= {epsilon}: every tree path meets "
+            f"all K = {k} decision variables, so the bound must be at most 2^-K = {2.0**-k}"
+        )
     v = tree.leaves.cost
-    take_true = [None] * len(tree.ids)
+    take_true = {}
     for d in reversed(range(len(tree.ids))):
         false, true = v[0::2], v[1::2]
         if tree.ids[d] is None:
@@ -394,8 +354,15 @@ def backward_induction(tree):
         else:
             take_true[d] = true < false
             v = np.where(take_true[d], true, false)
-    plan = _plan(tree, take_true)
-    return plan, float(reduced_objective(tree) @ plan.entries)
+    entries = np.zeros(len(tree.sequences))
+    entries[0] = 1.0
+    for j, d in enumerate(levels):
+        ids = tree.ids[d]
+        lb = epsilon * 2.0 ** (k - 1 - j)
+        rest = entries[tree.infosets[ids]] - lb
+        entries[2 + 2 * ids] = np.where(take_true[d], rest, lb)
+        entries[1 + 2 * ids] = np.where(take_true[d], lb, rest)
+    return RealizationPlan(entries=entries), float(reduced_objective(tree) @ entries)
 
 
 def plan_to_strategy(tree, plan):
@@ -421,73 +388,30 @@ def plan_to_strategy(tree, plan):
     return GlobalStrategy(locals=locals_)
 
 
-def _check_tableau_size(infosets):
-    """Refuse, before allocating, an LP whose simplex tableau exceeds the cap.
-
-    With H information sets the program has 1 + H rows and 1 + 2H
-    sequences, so phase one's tableau is (H + 2) x (3H + 3).
-    """
-    rows, cols = infosets + 2, 3 * infosets + 3
-    if rows * cols > TABLEAU_CAP:
-        raise TableauCapError(
-            f"the fully-mixed LP over {infosets} information sets needs a "
-            f"{rows} x {cols} simplex tableau, past the cap of {TABLEAU_CAP} cells"
-        )
-
-
 def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
-    """Optimal arbitrary strategy over the game tree.
+    """Optimal arbitrary strategy over the game tree, by backward induction.
 
-    Without a fully-mixed bound (or with bound 0) the optimum is the
-    backward-induction plan.  fully_mixed, when positive, is the lower
-    bound applied to every plan entry, and the sequence-form program is
-    solved by the simplex; an unattainable bound raises
-    InfeasibleEpsilonError and an oversized tableau TableauCapError.
+    fully_mixed, when given, is the lower bound applied to every plan
+    entry; an unattainable bound raises InfeasibleEpsilonError.  The
+    result is pure when every node the plan reaches plays one move.
     """
     diagram = getattr(kb_or_diagram, "diagram", kb_or_diagram)
     epsilon = 0.0 if fully_mixed is None else float(fully_mixed)
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError("the fully-mixed lower bound must be finite and nonnegative")
     tree = build_game_tree(diagram)
-    if epsilon == 0.0:
-        plan, value = backward_induction(tree)
-    else:
-        _check_tableau_size(len(tree.infosets))
-        lp = assemble_lp(tree, epsilon=epsilon)
-        try:
-            plan, value = solve_lp(lp)
-        except simplex.Infeasible as exc:
-            raise InfeasibleEpsilonError(
-                f"no realization plan with every entry >= {epsilon}: {exc}"
-            ) from exc
-    strategy = plan_to_strategy(tree, plan)
-    pure = all(
-        min(p, 1.0 - p) <= PURE_TOL
-        for ls in strategy.locals.values()
-        for p in ls.table.values()
-    )
+    plan, value = backward_induction(tree, epsilon)
+    incoming = plan.entries[tree.infosets]
+    reached = np.flatnonzero(incoming > PURE_TOL)
+    p = plan.entries[2 + 2 * reached] / incoming[reached]
+    pure = bool(np.all(np.minimum(p, 1.0 - p) <= PURE_TOL))
     return OptimizationResult(
         value=value,
-        strategy=strategy,
+        strategy=plan_to_strategy(tree, plan),
         kind="pure" if pure else "mixed",
         certificate=plan,
         epsilon=epsilon,
     )
-
-
-def _plan(tree, p_true):
-    """Realization plan from each decision level's per-node probability
-    of the true move (None on chance levels): an entry is the product of
-    the move probabilities along its sequence."""
-    entries = np.zeros(len(tree.sequences))
-    entries[0] = 1.0
-    for ids, p in zip(tree.ids, p_true):
-        if ids is None:
-            continue
-        incoming = entries[tree.infosets[ids]]
-        entries[2 + 2 * ids] = incoming * p
-        entries[1 + 2 * ids] = incoming * (1.0 - p)
-    return RealizationPlan(entries=entries)
 
 
 def pure_plan(tree, strategy):
@@ -495,12 +419,17 @@ def pure_plan(tree, strategy):
     evaluated on each node's history: node x of level d reads its scope
     row at its leftmost leaf x << (n - d)."""
     n = len(tree.order)
-    p_true = [None] * len(tree.ids)
+    entries = np.zeros(len(tree.sequences))
+    entries[0] = 1.0
     for d, ids in enumerate(tree.ids):
-        if ids is not None:
-            local = strategy.locals[tree.order[d]]
-            p_true[d] = tree.table.gather(local.table, local.scope)[:: 1 << (n - d)]
-    return _plan(tree, p_true)
+        if ids is None:
+            continue
+        local = strategy.locals[tree.order[d]]
+        p = tree.table.gather(local.table, local.scope)[:: 1 << (n - d)]
+        incoming = entries[tree.infosets[ids]]
+        entries[2 + 2 * ids] = incoming * p
+        entries[1 + 2 * ids] = incoming * (1.0 - p)
+    return RealizationPlan(entries=entries)
 
 
 def export_game_tree_dot(tree):

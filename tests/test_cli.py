@@ -1,6 +1,7 @@
 """CLI behaviour: reports, exit codes, fixtures, and document parsing."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,10 +13,14 @@ import yaml
 import cider
 from cider import kbfile
 from cider import optimizer as opt
+from cider import simplex
+from cider._format import format_float as fmt
 from cider._sexpr import MAX_DEPTH
 from cider.cli import main
 from cider.fixtures import fixture_bytes, fixture_names
 from cider.kbfile import KBLoadError, load_kb_text, load_model_text
+
+import sequence_form as sf
 
 
 @pytest.fixture(autouse=True)
@@ -581,9 +586,9 @@ def test_world_cap_exits_three_at_once(tmp_path, capsys):
         assert err == "error: 2^26 worlds exceed the world cap 1048576\n"
 
 
-def test_fully_mixed_past_the_tableau_cap_exits_three(tmp_path, capsys, monkeypatch):
+def test_fully_mixed_on_14336_information_sets_answers(tmp_path, capsys, monkeypatch):
     """Decisions on levels 11 to 13 of a 14-variable KB give 14336
-    information sets: the fully-mixed LP is refused before it is built."""
+    information sets: the fully-mixed query is answered without an LP."""
     names = [f"C{i:02d}" for i in range(11)]
     nodes = "".join(
         f"  {v}: {{kind: chance, parents: [], cpt: {{'': 0.5}}}}\n" for v in names
@@ -597,20 +602,45 @@ def test_fully_mixed_past_the_tableau_cap_exits_three(tmp_path, capsys, monkeypa
     )
 
     def fail(*args, **kwargs):
-        raise AssertionError("the fully-mixed LP was allocated")
+        raise AssertionError("the sequence-form LP was built")
 
-    monkeypatch.setattr(opt, "assemble_lp", fail)
-    monkeypatch.setattr(opt.simplex, "minimize", fail)
+    monkeypatch.setattr(sf, "assemble_lp", fail)
+    monkeypatch.setattr(simplex, "minimize", fail)
+    epsilon = 1e-6
     code, stdout, err = run(
-        capsys, "query", str(path), "optimize", "--lp", "--fully-mixed", "1e-6"
+        capsys, "query", str(path), "optimize", "--lp", "--fully-mixed", str(epsilon)
     )
+    assert code == 0 and err == ""
+    result = opt.optimal_mixed_strategy(load_kb_text(path.read_text()).kb, fully_mixed=epsilon)
+    assert f"  value: {fmt(result.value)}\n  kind: mixed\n  epsilon: 1e-06\n" in stdout
+    code, stdout, _ = run(capsys, "query", str(path), "optimize", "--lp")
+    assert code == 0 and "value: 1\n  kind: pure\n" in stdout
+
+
+def test_fully_mixed_one_float_above_the_boundary_exits_three(tmp_path, capsys):
+    """Every path meets K = 2 decisions: at E = 2^-2 every move gets half
+    of its incoming weight, and one float above E exits 3."""
+    path = tmp_path / "chain.kb"
+    path.write_text(
+        "variables: [D1, X, D2]\n"
+        "nodes:\n"
+        "  D1: {kind: decision, parents: []}\n"
+        "  X: {kind: chance, parents: [D1], cpt: {'0': 0.3, '1': 0.6}}\n"
+        "  D2: {kind: decision, parents: [X]}\n"
+        "cost: {parents: [D1, D2], table: {'00': 0, '01': 1, '10': 2, '11': 3}}\n"
+    )
+    query = ["query", str(path), "optimize", "--lp", "--fully-mixed"]
+    code, stdout, err = run(capsys, *query, "0.25")
+    assert code == 0 and err == ""
+    rows = [line.split(": ")[1] for line in stdout.splitlines() if line.startswith('      "')]
+    assert rows == ["0.5"] * 5
+    above = repr(math.nextafter(0.25, 1.0))
+    code, stdout, err = run(capsys, *query, above)
     assert code == 3 and stdout == ""
     assert err == (
-        "error: the fully-mixed LP over 14336 information sets needs a "
-        f"14338 x 43011 simplex tableau, past the cap of {opt.TABLEAU_CAP} cells\n"
+        f"error: no realization plan has every entry >= {above}: every tree path "
+        "meets all K = 2 decision variables, so the bound must be at most 2^-K = 0.25\n"
     )
-    code, stdout, _ = run(capsys, "query", str(path), "optimize", "--lp")
-    assert code == 0 and "value: 1\n" in stdout
 
 
 def test_forgetful_flag_changes_strategy_scope(tmp_path, capsys):

@@ -107,7 +107,10 @@ def cases(draw):
         ),
         "pairs": [(draw(_concepts()), draw(_concepts())) for _ in range(2)],
         "bound": draw(st.sampled_from(["5", "0", "-1", "nan", "inf", "1e300", "2.36"])),
-        "epsilon": draw(st.sampled_from(["0", "1e-6", "0.01", "0.7", "-0.1", "nan", "inf"])),
+        "epsilon": draw(st.sampled_from([
+            "0", "1e-6", "0.01", "0.7", "-0.1", "nan", "inf",
+            "0.5", "0.25", "0.125", "0.5000000000000001",
+        ])),
     }
 
 

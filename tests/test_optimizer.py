@@ -2,9 +2,12 @@
 
 The game tree is built as columns over the world table; the recursive
 builder, node and information-set classes and DOT emitter it replaced
-are kept here as the reference it must equal bit for bit.
+are kept here as the reference it must equal bit for bit.  Backward
+induction answers the sequence-form LP, perturbed or not; the LP itself,
+solved by the dense simplex in ``sequence_form``, is its oracle.
 """
 
+import collections
 import dataclasses
 import itertools
 import random
@@ -15,11 +18,13 @@ import pytest
 
 from cider import diagram as dg
 from cider import optimizer as opt
+from cider import simplex
 from cider._format import format_float as fmt
 from cider.contextual import KnowledgeBase
 from cider.el import ConceptName as N
 from cider.evidence import EvidenceQuery, optimistic_expected_cost
 
+import sequence_form as sf
 from conftest import random_diagram, random_strategy
 
 
@@ -233,7 +238,7 @@ def assert_tree_matches_reference(diagram):
     assert len(tree.sequences) == len(sequences)
     assert tuple(sequences) == ref.sequences
     for array, expected in zip(
-        opt.realization_constraints(tree), ref_realization_constraints(ref)
+        sf.realization_constraints(tree), ref_realization_constraints(ref)
     ):
         assert _same_array(array, expected)
     assert opt.export_game_tree_dot(tree) == ref_export_dot(ref)
@@ -444,7 +449,7 @@ def test_tree_without_decisions():
     assert a.shape == (1,)
     expected = dg.expected_cost(d, dg.GlobalStrategy(locals={}))
     assert a[0] == pytest.approx(expected)
-    _, value = opt.solve_lp(opt.assemble_lp(tree))
+    _, value = sf.solve_lp(sf.assemble_lp(tree))
     assert value == pytest.approx(expected, abs=1e-9)
 
 
@@ -503,7 +508,7 @@ def test_plan_to_strategy_inverts_pure_plan():
 
 def test_realization_constraints_shape_and_feasibility(idelium):
     tree = opt.build_game_tree(idelium.kb.diagram)
-    R, r = opt.realization_constraints(tree)
+    R, r = sf.realization_constraints(tree)
     assert R.shape == (1 + len(tree.infosets), len(tree.sequences))
     assert r[0] == 1.0 and np.all(r[1:] == 0.0)
     for name in ("test_a_if_clear", "never_test_a", "uniform"):
@@ -521,7 +526,7 @@ def test_no_decision_constraints():
         cost_table={"0": 0.0, "1": 4.0},
     )
     tree = opt.build_game_tree(d)
-    R, r = opt.realization_constraints(tree)
+    R, r = sf.realization_constraints(tree)
     assert R.shape == (1, 1)
     assert R[0, 0] == 1.0 and r[0] == 1.0
 
@@ -627,7 +632,7 @@ def test_pure_plans_feasible_and_consistent_randomized():
         s = random_strategy(rng, d, pure=True)
         tree = opt.build_game_tree(d)
         plan = opt.pure_plan(tree, s)
-        R, r = opt.realization_constraints(tree)
+        R, r = sf.realization_constraints(tree)
         assert np.allclose(R @ plan.entries, r, atol=1e-9)
         assert set(np.round(plan.entries, 9)) <= {0.0, 1.0}
         a = opt.reduced_objective(tree)
@@ -646,8 +651,8 @@ def test_simplex_optimal_against_plan_enumeration():
         if not 0 < len(tree.infosets) <= 6:
             continue
         checked += 1
-        lp = opt.assemble_lp(tree)
-        _, value = opt.solve_lp(lp)
+        lp = sf.assemble_lp(tree)
+        _, value = sf.solve_lp(lp)
         a = opt.reduced_objective(tree)
         best = np.inf
         for mask in range(2 ** len(tree.infosets)):
@@ -707,21 +712,62 @@ def _tie_differences(tree, plan, reference):
     return count
 
 
-def test_backward_induction_matches_the_simplex(random_kb_corpus, idelium):
-    """The simplex is the oracle: the same value to the last bit, and the
-    same plan except at decision nodes whose two moves tie exactly."""
+def _simplex_corpus(random_kb_corpus, idelium):
     rng = random.Random(1)
     generated = [random_diagram(rng) for _ in range(400)]
     diagrams = [idelium.kb.diagram] + [kb.diagram for kb, _ in random_kb_corpus]
-    diagrams += [_redeclared(d, rng) if i % 2 else d for i, d in enumerate(generated)]
+    return diagrams + [_redeclared(d, rng) if i % 2 else d for i, d in enumerate(generated)]
+
+
+def test_backward_induction_matches_the_simplex(random_kb_corpus, idelium):
+    """The simplex is the oracle: the same value to the last bit, and the
+    same plan except at decision nodes whose two moves tie exactly."""
     ties = 0
-    for diagram in diagrams:
+    for diagram in _simplex_corpus(random_kb_corpus, idelium):
         tree = opt.build_game_tree(diagram)
         plan, value = opt.backward_induction(tree)
-        lp_plan, lp_value = opt.solve_lp(opt.assemble_lp(tree))
+        lp_plan, lp_value = sf.solve_lp(sf.assemble_lp(tree))
         assert value.hex() == lp_value.hex()
         ties += _tie_differences(tree, plan, lp_plan)
     assert ties > 0  # the corpus does reach ties the two break differently
+
+
+def _below_a_tie(tree):
+    """Per sequence, whether its path passes a decision node whose two
+    moves tie exactly, where any split of the weight is optimal."""
+    below = np.zeros(len(tree.sequences), dtype=bool)
+    for ids, children in zip(tree.ids, _child_values(tree)):
+        if ids is None:
+            continue
+        false, true = children
+        below[1 + 2 * ids] = below[2 + 2 * ids] = below[tree.infosets[ids]] | (false == true)
+    return below
+
+
+def test_fully_mixed_matches_the_simplex(random_kb_corpus, idelium):
+    """Under a lower bound E on every entry the simplex is the oracle:
+    the same feasibility, the same value to 1e-12 relative, and the same
+    plan to 1e-12, except below decision nodes whose two moves tie."""
+    seen = collections.Counter()
+    for diagram in _simplex_corpus(random_kb_corpus, idelium):
+        tree = opt.build_game_tree(diagram)
+        k = sum(ids is not None for ids in tree.ids)
+        below = _below_a_tie(tree)
+        for epsilon in (1e-6, 1e-3, 0.01, 0.1, 0.3, 2.0**-k):
+            try:
+                lp_plan, lp_value = sf.solve_lp(sf.assemble_lp(tree, epsilon))
+            except simplex.Infeasible:
+                with pytest.raises(opt.InfeasibleEpsilonError, match=f"K = {k} "):
+                    opt.backward_induction(tree, epsilon)
+                seen["infeasible"] += 1
+                continue
+            plan, value = opt.backward_induction(tree, epsilon)
+            assert abs(value - lp_value) <= 1e-12 * max(1.0, abs(lp_value))
+            assert np.all(plan.entries >= epsilon)
+            assert np.all(np.abs(plan.entries - lp_plan.entries)[~below] <= 1e-12)
+            seen["feasible"] += 1
+            seen["below a tie"] += bool(below.any())
+    assert len(seen) == 3
 
 
 def test_lp_exact_tie_takes_false():
@@ -742,12 +788,14 @@ def test_lp_exact_tie_takes_false():
     assert result.strategy.locals["D1"].table == {
         "00": 0.5, "01": 0.5, "10": 0.0, "11": 0.0
     }
+    assert result.kind == "pure"  # the uniform rows are never reached
 
 
-def test_fully_mixed_lp_past_the_tableau_cap_is_refused(monkeypatch):
+def test_fully_mixed_lp_on_14336_information_sets_needs_no_simplex(monkeypatch):
     """14 variables whose decisions sit on levels 11 to 13 give the tree
-    2^11 + 2^12 + 2^13 = 14336 information sets: the fully-mixed LP is
-    refused before anything of it is allocated."""
+    2^11 + 2^12 + 2^13 = 14336 information sets: the program's dense
+    simplex tableau would have 14338 x 43011 cells, and backward
+    induction answers it without building any."""
     chance = tuple(f"C{i:02d}" for i in range(11))
     decisions = ("D0", "D1", "D2")
     d = dg.InfluenceDiagram(
@@ -761,16 +809,18 @@ def test_fully_mixed_lp_past_the_tableau_cap_is_refused(monkeypatch):
     assert len(opt.build_game_tree(d).infosets) == 14336
 
     def fail(*args, **kwargs):
-        raise AssertionError("the fully-mixed LP was allocated")
+        raise AssertionError("the sequence-form LP was built")
 
-    for module, name in ((opt, "assemble_lp"), (opt, "realization_constraints"),
-                         (opt.simplex, "minimize")):
+    for module, name in ((sf, "assemble_lp"), (sf, "realization_constraints"),
+                         (simplex, "minimize")):
         monkeypatch.setattr(module, name, fail)
-    with pytest.raises(opt.TableauCapError, match="14336 information sets"):
-        opt.optimal_mixed_strategy(d, fully_mixed=1e-6)
-    # without the lower bound no tableau is needed
-    result = opt.optimal_mixed_strategy(d)
-    assert result.value == 1.0
+    epsilon = 1e-6
+    result = opt.optimal_mixed_strategy(d, fully_mixed=epsilon)
+    assert result.kind == "mixed" and result.epsilon == epsilon
+    assert np.all(result.certificate.entries >= epsilon)
+    assert abs(result.value - dg.expected_cost(d, result.strategy)) <= 1e-12
+    plain = opt.optimal_mixed_strategy(d)
+    assert plain.value == 1.0 and plain.kind == "pure"
 
 
 # --- DOT export -------------------------------------------------------------

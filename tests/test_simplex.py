@@ -1,4 +1,4 @@
-"""Unit tests for the dense two-phase simplex.
+"""Unit tests for the dense two-phase simplex, the tests' LP oracle.
 
 The second half compares ``simplex.minimize`` with a scalar reference: the
 row-by-row pivot and the index-by-index Bland scan that the whole-array
@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from cider import optimizer as opt
 from cider import simplex
 from cider.simplex import Infeasible, SimplexError, minimize
+
+import sequence_form as sf
 
 
 def test_simple_equality_problem():
@@ -300,7 +302,7 @@ def test_matches_the_scalar_reference():
 def test_sequence_form_lps_match_the_scalar_reference(random_kb_corpus, epsilon):
     outcomes = set()
     for kb, _ in random_kb_corpus:
-        lp = opt.assemble_lp(opt.build_game_tree(kb.diagram), epsilon=epsilon)
+        lp = sf.assemble_lp(opt.build_game_tree(kb.diagram), epsilon=epsilon)
         shifted = lp.rhs - lp.constraints @ lp.lower_bounds
         outcomes.add(assert_same_as_reference(lp.objective, lp.constraints, shifted))
     assert "optimal" in outcomes
