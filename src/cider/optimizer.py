@@ -1,15 +1,23 @@
-"""Strategy optimization: exhaustive pure search and the game-tree optimum.
+"""Strategy optimization: the best pure strategy and the game-tree optimum.
 
-Pure strategies are enumerated directly (their count is doubly
-exponential, so a cap guards the search).  Arbitrary strategies go
-through a game-tree detour: the diagram is expanded into a tree played
-against an indifferent chance player, and behaviour strategies are
-linearized into realization plans.  The optimal plan minimizes  a.mu
-s.t.  R mu = r, mu >= E, the sequence form of Koller, Megiddo and von
-Stengel; E > 0 is the fully-mixed perturbation.  Because the optimizer
-has perfect information in the tree, backward induction solves that
-program exactly for every E, one minimum or chance-weighted sum per
-level; exact ties take the false move.
+The best pure strategy for expected cost is solved row-wise by backward
+induction (Shachter 1986; Jensen, Jensen and Dittmer 1994) over the
+chain of decisions whose scopes nest: each one and its scope lie inside
+the scope of every larger one.  Only the strategies of the other
+decisions, the rest, are enumerated; under perfect recall the rest is
+empty.  The evidence objectives do not split over rows, so they
+enumerate every pure strategy.  Pure strategies number doubly
+exponentially, so a cap guards every enumeration.
+
+Arbitrary strategies go through a game-tree detour: the diagram is
+expanded into a tree played against an indifferent chance player, and
+behaviour strategies are linearized into realization plans.  The
+optimal plan minimizes  a.mu  s.t.  R mu = r, mu >= E, the sequence
+form of Koller, Megiddo and von Stengel; E > 0 is the fully-mixed
+perturbation.  Because the optimizer has perfect information in the
+tree, backward induction solves that program exactly for every E, one
+minimum or chance-weighted sum per level; exact ties take the false
+move.
 
 The tree is held as columns, not node objects.  Its leaves are the
 world table of the diagram redeclared in expansion order, with one
@@ -50,7 +58,7 @@ __all__ = [
     "RealizationPlan",
     "OptimizationResult",
     "enumerate_pure_strategies",
-    "pure_strategy_count_log2",
+    "split_decisions",
     "optimal_pure_strategy",
     "decide_threshold",
     "expansion_order",
@@ -94,31 +102,23 @@ class PureStrategy:
         )
 
 
-def pure_strategy_count_log2(diagram, forgetful=False):
-    """log2 of the number of pure strategies (may be astronomically large)."""
-    return sum(
-        2 ** len(strategy_scope(diagram, d, forgetful=forgetful))
-        for d in diagram.decision_nodes
-    )
-
-
 def _format_count(log2):
     return str(1 << log2) if log2 <= 62 else f"2^{log2}"
 
 
-def enumerate_pure_strategies(diagram, forgetful=False, cap=DEFAULT_CAP):
-    """All pure strategies, lexicographic over rows, false before true."""
-    log2 = pure_strategy_count_log2(diagram, forgetful=forgetful)
+def enumerate_pure_strategies(
+    diagram, forgetful=False, cap=DEFAULT_CAP, decisions=None
+):
+    """All pure strategies of some decisions (by default every one),
+    lexicographic over rows, false before true."""
+    decisions = diagram.decision_nodes if decisions is None else tuple(decisions)
+    scopes = {d: strategy_scope(diagram, d, forgetful=forgetful) for d in decisions}
+    log2 = sum(2 ** len(scope) for scope in scopes.values())
     if log2 > 62 or (1 << log2) > cap:
         raise EnumerationCapError(
             f"{_format_count(log2)} pure strategies exceed the cap {cap}"
         )
-    decisions = diagram.decision_nodes
-    scopes = {d: strategy_scope(diagram, d, forgetful=forgetful) for d in decisions}
-    keys = {
-        d: ["".join(bits) for bits in itertools.product("01", repeat=len(scopes[d]))]
-        for d in decisions
-    }
+    keys = {d: dg._all_rowkeys(len(scopes[d])) for d in decisions}
     per_decision = [
         itertools.product((False, True), repeat=len(keys[d])) for d in decisions
     ]
@@ -129,6 +129,26 @@ def enumerate_pure_strategies(diagram, forgetful=False, cap=DEFAULT_CAP):
             },
             scopes=scopes,
         )
+
+
+def split_decisions(diagram, forgetful=False):
+    """The decisions whose scopes nest (the chain) and the rest.
+
+    Walking from the largest strategy scope to the smallest, ties in
+    declared order, a decision joins the chain when it and its scope lie
+    inside the scope of every decision already there.  The chain comes
+    largest scope first, the rest in declared order.  Perfect recall is
+    an empty rest.
+    """
+    scopes = {
+        d: set(strategy_scope(diagram, d, forgetful=forgetful))
+        for d in diagram.decision_nodes
+    }
+    chain = []
+    for d in sorted(scopes, key=lambda d: -len(scopes[d])):
+        if all(scopes[d] | {d} <= scopes[e] for e in chain):
+            chain.append(d)
+    return tuple(chain), tuple(d for d in scopes if d not in chain)
 
 
 @dataclass(frozen=True)
@@ -148,12 +168,18 @@ def optimal_pure_strategy(
     forgetful=False,
     cap=DEFAULT_CAP,
 ):
-    """Best pure strategy by exhaustive enumeration, ties by enumeration order.
+    """Best pure strategy.
 
-    objective "expected" scores plain expected cost; "dominant-optimistic"
-    and "dominant-pessimistic" score the corresponding conditional bound
-    given the evidence inclusion.  The world table and the evidence
-    entailment do not depend on the strategy and are built once.
+    objective "expected" scores plain expected cost, and is solved
+    row-wise: only the strategies of the decisions outside the chain of
+    nested scopes are enumerated (see ``_row_wise_optimum``).  Results
+    differ from full enumeration only on ties, within rounding.
+    "dominant-optimistic" and "dominant-pessimistic" score the
+    corresponding conditional bound given the evidence inclusion; that
+    bound does not split over rows, so every pure strategy is
+    enumerated, ties kept in enumeration order.  The world table and
+    the evidence entailment do not depend on the strategy and are built
+    once.  cap bounds the number of strategies enumerated.
     """
     if objective not in ("expected", "dominant-optimistic", "dominant-pessimistic"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -163,22 +189,86 @@ def optimal_pure_strategy(
         raise ValueError(f"unknown direction {direction!r}")
     sign = 1.0 if direction == "min" else -1.0
     table = dg.WorldTable(kb.diagram)
-    if objective != "expected":
-        forced = entailment_column(kb, table, evidence.lhs, evidence.rhs)
-        bound_sign = +1 if objective == "dominant-optimistic" else -1
+    if objective == "expected":
+        pure = _row_wise_optimum(table, sign, forgetful, cap)
+        strategy = pure.to_strategy()
+        return OptimizationResult(
+            value=expected_cost(table, strategy),
+            strategy=strategy,
+            kind="pure",
+            certificate=pure,
+        )
+    forced = entailment_column(kb, table, evidence.lhs, evidence.rhs)
+    bound_sign = +1 if objective == "dominant-optimistic" else -1
     best = None
     for pure in enumerate_pure_strategies(kb.diagram, forgetful=forgetful, cap=cap):
         strategy = pure.to_strategy()
-        if objective == "expected":
-            value = expected_cost(table, strategy)
-        else:
-            value = greedy_bound(table, forced, table.joint(strategy), bound_sign).value
+        value = greedy_bound(table, forced, table.joint(strategy), bound_sign).value
         if best is None or sign * value < sign * best[0]:
             best = (value, strategy, pure)
     value, strategy, pure = best
     return OptimizationResult(
         value=value, strategy=strategy, kind="pure", certificate=pure
     )
+
+
+def _row_wise_optimum(table, sign, forgetful, cap):
+    """Pure strategy minimizing  sign * expected cost, by backward
+    induction over the chain of nested scopes for each pure strategy of
+    the rest (``split_decisions``).
+
+    For a fixed rest, w starts as the chance column times the rest's
+    0/1 indicators.  Each chain decision, largest scope first, sums
+    w * sign * cost per (scope row, value) and takes true only where
+    that sum is strictly smaller, then multiplies its indicator into w.
+    A smaller chain decision and its scope lie inside every larger one's
+    scope, so its factor is constant on each of their rows and cannot
+    change their choice.  Rows that w never reaches are set to false,
+    as enumeration leaves them.  Of the rest's strategies, enumerated
+    in order, the first with the strictly smallest total of
+    w * sign * cost, summed in world order, wins.
+    """
+    diagram = table.diagram
+    chain, rest = split_decisions(diagram, forgetful=forgetful)
+    scopes = {
+        d: strategy_scope(diagram, d, forgetful=forgetful)
+        for d in diagram.decision_nodes
+    }
+    rows = {d: table.code(scopes[d]) for d in scopes}
+    slots = {d: 2 * rows[d] + table.column(d) for d in chain}
+    chance = np.ones(table.size)
+    for v, by_value in table.chance_rows.items():
+        chance *= by_value[2 * table.code(diagram.parents.get(v, ())) + table.column(v)]
+    signed_cost = sign * table.cost
+    best = None
+    for fixed in enumerate_pure_strategies(
+        diagram, forgetful=forgetful, cap=cap, decisions=rest
+    ):
+        w = chance
+        for d in rest:
+            take = np.array(list(fixed.choices[d].values()), dtype=bool)
+            w = w * (take[rows[d]] == table.column(d))
+        takes = {}
+        for d in chain:
+            q = np.bincount(
+                slots[d], weights=w * signed_cost, minlength=2 << len(scopes[d])
+            )
+            takes[d] = q[1::2] < q[0::2]
+            w = w * (takes[d][rows[d]] == table.column(d))
+        for d in chain:
+            reach = np.bincount(rows[d], weights=w, minlength=1 << len(scopes[d]))
+            takes[d] &= reach > 0.0
+        total = np.add.accumulate(w * signed_cost)[-1]
+        if best is None or total < best[0]:
+            best = (total, fixed, takes)
+    _, fixed, takes = best
+    choices = {
+        d: fixed.choices[d]
+        if d in fixed.choices
+        else dict(zip(dg._all_rowkeys(len(scopes[d])), takes[d].tolist()))
+        for d in scopes
+    }
+    return PureStrategy(choices=choices, scopes=scopes)
 
 
 def decide_threshold(result, bound, problem):

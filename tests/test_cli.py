@@ -586,6 +586,42 @@ def test_world_cap_exits_three_at_once(tmp_path, capsys):
         assert err == "error: 2^26 worlds exceed the world cap 1048576\n"
 
 
+def test_two_to_the_64_pure_strategies_answer_without_enumeration(tmp_path, capsys):
+    """One decision seeing six chance variables has 2^64 pure strategies.
+    It is a chain of nested scopes by itself, so the expected objective
+    is solved row-wise; the evidence objectives still enumerate and
+    exit 3."""
+    names = [f"C{i}" for i in range(6)]
+    nodes = "".join(
+        f"  {v}: {{kind: chance, parents: [], cpt: {{'': 0.5}}}}\n" for v in names
+    )
+    path = tmp_path / "wide_scope.kb"
+    path.write_text(
+        f"variables: [{', '.join(names)}, D0]\n"
+        "nodes:\n"
+        + nodes
+        + f"  D0: {{kind: decision, parents: [{', '.join(names)}]}}\n"
+        "cost: {parents: [C0, D0], table: {'00': 4, '01': 1, '10': 0, '11': 2}}\n"
+        "tbox:\n"
+        "  - {lhs: A, rhs: B, context: C1}\n"
+    )
+    path = str(path)
+    for argv, line in (
+        (["optimize", "--pure"], "  value: 0.5\n"),
+        (["optimize", "--pure", "--direction", "max"], "  value: 3\n"),
+        (["decide", "--problem", "d-opt", "--bound", "1"], "  answer: true\n"),
+        (["decide", "--problem", "d-pes", "--bound", "3"], "  answer: false\n"),
+    ):
+        code, stdout, err = run(capsys, "query", path, *argv)
+        assert (code, err) == (0, ""), argv
+        assert line in stdout, argv
+    code, stdout, err = run(
+        capsys, "query", path, "optimize", "--pure", "--evidence", "A", "B"
+    )
+    assert (code, stdout) == (3, "")
+    assert err == "error: 2^64 pure strategies exceed the cap 1048576\n"
+
+
 def test_fully_mixed_on_14336_information_sets_answers(tmp_path, capsys, monkeypatch):
     """Decisions on levels 11 to 13 of a 14-variable KB give 14336
     information sets: the fully-mixed query is answered without an LP."""

@@ -1,5 +1,8 @@
 """Pure-strategy enumeration, game trees, and the sequence-form LP.
 
+Enumerating every pure strategy is the oracle for the row-wise pure
+optimum (``enumerated_optimum``).
+
 The game tree is built as columns over the world table; the recursive
 builder, node and information-set classes and DOT emitter it replaced
 are kept here as the reference it must equal bit for bit.  Backward
@@ -11,7 +14,9 @@ import collections
 import dataclasses
 import itertools
 import random
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from cider._format import format_float as fmt
 from cider.contextual import KnowledgeBase
 from cider.el import ConceptName as N
 from cider.evidence import EvidenceQuery, optimistic_expected_cost
+from cider.kbfile import load_kb_text
 
 import sequence_form as sf
 from conftest import random_diagram, random_strategy
@@ -407,6 +413,183 @@ def test_decide_threshold(idelium):
     # monotone in the bound
     answers = [opt.decide_threshold(best, b, "d-opt") for b in (1.0, 2.0, 3.0, 40.0)]
     assert answers == sorted(answers)
+
+
+# --- the pure optimum, row-wise -----------------------------------------------
+
+
+def enumerated_optimum(diagram, forgetful=False):
+    """Every pure strategy with its expected cost, in enumeration order:
+    the oracle for the row-wise solver."""
+    table = dg.WorldTable(diagram)
+    return [
+        (dg.expected_cost(table, pure.to_strategy()), pure)
+        for pure in opt.enumerate_pure_strategies(diagram, forgetful=forgetful)
+    ]
+
+
+def assert_matches_enumeration(kb, scored, direction, forgetful):
+    """The optimum equals enumeration's within 1e-12 relative, and so
+    does the strategy wherever every strategy within 1e-9 relative of
+    the optimum has the same joint (so an optimum that beats the
+    runner-up by more, and the false rows no world reaches)."""
+    diagram = kb.diagram
+    result = opt.optimal_pure_strategy(kb, direction=direction, forgetful=forgetful)
+    sign = 1.0 if direction == "min" else -1.0
+    value, pure = min(scored, key=lambda vp: sign * vp[0])  # first of the best
+    scale = max(abs(value), 1.0)
+    assert abs(result.value - value) <= 1e-12 * scale
+    assert dg.validate_strategy(diagram, result.strategy, forgetful=forgetful) == []
+    assert dg.expected_cost(diagram, result.strategy) == result.value
+    table = dg.WorldTable(diagram)
+    joint = table.joint(pure.to_strategy())
+    unique = all(
+        np.array_equal(table.joint(p.to_strategy()), joint)
+        for v, p in scored
+        if abs(v - value) <= 1e-9 * scale
+    )
+    if unique:
+        assert result.certificate.choices == pure.choices
+    return unique
+
+
+def _bench_kbs():
+    """The benchmark's generated KBs of every workload at five seeds."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import kbgen
+    finally:
+        sys.path.pop(0)
+    return [
+        load_kb_text(spec.to_yaml()).kb
+        for workload in ("world-queries", "strategy-search", "small-kbs")
+        for seed in (1, 3, 5, 11, 29)
+        for spec in kbgen.generate(workload, seed)
+    ]
+
+
+def test_row_wise_optimum_matches_enumeration(random_kb_corpus):
+    rng = random.Random(1)
+    cases = [
+        (KnowledgeBase(diagram=random_diagram(rng, n_vars=rng.randint(2, 6)), vtbox=()),
+         forgetful)
+        for _ in range(500)
+        for forgetful in (False, True)
+    ]
+    cases += [(kb, f) for kb, _ in random_kb_corpus for f in (False, True)]
+    cases += [(kb, False) for kb in _bench_kbs()]
+    splits = [opt.split_decisions(kb.diagram, forgetful=f) for kb, f in cases]
+    assert any(rest for _, rest in splits)
+    assert any(len(chain) >= 2 for chain, _ in splits)
+    assert any(len(chain) >= 2 and rest for chain, rest in splits)
+    unique = 0
+    for kb, forgetful in cases:
+        scored = enumerated_optimum(kb.diagram, forgetful=forgetful)
+        for direction in ("min", "max"):
+            unique += assert_matches_enumeration(kb, scored, direction, forgetful)
+    assert unique > len(cases)  # most optima are unique up to unreached rows
+
+
+def test_split_decisions_of_the_strategy_search_shape():
+    """V02 sees V01 and V05 sees V03, a child of V02: V05's scope
+    (V02, V03) lacks V01, so V02 is enumerated and V05 solved row-wise."""
+    variables = ("V01", "V02", "V03", "V04", "V05")
+    d = dg.InfluenceDiagram(
+        variables=variables,
+        kinds={v: dg.DECISION if v in ("V02", "V05") else dg.CHANCE for v in variables},
+        parents={"V01": (), "V02": ("V01",), "V03": ("V02",), "V04": ("V01",),
+                 "V05": ("V03",)},
+        cpt={"V01": {"": 0.3}, "V03": {"0": 0.2, "1": 0.9},
+             "V04": {"0": 0.5, "1": 0.1}},
+        cost_parents=("V01", "V04", "V05"),
+        cost_table={key: float(i % 5) for i, key in enumerate(dg._all_rowkeys(3))},
+    )
+    assert opt.split_decisions(d) == (("V05",), ("V02",))
+    kb = KnowledgeBase(diagram=d, vtbox=())
+    result = opt.optimal_pure_strategy(kb, cap=4)
+    best = min(v for v, _ in enumerated_optimum(d))
+    assert result.value == pytest.approx(best, rel=1e-12)
+    message = "^4 pure strategies exceed the cap 3$"
+    with pytest.raises(opt.EnumerationCapError, match=message):
+        opt.optimal_pure_strategy(kb, cap=3)
+
+
+def test_perfect_recall_enumerates_nothing():
+    """One decision seeing six variables has 2^64 pure strategies; it is
+    a chain by itself, so the optimum needs no enumeration."""
+    d = dg.InfluenceDiagram(
+        variables=tuple(f"C{i}" for i in range(6)) + ("D0",),
+        kinds={**{f"C{i}": dg.CHANCE for i in range(6)}, "D0": dg.DECISION},
+        parents={
+            **{f"C{i}": () for i in range(6)},
+            "D0": tuple(f"C{i}" for i in range(6)),
+        },
+        cpt={f"C{i}": {"": 0.5} for i in range(6)},
+        cost_parents=("C0", "D0"),
+        cost_table={"00": 4.0, "01": 1.0, "10": 0.0, "11": 2.0},
+    )
+    assert opt.split_decisions(d) == (("D0",), ())
+    kb = KnowledgeBase(diagram=d, vtbox=())
+    best = opt.optimal_pure_strategy(kb, cap=1)
+    assert best.value == pytest.approx(0.5)
+    assert set(best.strategy.locals["D0"].table.values()) == {0.0, 1.0}
+    worst = opt.optimal_pure_strategy(kb, direction="max", cap=1)
+    assert worst.value == pytest.approx(3.0)
+
+
+def test_optimal_pure_without_decisions_is_the_expected_cost():
+    d = dg.InfluenceDiagram(
+        variables=("A", "B"),
+        kinds={"A": dg.CHANCE, "B": dg.CHANCE},
+        parents={"A": (), "B": ("A",)},
+        cpt={"A": {"": 0.25}, "B": {"0": 0.5, "1": 0.75}},
+        cost_parents=("A", "B"),
+        cost_table={"00": 1.0, "01": 3.0, "10": 5.0, "11": 7.0},
+    )
+    kb = KnowledgeBase(diagram=d, vtbox=())
+    empty = dg.GlobalStrategy(locals={})
+    for direction in ("min", "max"):
+        result = opt.optimal_pure_strategy(kb, direction=direction)
+        assert result.strategy == empty
+        assert result.value == dg.expected_cost(d, empty)
+
+
+def test_exact_ties_take_false():
+    """The cost does not depend on D, so both moves of every row sum to
+    the same float; enumeration keeps the first, all false."""
+    d = dg.InfluenceDiagram(
+        variables=("X", "D"),
+        kinds={"X": dg.CHANCE, "D": dg.DECISION},
+        parents={"X": (), "D": ("X",)},
+        cpt={"X": {"": 0.3}},
+        cost_parents=("X",),
+        cost_table={"0": 1.0, "1": 4.0},
+    )
+    kb = KnowledgeBase(diagram=d, vtbox=())
+    for direction in ("min", "max"):
+        result = opt.optimal_pure_strategy(kb, direction=direction)
+        assert result.strategy.locals["D"].table == {"0": 0.0, "1": 0.0}
+        assert result.certificate.choices == enumerated_optimum(d)[0][1].choices
+
+
+def test_unreached_rows_take_false():
+    """D1 never plays true, so D2's rows with D1 = 1 are unreached and
+    set to false, as enumeration leaves them."""
+    d = dg.InfluenceDiagram(
+        variables=("X", "D1", "D2"),
+        kinds={"X": dg.CHANCE, "D1": dg.DECISION, "D2": dg.DECISION},
+        parents={"X": (), "D1": ("X",), "D2": ("X", "D1")},
+        cpt={"X": {"": 0.5}},
+        cost_parents=("D1", "D2"),
+        cost_table={"00": 2.0, "01": 0.0, "10": 9.0, "11": 9.0},
+    )
+    assert opt.split_decisions(d) == (("D2", "D1"), ())
+    result = opt.optimal_pure_strategy(KnowledgeBase(diagram=d, vtbox=()))
+    assert result.value == 0.0
+    assert result.strategy.locals["D1"].table == {"0": 0.0, "1": 0.0}
+    assert result.strategy.locals["D2"].table == {
+        "00": 1.0, "01": 0.0, "10": 1.0, "11": 0.0
+    }
 
 
 # --- game tree --------------------------------------------------------------
