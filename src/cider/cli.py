@@ -82,6 +82,10 @@ def _concept(text):
         raise _InputError(f"bad concept {text!r}: {exc}") from exc
 
 
+def _evidence(lhs, rhs):
+    return ev.EvidenceQuery(_concept(lhs), _concept(rhs))
+
+
 def _formula(text, variables):
     try:
         formula = parse_formula(text)
@@ -143,7 +147,7 @@ def _cmd_fixtures(args, argv):
         filename = fx.fixture_filename(args.name)
     except KeyError as exc:
         raise _InputError(str(exc.args[0])) from exc
-    out_path = args.out or filename
+    out_path = filename if args.out is None else args.out
     try:
         fx.write_fixture(args.name, out_path)
     except OSError as exc:
@@ -168,7 +172,7 @@ def _cmd_query(args, argv):
 
     if sub == "prob-subsume":
         strategy = _strategy(doc, args.strategy, args.forgetful)
-        context = _formula(args.context, kb.diagram.variables) if args.context else TRUE
+        context = TRUE if args.context is None else _formula(args.context, kb.diagram.variables)
         p = prob_subsumption(
             kb,
             strategy,
@@ -191,7 +195,7 @@ def _cmd_query(args, argv):
 
     if sub == "cond-cost":
         strategy = _strategy(doc, args.strategy, args.forgetful)
-        query = ev.EvidenceQuery(_concept(args.lhs), _concept(args.rhs))
+        query = _evidence(args.lhs, args.rhs)
         bound = (
             ev.optimistic_expected_cost
             if args.mode == "opt"
@@ -251,9 +255,7 @@ def _cmd_query(args, argv):
             objective = (
                 "dominant-pessimistic" if args.mode == "pes" else "dominant-optimistic"
             )
-            query = ev.EvidenceQuery(
-                _concept(args.evidence[0]), _concept(args.evidence[1])
-            )
+            query = _evidence(*args.evidence)
         result = opt.optimal_pure_strategy(
             kb,
             objective=objective,
@@ -272,9 +274,7 @@ def _cmd_query(args, argv):
         if args.problem in ("d-dom-opt", "d-dom-pes"):
             if not args.evidence:
                 raise _InputError(f"--problem {args.problem} needs --evidence C D")
-            query = ev.EvidenceQuery(
-                _concept(args.evidence[0]), _concept(args.evidence[1])
-            )
+            query = _evidence(*args.evidence)
             objective = (
                 "dominant-optimistic"
                 if args.problem == "d-dom-opt"

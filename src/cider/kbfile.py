@@ -49,7 +49,6 @@ __all__ = [
     "load_kb_text",
     "load_kb_document",
     "load_model_text",
-    "load_model_document",
 ]
 
 
@@ -316,8 +315,3 @@ def load_model_text(text):
     except ValueError as exc:
         raise KBLoadError(f"'entries': {exc}") from None
     return ModelDocument(variables=variables, model=model, cost_overlays=overlays)
-
-
-def load_model_document(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_model_text(handle.read())

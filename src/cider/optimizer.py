@@ -5,8 +5,8 @@ induction (Shachter 1986; Jensen, Jensen and Dittmer 1994) over the
 chain of decisions whose scopes nest: each one and its scope lie inside
 the scope of every larger one.  Only the strategies of the other
 decisions, the rest, are enumerated; under perfect recall the rest is
-empty.  The evidence objectives do not split over rows, so they
-enumerate every pure strategy.  Pure strategies number doubly
+empty.  The evidence objectives do not split over rows, so the same
+search runs them with an empty chain.  Pure strategies number doubly
 exponentially, so a cap guards every enumeration.
 
 Arbitrary strategies go through a game-tree detour: the diagram is
@@ -84,9 +84,10 @@ class InfeasibleEpsilonError(ValueError):
 
 @dataclass(frozen=True)
 class PureStrategy:
-    """Boolean choice per conditioning row, for each decision node."""
+    """Boolean choice per conditioning row, for each decision node; row r
+    is the scope row whose key reads r in binary (``WorldTable.code``)."""
 
-    choices: dict  # decision -> {rowkey over scope: bool}
+    takes: dict  # decision -> Boolean array over scope rows
     scopes: dict  # decision -> conditioning variables, declared order
 
     def to_strategy(self):
@@ -95,9 +96,11 @@ class PureStrategy:
                 d: LocalStrategy(
                     decision=d,
                     scope=self.scopes[d],
-                    table={k: 1.0 if b else 0.0 for k, b in rows.items()},
+                    table=dict(
+                        zip(dg._all_rowkeys(len(self.scopes[d])), take.astype(float).tolist())
+                    ),
                 )
-                for d, rows in self.choices.items()
+                for d, take in self.takes.items()
             }
         )
 
@@ -118,17 +121,10 @@ def enumerate_pure_strategies(
         raise EnumerationCapError(
             f"{_format_count(log2)} pure strategies exceed the cap {cap}"
         )
-    keys = {d: dg._all_rowkeys(len(scopes[d])) for d in decisions}
-    per_decision = [
-        itertools.product((False, True), repeat=len(keys[d])) for d in decisions
-    ]
-    for combo in itertools.product(*per_decision):
-        yield PureStrategy(
-            choices={
-                d: dict(zip(keys[d], values)) for d, values in zip(decisions, combo)
-            },
-            scopes=scopes,
-        )
+    cuts = list(itertools.accumulate(1 << len(scopes[d]) for d in decisions))[:-1]
+    for bits in itertools.product((False, True), repeat=log2):
+        takes = np.split(np.array(bits, dtype=bool), cuts)
+        yield PureStrategy(takes=dict(zip(decisions, takes)), scopes=scopes)
 
 
 def split_decisions(diagram, forgetful=False):
@@ -168,17 +164,16 @@ def optimal_pure_strategy(
     forgetful=False,
     cap=DEFAULT_CAP,
 ):
-    """Best pure strategy.
+    """Best pure strategy, from the one search ``_row_wise_optimum``.
 
-    objective "expected" scores plain expected cost, and is solved
-    row-wise: only the strategies of the decisions outside the chain of
-    nested scopes are enumerated (see ``_row_wise_optimum``).  Results
-    differ from full enumeration only on ties, within rounding.
-    "dominant-optimistic" and "dominant-pessimistic" score the
-    corresponding conditional bound given the evidence inclusion; that
-    bound does not split over rows, so every pure strategy is
-    enumerated, ties kept in enumeration order.  The world table and
-    the evidence entailment do not depend on the strategy and are built
+    objective "expected" scores plain expected cost, solved row-wise
+    over the chain of nested scopes.  Results differ from full
+    enumeration only on ties, within rounding.  "dominant-optimistic"
+    and "dominant-pessimistic" score the corresponding conditional bound
+    given the evidence inclusion; that bound does not split over rows,
+    so the search runs with an empty chain and enumerates every pure
+    strategy, ties kept in enumeration order.  The world table and the
+    evidence entailment do not depend on the strategy and are built
     once.  cap bounds the number of strategies enumerated.
     """
     if objective not in ("expected", "dominant-optimistic", "dominant-pessimistic"):
@@ -189,66 +184,68 @@ def optimal_pure_strategy(
         raise ValueError(f"unknown direction {direction!r}")
     sign = 1.0 if direction == "min" else -1.0
     table = dg.WorldTable(kb.diagram)
+    signed_cost = sign * table.cost
     if objective == "expected":
-        pure = _row_wise_optimum(table, sign, forgetful, cap)
-        strategy = pure.to_strategy()
-        return OptimizationResult(
-            value=expected_cost(table, strategy),
-            strategy=strategy,
-            kind="pure",
-            certificate=pure,
-        )
-    forced = entailment_column(kb, table, evidence.lhs, evidence.rhs)
-    bound_sign = +1 if objective == "dominant-optimistic" else -1
-    best = None
-    for pure in enumerate_pure_strategies(kb.diagram, forgetful=forgetful, cap=cap):
-        strategy = pure.to_strategy()
-        value = greedy_bound(table, forced, table.joint(strategy), bound_sign).value
-        if best is None or sign * value < sign * best[0]:
-            best = (value, strategy, pure)
-    value, strategy, pure = best
+        chain = split_decisions(kb.diagram, forgetful=forgetful)[0]
+
+        def score(w):
+            return np.add.accumulate(w * signed_cost)[-1]
+
+    else:
+        forced = entailment_column(kb, table, evidence.lhs, evidence.rhs)
+        bound_sign = +1 if objective == "dominant-optimistic" else -1
+        chain = ()
+
+        def score(w):
+            return sign * greedy_bound(table, forced, w, bound_sign).value
+
+    best, pure = _row_wise_optimum(table, signed_cost, chain, score, forgetful, cap)
+    strategy = pure.to_strategy()
     return OptimizationResult(
-        value=value, strategy=strategy, kind="pure", certificate=pure
+        value=expected_cost(table, strategy) if objective == "expected" else sign * best,
+        strategy=strategy,
+        kind="pure",
+        certificate=pure,
     )
 
 
-def _row_wise_optimum(table, sign, forgetful, cap):
-    """Pure strategy minimizing  sign * expected cost, by backward
-    induction over the chain of nested scopes for each pure strategy of
-    the rest (``split_decisions``).
+def _row_wise_optimum(table, signed_cost, chain, score, forgetful, cap):
+    """(score, PureStrategy) minimizing score(w) over the joint column w,
+    by backward induction over the chain (``split_decisions``' chain, or
+    empty) for each pure strategy of the rest, the other decisions.
 
     For a fixed rest, w starts as the chance column times the rest's
-    0/1 indicators.  Each chain decision, largest scope first, sums
-    w * sign * cost per (scope row, value) and takes true only where
-    that sum is strictly smaller, then multiplies its indicator into w.
-    A smaller chain decision and its scope lie inside every larger one's
-    scope, so its factor is constant on each of their rows and cannot
-    change their choice.  Rows that w never reaches are set to false,
-    as enumeration leaves them.  Of the rest's strategies, enumerated
-    in order, the first with the strictly smallest total of
-    w * sign * cost, summed in world order, wins.
+    0/1 indicators: a pure strategy's joint, bit for bit.  Each chain
+    decision, largest scope first, sums  w * signed_cost  per (scope
+    row, value) and takes true only where that sum is strictly smaller,
+    then multiplies its indicator into w.  A smaller chain decision and
+    its scope lie inside every larger one's scope, so its factor is
+    constant on each of their rows and cannot change their choice.  Rows
+    that w never reaches are set to false, as enumeration leaves them.
+    Of the rest's strategies, enumerated in order, the first with the
+    strictly smallest score wins.  Expected cost scores
+    sum(w * signed_cost)  in world order; the evidence objectives pass
+    an empty chain and score the greedy bound.
     """
     diagram = table.diagram
-    chain, rest = split_decisions(diagram, forgetful=forgetful)
     scopes = {
         d: strategy_scope(diagram, d, forgetful=forgetful)
         for d in diagram.decision_nodes
     }
+    rest = tuple(d for d in scopes if d not in chain)
     rows = {d: table.code(scopes[d]) for d in scopes}
     slots = {d: 2 * rows[d] + table.column(d) for d in chain}
     chance = np.ones(table.size)
     for v, by_value in table.chance_rows.items():
         chance *= by_value[2 * table.code(diagram.parents.get(v, ())) + table.column(v)]
-    signed_cost = sign * table.cost
     best = None
     for fixed in enumerate_pure_strategies(
         diagram, forgetful=forgetful, cap=cap, decisions=rest
     ):
         w = chance
         for d in rest:
-            take = np.array(list(fixed.choices[d].values()), dtype=bool)
-            w = w * (take[rows[d]] == table.column(d))
-        takes = {}
+            w = w * (fixed.takes[d][rows[d]] == table.column(d))
+        takes = dict(fixed.takes)
         for d in chain:
             q = np.bincount(
                 slots[d], weights=w * signed_cost, minlength=2 << len(scopes[d])
@@ -258,17 +255,11 @@ def _row_wise_optimum(table, sign, forgetful, cap):
         for d in chain:
             reach = np.bincount(rows[d], weights=w, minlength=1 << len(scopes[d]))
             takes[d] &= reach > 0.0
-        total = np.add.accumulate(w * signed_cost)[-1]
+        total = score(w)
         if best is None or total < best[0]:
-            best = (total, fixed, takes)
-    _, fixed, takes = best
-    choices = {
-        d: fixed.choices[d]
-        if d in fixed.choices
-        else dict(zip(dg._all_rowkeys(len(scopes[d])), takes[d].tolist()))
-        for d in scopes
-    }
-    return PureStrategy(choices=choices, scopes=scopes)
+            best = (total, takes)
+    total, takes = best
+    return total, PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes)
 
 
 def decide_threshold(result, bound, problem):

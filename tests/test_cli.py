@@ -79,6 +79,16 @@ def test_fixtures_unknown_name(capsys):
     assert "unknown fixture" in err
 
 
+def test_fixtures_empty_out_exits_two(tmp_path, monkeypatch, capsys):
+    """An explicitly empty --out is refused, not read as the default."""
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "fixtures", "idelium", "--out", "")
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_ok(kb_path, capsys):
     code, stdout, _ = run(capsys, "validate", kb_path)
     assert code == 0
@@ -246,6 +256,18 @@ def test_prob_subsume_context_naming_an_unknown_variable_exit_two(kb_path, capsy
     assert code == 2
     assert stdout == ""
     assert err.count("\n") == 1 and "Nowhere" in err
+
+
+@pytest.mark.parametrize("context", ["", " "])
+def test_prob_subsume_empty_context_exits_two(kb_path, capsys, context):
+    """An explicitly empty --context is refused, not read as true."""
+    code, stdout, err = run(
+        capsys, "query", kb_path, "prob-subsume", "--strategy", "test_a_if_clear",
+        "--context", context, "Subject", "Benefits",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "bad context" in err
 
 
 def test_cond_cost_json_payload(kb_path, tmp_path, capsys):

@@ -265,12 +265,21 @@ def test_tree_matches_the_recursive_reference(random_kb_corpus, idelium):
 # --- enumeration ------------------------------------------------------------
 
 
+def same_takes(a, b):
+    """Equal decisions, each with an equal Boolean array over its rows."""
+    return a.keys() == b.keys() and all(
+        a[d].dtype == b[d].dtype == bool and np.array_equal(a[d], b[d]) for d in a
+    )
+
+
 def test_enumeration_counts(idelium):
     strategies = list(opt.enumerate_pure_strategies(idelium.kb.diagram))
     assert len(strategies) == 4
-    tables = [s.choices["TA"] for s in strategies]
-    assert tables[0] == {"0": False, "1": False}  # lexicographic start
-    assert tables[-1] == {"0": True, "1": True}
+    tables = [s.takes["TA"] for s in strategies]
+    assert all(t.dtype == bool for t in tables)
+    assert np.array_equal(tables[0], [False, False])  # lexicographic start
+    assert np.array_equal(tables[-1], [True, True])
+    assert strategies[0].to_strategy().locals["TA"].table == {"0": 0.0, "1": 0.0}
 
 
 def test_enumeration_no_decisions():
@@ -284,7 +293,7 @@ def test_enumeration_no_decisions():
     )
     strategies = list(opt.enumerate_pure_strategies(d))
     assert len(strategies) == 1
-    assert strategies[0].choices == {}
+    assert strategies[0].takes == {}
 
 
 def test_enumeration_empty_influence_set():
@@ -329,7 +338,13 @@ def test_enumeration_two_decisions():
         cost_table={"0": 0.0, "1": 1.0},
     )
     # infl(D1) = {X}, infl(D2) = {D1}: four tables each
-    assert len(list(opt.enumerate_pure_strategies(d))) == 16
+    strategies = list(opt.enumerate_pure_strategies(d))
+    assert len(strategies) == 16
+    # D1's rows are the high digits, false before true
+    for i, s in enumerate(strategies):
+        assert list(s.takes) == ["D1", "D2"]
+        digits = np.concatenate([s.takes["D1"], s.takes["D2"]])
+        assert digits.tolist() == [c == "1" for c in format(i, "04b")]
 
 
 def test_enumeration_cap(idelium):
@@ -449,7 +464,7 @@ def assert_matches_enumeration(kb, scored, direction, forgetful):
         if abs(v - value) <= 1e-9 * scale
     )
     if unique:
-        assert result.certificate.choices == pure.choices
+        assert same_takes(result.certificate.takes, pure.takes)
     return unique
 
 
@@ -569,7 +584,7 @@ def test_exact_ties_take_false():
     for direction in ("min", "max"):
         result = opt.optimal_pure_strategy(kb, direction=direction)
         assert result.strategy.locals["D"].table == {"0": 0.0, "1": 0.0}
-        assert result.certificate.choices == enumerated_optimum(d)[0][1].choices
+        assert same_takes(result.certificate.takes, enumerated_optimum(d)[0][1].takes)
 
 
 def test_unreached_rows_take_false():

@@ -8,6 +8,7 @@ table must give the same floats bit for bit, so the reports built from
 it stay byte-identical.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -171,19 +172,29 @@ def test_bounds_match_per_world_reference(random_kb_corpus, bound, sign):
     ("dominant-optimistic", +1), ("dominant-pessimistic", -1),
 ])
 def test_evidence_search_matches_per_world_reference(random_kb_corpus, objective, sign):
+    """Every pure strategy scored per world; the first strictly better
+    one wins, in either direction, with or without forgetful scopes."""
     rng = random.Random(43)
     for kb, s in random_kb_corpus:
         query = EvidenceQuery(random_concept(rng), random_concept(rng))
         rows = reference_rows(kb, s, query.lhs, query.rhs)
-        best = None
-        for pure in enumerate_pure_strategies(kb.diagram):
-            strategy = pure.to_strategy()
-            joint = [dg.joint_probability(kb.diagram, strategy, w) for w, *_ in rows]
-            value = reference_bound(classified(rows, joint), sign)[0]
-            if best is None or value < best[0]:
-                best = (value, strategy)
-        result = optimal_pure_strategy(kb, objective=objective, evidence=query)
-        assert (result.value, result.strategy) == best
+        for direction, forgetful in itertools.product(("min", "max"), (False, True)):
+            better = 1.0 if direction == "min" else -1.0
+            best = None
+            for pure in enumerate_pure_strategies(kb.diagram, forgetful=forgetful):
+                strategy = pure.to_strategy()
+                joint = [dg.joint_probability(kb.diagram, strategy, w) for w, *_ in rows]
+                value = reference_bound(classified(rows, joint), sign)[0]
+                if best is None or better * value < better * best[0]:
+                    best = (value, strategy)
+            result = optimal_pure_strategy(
+                kb,
+                objective=objective,
+                evidence=query,
+                direction=direction,
+                forgetful=forgetful,
+            )
+            assert (result.value, result.strategy) == best
 
 
 def test_entailment_decided_once_per_truth_vector(idelium, monkeypatch):
