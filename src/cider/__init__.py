@@ -4,8 +4,8 @@ Pairs a lightweight description-logic ontology whose axioms hold only
 in stated contexts with an influence diagram over the same Boolean
 variables.  Answers contextual subsumption queries, computes expected
 and conditional expected costs under strategies, and finds optimal pure
-and arbitrary strategies (the latter via a sequence-form linear
-program).
+strategies and the optimal arbitrary strategy over the game tree, both
+by backward induction over decisions whose scopes nest.
 """
 
 from . import contextual, diagram, el, evidence, fixtures, kbfile, optimizer, simplex

@@ -1,35 +1,26 @@
 """Strategy optimization: the best pure strategy and the game-tree optimum.
 
-The best pure strategy for expected cost is solved row-wise by backward
-induction (Shachter 1986; Jensen, Jensen and Dittmer 1994) over the
-chain of decisions whose scopes nest: each one and its scope lie inside
-the scope of every larger one.  Only the strategies of the other
-decisions, the rest, are enumerated; under perfect recall the rest is
-empty.  The evidence objectives do not split over rows, so the same
-search runs them with an empty chain.  Pure strategies number doubly
-exponentially, so a cap guards every enumeration.
+Both are solved row-wise by backward induction (Shachter 1986; Jensen,
+Jensen and Dittmer 1994) over a chain of decisions whose scopes nest:
+each one and its scope lie inside the scope of every larger one.  One
+pass per chain decision, largest scope first, sums the cost per (scope
+row, move) over the world table and takes true only where that sum is
+strictly smaller, so exact ties take false.
 
-Arbitrary strategies go through a game-tree detour: the diagram is
-expanded into a tree played against an indifferent chance player, and
-behaviour strategies are linearized into realization plans.  The
-optimal plan minimizes  a.mu  s.t.  R mu = r, mu >= E, the sequence
-form of Koller, Megiddo and von Stengel; E > 0 is the fully-mixed
-perturbation.  Because the optimizer has perfect information in the
-tree, backward induction solves that program exactly for every E, one
-minimum or chance-weighted sum per level; exact ties take the false
-move.
+The best pure strategy for expected cost uses the KB's strategy scopes.
+Only the strategies of the other decisions, the rest, are enumerated;
+under perfect recall the rest is empty.  The evidence objectives do not
+split over rows, so the same search runs them with an empty chain.
+Pure strategies number doubly exponentially, so a cap guards every
+enumeration.
 
-The tree is held as columns, not node objects.  Its leaves are the
-world table of the diagram redeclared in expansion order, with one
-column each for the cost, the chance weight and the last optimizer
-sequence on the path.  Information sets, numbered in preorder, are one
-column of incoming sequences; set h has the move sequences
-1 + 2h + value.
-
-The tree gives the optimizing player perfect information: every node it
-owns is its own singleton information set, so its choices may condition
-on all chance values resolved earlier in the expansion order, which can
-be strictly more than a local strategy's conditioning scope.
+Arbitrary strategies are optimized over the game tree: the diagram
+expanded in topological order and played against an indifferent chance
+player.  The optimizer has perfect information there, so each decision
+sees every variable expanded before it.  Those scopes nest, and the
+same pass over the tree's table, with an empty rest, solves the
+sequence form of Koller, Megiddo and von Stengel, minimize  a.mu  s.t.
+R mu = r, mu >= E, for every lower bound E in closed form.
 """
 
 import dataclasses
@@ -54,8 +45,6 @@ __all__ = [
     "InfeasibleEpsilonError",
     "PureStrategy",
     "GameTree",
-    "Leaves",
-    "RealizationPlan",
     "OptimizationResult",
     "enumerate_pure_strategies",
     "split_decisions",
@@ -63,15 +52,11 @@ __all__ = [
     "decide_threshold",
     "expansion_order",
     "build_game_tree",
-    "reduced_objective",
-    "backward_induction",
-    "plan_to_strategy",
     "optimal_mixed_strategy",
     "export_game_tree_dot",
 ]
 
 DEFAULT_CAP = 2**20
-PURE_TOL = 1e-9
 
 
 class EnumerationCapError(RuntimeError):
@@ -152,7 +137,7 @@ class OptimizationResult:
     value: float
     strategy: GlobalStrategy
     kind: str  # "pure" | "mixed"
-    certificate: object  # PureStrategy or RealizationPlan
+    certificate: PureStrategy  # the moves taken, on every scope row
     epsilon: float = 0.0
 
 
@@ -215,17 +200,13 @@ def _row_wise_optimum(table, signed_cost, chain, score, forgetful, cap):
     empty) for each pure strategy of the rest, the other decisions.
 
     For a fixed rest, w starts as the chance column times the rest's
-    0/1 indicators: a pure strategy's joint, bit for bit.  Each chain
-    decision, largest scope first, sums  w * signed_cost  per (scope
-    row, value) and takes true only where that sum is strictly smaller,
-    then multiplies its indicator into w.  A smaller chain decision and
-    its scope lie inside every larger one's scope, so its factor is
-    constant on each of their rows and cannot change their choice.  Rows
-    that w never reaches are set to false, as enumeration leaves them.
-    Of the rest's strategies, enumerated in order, the first with the
-    strictly smallest score wins.  Expected cost scores
-    sum(w * signed_cost)  in world order; the evidence objectives pass
-    an empty chain and score the greedy bound.
+    0/1 indicators: a pure strategy's joint, bit for bit.  Then
+    ``_chain_pass`` decides the chain.  Rows that w never reaches are
+    set to false, as enumeration leaves them.  Of the rest's strategies,
+    enumerated in order, the first with the strictly smallest score
+    wins.  Expected cost scores  sum(w * signed_cost)  in world order;
+    the evidence objectives pass an empty chain and score the greedy
+    bound.
     """
     diagram = table.diagram
     scopes = {
@@ -234,10 +215,7 @@ def _row_wise_optimum(table, signed_cost, chain, score, forgetful, cap):
     }
     rest = tuple(d for d in scopes if d not in chain)
     rows = {d: table.code(scopes[d]) for d in scopes}
-    slots = {d: 2 * rows[d] + table.column(d) for d in chain}
-    chance = np.ones(table.size)
-    for v, by_value in table.chance_rows.items():
-        chance *= by_value[2 * table.code(diagram.parents.get(v, ())) + table.column(v)]
+    chance = _chance_column(table)
     best = None
     for fixed in enumerate_pure_strategies(
         diagram, forgetful=forgetful, cap=cap, decisions=rest
@@ -245,21 +223,45 @@ def _row_wise_optimum(table, signed_cost, chain, score, forgetful, cap):
         w = chance
         for d in rest:
             w = w * (fixed.takes[d][rows[d]] == table.column(d))
-        takes = dict(fixed.takes)
-        for d in chain:
-            q = np.bincount(
-                slots[d], weights=w * signed_cost, minlength=2 << len(scopes[d])
-            )
-            takes[d] = q[1::2] < q[0::2]
-            w = w * (takes[d][rows[d]] == table.column(d))
+        takes, w = _chain_pass(table, chain, rows, w, signed_cost)
         for d in chain:
             reach = np.bincount(rows[d], weights=w, minlength=1 << len(scopes[d]))
             takes[d] &= reach > 0.0
         total = score(w)
         if best is None or total < best[0]:
-            best = (total, takes)
+            best = (total, {**fixed.takes, **takes})
     total, takes = best
     return total, PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes)
+
+
+def _chance_column(table):
+    """Every world's product of chance factors, in declared order."""
+    parents = table.diagram.parents
+    chance = np.ones(table.size)
+    for v, by_value in table.chance_rows.items():
+        chance *= by_value[2 * table.code(parents.get(v, ())) + table.column(v)]
+    return chance
+
+
+def _chain_pass(table, chain, rows, w, signed_cost):
+    """Backward induction over nested scopes: (takes, w).
+
+    Each chain decision d, largest scope first, sums  w * signed_cost
+    per (scope row, value), with rows[d] every world's scope row, and
+    takes true only where that sum is strictly smaller; then it
+    multiplies its indicator into w.  A smaller chain decision and its
+    scope lie inside every larger one's scope, so its factor is constant
+    on each of their rows and cannot change their choice.  Every scope
+    row occurs in the table with both values, so the sums cover every
+    row.
+    """
+    takes = {}
+    for d in chain:
+        column = table.column(d)
+        q = np.bincount(2 * rows[d] + column, weights=w * signed_cost)
+        takes[d] = q[1::2] < q[0::2]
+        w = w * (takes[d][rows[d]] == column)
+    return takes, w
 
 
 def decide_threshold(result, bound, problem):
@@ -275,35 +277,33 @@ def decide_threshold(result, bound, problem):
 
 
 @dataclass(frozen=True)
-class Leaves:
-    """Columns over the leaves, which are the worlds of the tree's table."""
-
-    cost: np.ndarray
-    chance_weight: np.ndarray  # product of the chance factors on the path
-    seq1: np.ndarray  # the path's last optimizer sequence, 0 if it has none
-
-    def __len__(self):
-        return len(self.cost)
-
-
-@dataclass(frozen=True)
 class GameTree:
     """The tree level by level over the world table of the diagram
     redeclared in expansion order, so world i is leaf i.  Level d holds
     the 2^d valuations of the first d variables in binary counting
     order: node x of level d has the children 2x and 2x + 1 on level
-    d + 1, and its leftmost leaf is x << (n - d)."""
+    d + 1, and its leftmost leaf is x << (n - d).  Every decision node is
+    its own information set, with one sequence per move."""
 
     table: dg.WorldTable
     p_true: tuple  # per level: P(order[d] true) at each node, None for decisions
-    ids: tuple  # per level: preorder id of each node's information set, None for chance
-    leaves: Leaves
-    sequences: range  # sequence 0 is empty; information set h has 1 + 2h and 2 + 2h
-    infosets: np.ndarray  # the incoming sequence of each information set
 
     @property
     def order(self):
         return self.table.diagram.variables
+
+    @property
+    def leaves(self):
+        return range(self.table.size)
+
+    @property
+    def infosets(self):
+        return range(sum(1 << d for d, p in enumerate(self.p_true) if p is None))
+
+    @property
+    def sequences(self):
+        """The empty sequence, then two moves per information set."""
+        return range(1 + 2 * len(self.infosets))
 
 
 def expansion_order(diagram):
@@ -323,194 +323,81 @@ def expansion_order(diagram):
     return tuple(placed)
 
 
-def _preorder_ids(depth, decision_levels):
-    """Preorder number of each decision node on level `depth`.
-
-    Node x comes after its ancestors, and after the nodes of every
-    decision level whose subtrees lie wholly to its left.
-    """
-    x = np.arange(1 << depth)
-    ids = np.zeros_like(x)
-    for e in decision_levels:
-        ids += (x >> (depth - e)) + 1 if e < depth else x << (e - depth)
-    return ids
-
-
 def build_game_tree(diagram):
-    """Expand the diagram into a perfect-information tree against chance.
-
-    Each leaf's chance weight is the product of its chance factors,
-    multiplied in expansion order as a walk down the tree multiplies.
-    Every decision node is its own information set h, and the
-    optimizer's move to `value` there is sequence 1 + 2h + value.
-    """
+    """Expand the diagram into a perfect-information tree against chance."""
     dg.check_world_count(diagram)  # before ordering a document of any size
     order = expansion_order(diagram)
     table = dg.WorldTable(dataclasses.replace(diagram, variables=order))
     n = len(order)
-    decision_levels = [d for d, v in enumerate(order) if diagram.kinds[v] != CHANCE]
-    weight = np.ones(table.size)
-    seq = np.zeros(1, dtype=np.int64)  # last optimizer sequence at each node
-    infosets = np.empty(sum(1 << d for d in decision_levels), dtype=np.int64)
     p_true = []
-    ids = []
     for d, v in enumerate(order):
-        if diagram.kinds[v] != CHANCE:
-            level = _preorder_ids(d, decision_levels)
-            infosets[level] = seq
-            seq = (1 + 2 * level[:, None] + np.arange(2)).ravel()
-            p_true.append(None)
-            ids.append(level)
-            continue
-        rows = table.chance_rows[v]
-        code = 2 * table.code(diagram.parents.get(v, ()))
-        weight *= rows[code + table.column(v)]
-        seq = np.repeat(seq, 2)
-        p_true.append(rows[code[:: 1 << (n - d)] + 1])
-        ids.append(None)
-    return GameTree(
-        table=table,
-        p_true=tuple(p_true),
-        ids=tuple(ids),
-        leaves=Leaves(cost=table.cost, chance_weight=weight, seq1=seq),
-        sequences=range(1 + 2 * len(infosets)),
-        infosets=infosets,
-    )
-
-
-def reduced_objective(tree):
-    """Per-sequence cost with the chance plan folded in.
-
-    Entry s sums cost * chance weight over the leaves whose optimizer
-    sequence is s; the plan value a.mu then equals the expected cost.
-    The sum runs in leaf order (``np.bincount`` adds one leaf at a time;
-    ``np.sum`` would add pairwise and can differ in the last bits).
-    """
-    leaves = tree.leaves
-    return np.bincount(
-        leaves.seq1,
-        weights=leaves.cost * leaves.chance_weight,
-        minlength=len(tree.sequences),
-    )
-
-
-@dataclass(frozen=True)
-class RealizationPlan:
-    """Nonnegative sequence weights; the root entry is 1 and every
-    information set's extensions sum to its incoming entry."""
-
-    entries: np.ndarray
-
-
-def backward_induction(tree, epsilon=0.0):
-    """Optimal realization plan of the perfect-information tree with
-    every entry at least epsilon.
-
-    Walks the levels bottom-up over the leaf costs: a chance node weighs
-    its children's values by its probabilities, and a decision node
-    takes the true move only when that child's value is strictly
-    smaller, so an exact tie takes false.  The choices do not depend on
-    epsilon.  Going down, the move not taken at the j-th of the K
-    decision levels gets its lower bound  epsilon * 2^(K-1-j), the least
-    weight that leaves every sequence below it its bound, and the move
-    taken gets the rest.  A node's optimal cost is affine in its incoming
-    weight, with the unperturbed value as slope, so the plan is optimal.
-    It exists iff  epsilon * 2^K <= 1, which floats decide exactly;
-    otherwise InfeasibleEpsilonError.  Returns (plan, value).
-    """
-    levels = [d for d, ids in enumerate(tree.ids) if ids is not None]
-    k = len(levels)
-    if epsilon * 2.0**k > 1.0:
-        raise InfeasibleEpsilonError(
-            f"no realization plan has every entry >= {epsilon}: every tree path meets "
-            f"all K = {k} decision variables, so the bound must be at most 2^-K = {2.0**-k}"
-        )
-    v = tree.leaves.cost
-    take_true = {}
-    for d in reversed(range(len(tree.ids))):
-        false, true = v[0::2], v[1::2]
-        if tree.ids[d] is None:
-            p = tree.p_true[d]
-            v = (1.0 - p) * false + p * true
+        if diagram.kinds[v] == CHANCE:
+            code = 2 * table.code(diagram.parents.get(v, ()))
+            p_true.append(table.chance_rows[v][code[:: 1 << (n - d)] + 1])
         else:
-            take_true[d] = true < false
-            v = np.where(take_true[d], true, false)
-    entries = np.zeros(len(tree.sequences))
-    entries[0] = 1.0
-    for j, d in enumerate(levels):
-        ids = tree.ids[d]
-        lb = epsilon * 2.0 ** (k - 1 - j)
-        rest = entries[tree.infosets[ids]] - lb
-        entries[2 + 2 * ids] = np.where(take_true[d], rest, lb)
-        entries[1 + 2 * ids] = np.where(take_true[d], lb, rest)
-    return RealizationPlan(entries=entries), float(reduced_objective(tree) @ entries)
-
-
-def plan_to_strategy(tree, plan):
-    """Behaviour strategy: per-node move fractions of the realization plan.
-
-    Each decision's table conditions on every variable expanded before
-    it (its full observed history), whose row keys count in binary as
-    the nodes of its level do.  Nodes the plan never reaches get the
-    uniform row.
-    """
-    entries = plan.entries
-    locals_ = {}
-    for d, ids in enumerate(tree.ids):
-        if ids is None:
-            continue
-        incoming = entries[tree.infosets[ids]]
-        reached = incoming > PURE_TOL
-        p = np.full(ids.size, 0.5)
-        p[reached] = np.clip(entries[2 + 2 * ids[reached]] / incoming[reached], 0.0, 1.0)
-        v = tree.order[d]
-        table = dict(zip(dg._all_rowkeys(d), p.tolist()))
-        locals_[v] = LocalStrategy(decision=v, scope=tree.order[:d], table=table)
-    return GlobalStrategy(locals=locals_)
+            p_true.append(None)
+    return GameTree(table=table, p_true=tuple(p_true))
 
 
 def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
-    """Optimal arbitrary strategy over the game tree, by backward induction.
+    """Optimal arbitrary strategy over the game tree.
 
-    fully_mixed, when given, is the lower bound applied to every plan
-    entry; an unattainable bound raises InfeasibleEpsilonError.  The
-    result is pure when every node the plan reaches plays one move.
+    Each decision's scope is every variable expanded before it, so the
+    scopes nest and ``_chain_pass`` runs over the tree's table with every
+    decision in the chain, latest first.  No rest is enumerated and no
+    row is reset: a row's move follows its chance-weighted subtree sums,
+    and an exact tie takes false.
+
+    fully_mixed E, when given, is the lower bound on every realization
+    plan entry.  Going down the K decisions, the move not taken at the
+    j-th gets E * 2^(K-1-j), the least weight that leaves every sequence
+    below it its bound, and the move taken gets the rest of the row's
+    incoming weight.  A node's optimal cost is affine in its incoming
+    weight, with the unperturbed value as slope, so the plan is optimal.
+    It exists iff E * 2^K <= 1, which floats decide exactly; otherwise
+    InfeasibleEpsilonError.  Each row plays true with the true move's
+    share of its incoming weight, or uniformly if that weight is 0.  The
+    value adds  chance * cost * weight  left to right in world order,
+    where weight is the plan entry of the world's last move.  The result
+    is mixed when E > 0 and there is a decision.
     """
     diagram = getattr(kb_or_diagram, "diagram", kb_or_diagram)
     epsilon = 0.0 if fully_mixed is None else float(fully_mixed)
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError("the fully-mixed lower bound must be finite and nonnegative")
-    tree = build_game_tree(diagram)
-    plan, value = backward_induction(tree, epsilon)
-    incoming = plan.entries[tree.infosets]
-    reached = np.flatnonzero(incoming > PURE_TOL)
-    p = plan.entries[2 + 2 * reached] / incoming[reached]
-    pure = bool(np.all(np.minimum(p, 1.0 - p) <= PURE_TOL))
+    table = build_game_tree(diagram).table
+    order = table.diagram.variables
+    scopes = {v: order[:i] for i, v in enumerate(order) if diagram.kinds[v] != CHANCE}
+    k = len(scopes)
+    if epsilon * 2.0**k > 1.0:
+        raise InfeasibleEpsilonError(
+            f"no realization plan has every entry >= {epsilon}: every tree path meets "
+            f"all K = {k} decision variables, so the bound must be at most 2^-K = {2.0**-k}"
+        )
+    rows = {d: table.code(scope) for d, scope in scopes.items()}
+    chance = _chance_column(table)
+    takes, _ = _chain_pass(table, tuple(reversed(scopes)), rows, chance, table.cost)
+    weight = np.ones(table.size)  # plan entry of each world's last move so far
+    locals_ = {}
+    for j, (d, scope) in enumerate(scopes.items()):
+        incoming = np.empty(takes[d].size)
+        incoming[rows[d]] = weight  # the scopes nest, so one value per row
+        lb = epsilon * 2.0 ** (k - 1 - j)
+        true = np.where(takes[d], incoming - lb, lb)
+        false = np.where(takes[d], lb, incoming - lb)
+        weight = np.where(table.column(d), true[rows[d]], false[rows[d]])
+        reached = incoming > 0.0
+        p = np.full(incoming.size, 0.5)
+        p[reached] = true[reached] / incoming[reached]
+        local_table = dict(zip(dg._all_rowkeys(len(scope)), p.tolist()))
+        locals_[d] = LocalStrategy(decision=d, scope=scope, table=local_table)
     return OptimizationResult(
-        value=value,
-        strategy=plan_to_strategy(tree, plan),
-        kind="pure" if pure else "mixed",
-        certificate=plan,
+        value=float(np.add.accumulate(chance * table.cost * weight)[-1]),
+        strategy=GlobalStrategy(locals=locals_),
+        kind="mixed" if epsilon > 0.0 and scopes else "pure",
+        certificate=PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes),
         epsilon=epsilon,
     )
-
-
-def pure_plan(tree, strategy):
-    """Realization plan induced by a (pure or mixed) global strategy,
-    evaluated on each node's history: node x of level d reads its scope
-    row at its leftmost leaf x << (n - d)."""
-    n = len(tree.order)
-    entries = np.zeros(len(tree.sequences))
-    entries[0] = 1.0
-    for d, ids in enumerate(tree.ids):
-        if ids is None:
-            continue
-        local = strategy.locals[tree.order[d]]
-        p = tree.table.gather(local.table, local.scope)[:: 1 << (n - d)]
-        incoming = entries[tree.infosets[ids]]
-        entries[2 + 2 * ids] = incoming * p
-        entries[1 + 2 * ids] = incoming * (1.0 - p)
-    return RealizationPlan(entries=entries)
 
 
 def export_game_tree_dot(tree):
@@ -524,7 +411,7 @@ def export_game_tree_dot(tree):
 
     n = len(tree.order)
     p_true = [None if p is None else p.tolist() for p in tree.p_true]
-    costs = tree.leaves.cost.tolist()
+    costs = tree.table.cost.tolist()
     lines = ["digraph game_tree {"]
     pending = [(0, 0, 0)]  # (level, node on the level, preorder id) or a line
     while pending:

@@ -142,8 +142,11 @@ def random_tbox(rng, max_axioms=6):
     )
 
 
-def random_kb(rng):
-    diagram = random_diagram(rng)
+def random_kb(rng, diagram=None):
+    """A KB with random contextual axioms, over a random diagram unless
+    one is given."""
+    if diagram is None:
+        diagram = random_diagram(rng)
     vtbox = tuple(
         VGCI(
             gci=el.GCI(random_concept(rng), random_concept(rng)),

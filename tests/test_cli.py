@@ -369,6 +369,19 @@ def test_optimize_lp_infeasible_epsilon(kb_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("epsilon", ["1e-9", "1e-12"])
+def test_fully_mixed_is_mixed_below_the_printed_precision(kb_path, capsys, epsilon):
+    """Every plan entry is at least E > 0, so the strategy is mixed even
+    where its rows print as 0.999999999 or 1."""
+    code, stdout, err = run(
+        capsys, "query", kb_path, "optimize", "--lp", "--fully-mixed", epsilon
+    )
+    assert code == 0 and err == ""
+    assert "  kind: mixed\n" in stdout
+    rows = [line.split(": ")[1] for line in stdout.splitlines() if line.startswith('      "')]
+    assert len(rows) == 4 and set(rows) <= {"0.999999999", "1"}
+
+
 def test_decide_threshold_false_still_exit_zero(kb_path, capsys):
     code, stdout, _ = run(
         capsys, "query", kb_path, "decide", "--problem", "d-opt", "--bound", "2.36"

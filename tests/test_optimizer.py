@@ -4,18 +4,20 @@ Enumerating every pure strategy is the oracle for the row-wise pure
 optimum (``enumerated_optimum``).
 
 The game tree is built as columns over the world table; the recursive
-builder, node and information-set classes and DOT emitter it replaced
-are kept here as the reference it must equal bit for bit.  Backward
-induction answers the sequence-form LP, perturbed or not; the LP itself,
-solved by the dense simplex in ``sequence_form``, is its oracle.
+builder in ``sequence_form``, with its node and information-set classes,
+and the DOT emitter here are the reference it must equal bit for bit.
+The game-tree optimum answers the tree's sequence-form LP, perturbed or
+not; the LP itself, solved by the dense simplex in ``sequence_form``, is
+its oracle.
 """
 
 import collections
 import dataclasses
+import functools
 import itertools
+import operator
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,139 +39,16 @@ from conftest import random_diagram, random_strategy
 # --- the recursive reference ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Infoset:
-    """A singleton information set: one tree node owned by the optimizer."""
-
-    id: int
-    variable: str
-    history: str  # values of the variables expanded earlier, as a row key
-    seq_in: int
-    seq_false: int
-    seq_true: int
-
-
-@dataclass(frozen=True)
-class Leaf:
-    world: dict
-    cost: float
-    chance_weight: float
-    seq1: int  # index into the tree's sequences
-
-
-@dataclass(frozen=True)
-class ChanceNode:
-    variable: str
-    p_true: float
-    children: tuple  # (value-false child, value-true child)
-
-
-@dataclass(frozen=True)
-class DecisionNode:
-    variable: str
-    infoset: int
-    children: tuple
-
-
-@dataclass(frozen=True)
-class RefTree:
-    order: tuple
-    root: object
-    leaves: tuple
-    sequences: tuple
-    infosets: tuple
-
-
-def ref_build_game_tree(diagram):
-    """One node object per tree node, expanded depth first."""
-    order = opt.expansion_order(diagram)
-    sequences = [()]
-    seq_index = {(): 0}
-    infosets = []
-    leaves = []
-
-    def expand(depth, world, weight, seq1):
-        if depth == len(order):
-            leaf = Leaf(
-                world=dict(world),
-                cost=dg.cost_of_valuation(diagram, world),
-                chance_weight=weight,
-                seq1=seq_index[seq1],
-            )
-            leaves.append(leaf)
-            return leaf
-        v = order[depth]
-        if diagram.kinds[v] == dg.CHANCE:
-            p = diagram.cpt[v][dg.rowkey(world, diagram.parents.get(v, ()))]
-            children = []
-            for value, branch_p in ((False, 1.0 - p), (True, p)):
-                world[v] = value
-                children.append(expand(depth + 1, world, weight * branch_p, seq1))
-                del world[v]
-            return ChanceNode(variable=v, p_true=p, children=tuple(children))
-        h = len(infosets)
-        extensions = []
-        for value in (False, True):
-            move_seq = seq1 + ((h, value),)
-            seq_index[move_seq] = len(sequences)
-            sequences.append(move_seq)
-            extensions.append(move_seq)
-        infosets.append(
-            Infoset(
-                id=h,
-                variable=v,
-                history=dg.rowkey(world, order[:depth]),
-                seq_in=seq_index[seq1],
-                seq_false=seq_index[extensions[0]],
-                seq_true=seq_index[extensions[1]],
-            )
-        )
-        children = []
-        for value, move_seq in zip((False, True), extensions):
-            world[v] = value
-            children.append(expand(depth + 1, world, weight, move_seq))
-            del world[v]
-        return DecisionNode(variable=v, infoset=h, children=tuple(children))
-
-    root = expand(0, {}, 1.0, ())
-    return RefTree(
-        order=order,
-        root=root,
-        leaves=tuple(leaves),
-        sequences=tuple(sequences),
-        infosets=tuple(infosets),
-    )
-
-
-def ref_reduced_objective(tree):
-    a = np.zeros(len(tree.sequences))
-    for leaf in tree.leaves:
-        a[leaf.seq1] += leaf.cost * leaf.chance_weight
-    return a
-
-
-def ref_realization_constraints(tree):
-    R = np.zeros((1 + len(tree.infosets), len(tree.sequences)))
-    r = np.zeros(1 + len(tree.infosets))
-    R[0, 0] = 1.0
-    r[0] = 1.0
-    for h in tree.infosets:
-        R[1 + h.id, h.seq_in] -= 1.0
-        R[1 + h.id, h.seq_false] += 1.0
-        R[1 + h.id, h.seq_true] += 1.0
-    return R, r
-
-
 def ref_export_dot(tree):
     lines = ["digraph game_tree {"]
     counter = itertools.count()
 
     def emit(node):
         my_id = f"n{next(counter)}"
-        if isinstance(node, Leaf):
+        if isinstance(node, sf.Leaf):
             lines.append(f'  {my_id} [shape=diamond label="cost={fmt(node.cost)}"];')
             return my_id
-        if isinstance(node, ChanceNode):
+        if isinstance(node, sf.ChanceNode):
             lines.append(f'  {my_id} [shape=circle label="{node.variable}"];')
             probs = (1.0 - node.p_true, node.p_true)
             for value, child, p in zip((0, 1), node.children, probs):
@@ -190,14 +69,21 @@ def ref_export_dot(tree):
     return "\n".join(lines) + "\n"
 
 
-def backward_induction(node):
-    """Independent perfect-information optimum of a reference tree."""
-    if isinstance(node, Leaf):
-        return node.cost
-    values = [backward_induction(child) for child in node.children]
-    if isinstance(node, ChanceNode):
-        return (1.0 - node.p_true) * values[0] + node.p_true * values[1]
-    return min(values)
+def backward_induction(tree):
+    """Independent perfect-information optimum of a reference tree:
+    (value, the values of each information set's false and true child)."""
+    children = {}
+
+    def value(node):
+        if isinstance(node, sf.Leaf):
+            return node.cost
+        values = [value(child) for child in node.children]
+        if isinstance(node, sf.ChanceNode):
+            return (1.0 - node.p_true) * values[0] + node.p_true * values[1]
+        children[node.infoset] = values
+        return min(values)
+
+    return value(tree.root), children
 
 
 def _redeclared(diagram, rng):
@@ -212,49 +98,37 @@ def _same_array(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
+def _p_true_by_level(ref):
+    """Per level, the reference's chance probability at each node in
+    binary counting order, None for decision levels."""
+    level, by_level = [ref.root], []
+    for _ in ref.order:
+        chance = isinstance(level[0], sf.ChanceNode)
+        by_level.append([node.p_true for node in level] if chance else None)
+        level = [child for node in level for child in node.children]
+    return by_level
+
+
 def assert_tree_matches_reference(diagram):
     tree = opt.build_game_tree(diagram)
-    ref = ref_build_game_tree(diagram)
+    ref = sf.ref_build_game_tree(diagram)
     assert tree.order == ref.order
     n = len(ref.order)
     # leaf i is the i-th valuation in binary counting order of the expansion order
     assert [dg.rowkey(leaf.world, ref.order) for leaf in ref.leaves] == [
         format(i, f"0{n}b") if n else "" for i in range(len(tree.leaves))
     ]
-    for name, dtype in (("cost", float), ("chance_weight", float), ("seq1", np.int64)):
-        expected = np.array([getattr(leaf, name) for leaf in ref.leaves], dtype=dtype)
-        assert _same_array(getattr(tree.leaves, name), expected), name
-    assert _same_array(opt.reduced_objective(tree), ref_reduced_objective(ref))
-    # information set h is the h-th in preorder; its node's level and its
-    # place on the level are the length and the binary value of its history
-    assert tree.infosets.tolist() == [h.seq_in for h in ref.infosets]
-    ids = [
-        None if diagram.kinds[v] == dg.CHANCE else [None] * (1 << d)
-        for d, v in enumerate(ref.order)
-    ]
-    for h in ref.infosets:
-        assert ref.order[len(h.history)] == h.variable
-        ids[len(h.history)][int(h.history or "0", 2)] = h.id
-    assert [None if level is None else level.tolist() for level in tree.ids] == ids
-    assert [p is None for p in tree.p_true] == [level is not None for level in ids]
-    # the move tuples, rebuilt from the incoming-sequence column
-    sequences = [()]
-    for h, seq_in in enumerate(tree.infosets.tolist()):
-        sequences += [sequences[seq_in] + ((h, value),) for value in (False, True)]
-    assert len(tree.sequences) == len(sequences)
-    assert tuple(sequences) == ref.sequences
-    for array, expected in zip(
-        sf.realization_constraints(tree), ref_realization_constraints(ref)
-    ):
-        assert _same_array(array, expected)
+    assert _same_array(tree.table.cost, np.array([leaf.cost for leaf in ref.leaves]))
+    assert (len(tree.leaves), len(tree.sequences), len(tree.infosets)) == (
+        len(ref.leaves), len(ref.sequences), len(ref.infosets)
+    )
+    assert [None if p is None else p.tolist() for p in tree.p_true] == _p_true_by_level(ref)
     assert opt.export_game_tree_dot(tree) == ref_export_dot(ref)
 
 
 def test_tree_matches_the_recursive_reference(random_kb_corpus, idelium):
     rng = random.Random(73)
     diagrams = [idelium.kb.diagram] + [kb.diagram for kb, _ in random_kb_corpus]
-    # larger trees put more than eight leaves on one sequence, where a
-    # pairwise sum and a sum in leaf order part
     diagrams += [random_diagram(rng, n_vars=8, strategy_cap_log2=64) for _ in range(10)]
     diagrams += [_redeclared(d, rng) for d in diagrams]
     assert sum(opt.expansion_order(d) != d.variables for d in diagrams) > 100
@@ -617,18 +491,10 @@ def test_expansion_order(idelium):
 def test_tree_structure_fixture(idelium):
     tree = opt.build_game_tree(idelium.kb.diagram)
     assert len(tree.leaves) == 16
-    # one singleton information set per (D, S) history, each reached by
-    # the empty sequence
-    assert tree.infosets.tolist() == [0, 0, 0, 0]
-    ids = [None if level is None else level.tolist() for level in tree.ids]
-    assert ids == [None, None, [0, 1, 2, 3], None]
+    # one singleton information set per (D, S) history, on the third level
+    assert [p is None for p in tree.p_true] == [False, False, True, False]
+    assert len(tree.infosets) == 4
     assert len(tree.sequences) == 1 + 2 * len(tree.infosets)
-    # chance weights along any fixed pure choice of TA sum to one; TA is
-    # the third of four variables, so bit 1 of the leaf index
-    ta_value = (np.arange(16) >> 1) & 1
-    for value in (0, 1):
-        total = tree.leaves.chance_weight[ta_value == value].sum()
-        assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tree_without_decisions():
@@ -642,13 +508,16 @@ def test_tree_without_decisions():
     )
     tree = opt.build_game_tree(d)
     assert len(tree.sequences) == 1
-    assert tree.leaves.chance_weight.sum() == pytest.approx(1.0)
-    a = opt.reduced_objective(tree)
-    assert a.shape == (1,)
     expected = dg.expected_cost(d, dg.GlobalStrategy(locals={}))
+    ref = sf.ref_build_game_tree(d)
+    a = sf.reduced_objective(ref)
+    assert a.shape == (1,)
     assert a[0] == pytest.approx(expected)
-    _, value = sf.solve_lp(sf.assemble_lp(tree))
+    _, value = sf.solve_lp(sf.assemble_lp(ref))
     assert value == pytest.approx(expected, abs=1e-9)
+    result = opt.optimal_mixed_strategy(d, fully_mixed=0.5)
+    assert result.value == pytest.approx(expected)
+    assert result.kind == "pure" and result.strategy.locals == {}
 
 
 def test_tree_single_decision_no_chance():
@@ -662,18 +531,17 @@ def test_tree_single_decision_no_chance():
     )
     tree = opt.build_game_tree(d)
     assert len(tree.leaves) == 2
-    assert tree.leaves.chance_weight.tolist() == [1.0, 1.0]
     result = opt.optimal_mixed_strategy(d)
     assert result.value == pytest.approx(3.0)
     assert result.strategy.locals["D0"].table[""] == pytest.approx(0.0)
 
 
 def test_reduced_objective_reproduces_strategy_costs(idelium):
-    tree = opt.build_game_tree(idelium.kb.diagram)
-    a = opt.reduced_objective(tree)
+    tree = sf.ref_build_game_tree(idelium.kb.diagram)
+    a = sf.reduced_objective(tree)
     for name in ("test_a_if_clear", "always_test_a", "uniform"):
         s = idelium.strategy(name)
-        plan = opt.pure_plan(tree, s)
+        plan = sf.pure_plan(tree, s)
         assert float(a @ plan.entries) == pytest.approx(
             dg.expected_cost(idelium.kb.diagram, s), abs=1e-9
         )
@@ -696,8 +564,8 @@ def test_plan_to_strategy_inverts_pure_plan():
             "D1": dg.LocalStrategy("D1", ("D0", "C"), {"00": 1, "01": 1, "10": 1, "11": 0}),
         }
     )
-    tree = opt.build_game_tree(d)
-    back = opt.plan_to_strategy(tree, opt.pure_plan(tree, strategy))
+    tree = sf.ref_build_game_tree(d)
+    back = sf.plan_to_strategy(tree, sf.pure_plan(tree, strategy))
     assert back.locals["D0"] == strategy.locals["D0"]
     assert back.locals["D1"] == dg.LocalStrategy(
         "D1", ("D0", "C"), {"00": 0.5, "01": 0.5, "10": 1.0, "11": 0.0}
@@ -705,12 +573,12 @@ def test_plan_to_strategy_inverts_pure_plan():
 
 
 def test_realization_constraints_shape_and_feasibility(idelium):
-    tree = opt.build_game_tree(idelium.kb.diagram)
+    tree = sf.ref_build_game_tree(idelium.kb.diagram)
     R, r = sf.realization_constraints(tree)
     assert R.shape == (1 + len(tree.infosets), len(tree.sequences))
     assert r[0] == 1.0 and np.all(r[1:] == 0.0)
     for name in ("test_a_if_clear", "never_test_a", "uniform"):
-        plan = opt.pure_plan(tree, idelium.strategy(name))
+        plan = sf.pure_plan(tree, idelium.strategy(name))
         assert np.allclose(R @ plan.entries, r, atol=1e-9)
 
 
@@ -723,7 +591,7 @@ def test_no_decision_constraints():
         cost_parents=("A",),
         cost_table={"0": 0.0, "1": 4.0},
     )
-    tree = opt.build_game_tree(d)
+    tree = sf.ref_build_game_tree(d)
     R, r = sf.realization_constraints(tree)
     assert R.shape == (1, 1)
     assert R[0, 0] == 1.0 and r[0] == 1.0
@@ -763,9 +631,11 @@ def test_fully_mixed_perturbation(idelium):
     eps = 1e-6
     perturbed = opt.optimal_mixed_strategy(idelium.kb, fully_mixed=eps)
     assert perturbed.epsilon == eps
+    assert perturbed.kind == "mixed"
     assert perturbed.value >= exact.value - 1e-12
     assert perturbed.value == pytest.approx(exact.value, abs=1e-3)
-    assert np.all(perturbed.certificate.entries >= eps - 1e-9)
+    plan = sf.pure_plan(sf.ref_build_game_tree(idelium.kb.diagram), perturbed.strategy)
+    assert np.all(plan.entries >= eps - 1e-9)
 
 
 def test_fully_mixed_infeasible(idelium):
@@ -780,9 +650,9 @@ def test_lp_matches_backward_induction_randomized():
     rng = random.Random(2025)
     for _ in range(40):
         d = random_diagram(rng)
-        tree = ref_build_game_tree(d)
+        value, _ = backward_induction(sf.ref_build_game_tree(d))
         result = opt.optimal_mixed_strategy(d)
-        assert result.value == pytest.approx(backward_induction(tree.root), abs=1e-7)
+        assert result.value == pytest.approx(value, abs=1e-7)
 
 
 def test_lp_below_pure_minimum_randomized():
@@ -828,12 +698,12 @@ def test_pure_plans_feasible_and_consistent_randomized():
     for _ in range(30):
         d = random_diagram(rng)
         s = random_strategy(rng, d, pure=True)
-        tree = opt.build_game_tree(d)
-        plan = opt.pure_plan(tree, s)
+        tree = sf.ref_build_game_tree(d)
+        plan = sf.pure_plan(tree, s)
         R, r = sf.realization_constraints(tree)
         assert np.allclose(R @ plan.entries, r, atol=1e-9)
         assert set(np.round(plan.entries, 9)) <= {0.0, 1.0}
-        a = opt.reduced_objective(tree)
+        a = sf.reduced_objective(tree)
         assert float(a @ plan.entries) == pytest.approx(
             dg.expected_cost(d, s), abs=1e-9
         )
@@ -845,21 +715,21 @@ def test_simplex_optimal_against_plan_enumeration():
     checked = 0
     while checked < 10:
         d = random_diagram(rng)
-        tree = opt.build_game_tree(d)
+        tree = sf.ref_build_game_tree(d)
         if not 0 < len(tree.infosets) <= 6:
             continue
         checked += 1
         lp = sf.assemble_lp(tree)
         _, value = sf.solve_lp(lp)
-        a = opt.reduced_objective(tree)
+        a = sf.reduced_objective(tree)
         best = np.inf
         for mask in range(2 ** len(tree.infosets)):
             entries = np.zeros(len(tree.sequences))
             entries[0] = 1.0
-            for h, seq_in in enumerate(tree.infosets.tolist()):
-                take_true = bool(mask >> h & 1)
-                entries[2 + 2 * h] = entries[seq_in] if take_true else 0.0
-                entries[1 + 2 * h] = 0.0 if take_true else entries[seq_in]
+            for h in tree.infosets:
+                take_true = bool(mask >> h.id & 1)
+                entries[h.seq_true] = entries[h.seq_in] if take_true else 0.0
+                entries[h.seq_false] = 0.0 if take_true else entries[h.seq_in]
             best = min(best, float(a @ entries))
         assert value == pytest.approx(best, abs=1e-7)
 
@@ -877,37 +747,17 @@ def test_mixed_result_reproduces_value_randomized():
 # --- backward induction -----------------------------------------------------
 
 
-def _child_values(tree):
-    """Per decision level, the values of each node's false and true child,
-    summed level by level as backward induction sums them."""
-    v = tree.leaves.cost
-    children = [None] * len(tree.ids)
-    for d in reversed(range(len(tree.ids))):
-        false, true = v[0::2], v[1::2]
-        if tree.ids[d] is None:
-            v = (1.0 - tree.p_true[d]) * false + tree.p_true[d] * true
-        else:
-            children[d] = (false, true)
-            v = np.minimum(false, true)
-    return children
-
-
-def _tie_differences(tree, plan, reference):
-    """Count the decision nodes both 0/1 plans reach where they take
-    different moves, asserting that the node's two moves tie exactly."""
-    for entries in (plan.entries, reference.entries):
-        assert set(entries.tolist()) <= {0.0, 1.0}
-    count = 0
-    for ids, children in zip(tree.ids, _child_values(tree)):
-        if ids is None:
-            continue
-        incoming = tree.infosets[ids]
-        both = (plan.entries[incoming] == 1.0) & (reference.entries[incoming] == 1.0)
-        differ = both & (plan.entries[2 + 2 * ids] != reference.entries[2 + 2 * ids])
-        false, true = children
-        assert np.array_equal(false[differ], true[differ])
-        count += int(differ.sum())
-    return count
+def _below_a_tie(tree):
+    """Per sequence, whether its path passes a decision node whose two
+    moves' values agree within 1e-12 relative, where the two sides may
+    split the weight differently."""
+    _, children = backward_induction(tree)
+    below = np.zeros(len(tree.sequences), dtype=bool)
+    for h in tree.infosets:
+        false, true = children[h.id]
+        tie = abs(false - true) <= 1e-12 * max(abs(false), abs(true))
+        below[h.seq_false] = below[h.seq_true] = below[h.seq_in] | tie
+    return below
 
 
 def _simplex_corpus(random_kb_corpus, idelium):
@@ -918,50 +768,53 @@ def _simplex_corpus(random_kb_corpus, idelium):
 
 
 def test_backward_induction_matches_the_simplex(random_kb_corpus, idelium):
-    """The simplex is the oracle: the same value to the last bit, and the
-    same plan except at decision nodes whose two moves tie exactly."""
-    ties = 0
+    """The simplex is the oracle: the same value to 1e-12 relative, and,
+    read back through the returned strategy, the same plan to 1e-12
+    except below decision nodes whose two moves' values agree to 1e-12
+    relative.  The value adds  chance * cost * plan entry  over the
+    reference's leaves left to right, bit for bit."""
+    differences = 0
     for diagram in _simplex_corpus(random_kb_corpus, idelium):
-        tree = opt.build_game_tree(diagram)
-        plan, value = opt.backward_induction(tree)
+        tree = sf.ref_build_game_tree(diagram)
+        result = opt.optimal_mixed_strategy(diagram)
         lp_plan, lp_value = sf.solve_lp(sf.assemble_lp(tree))
-        assert value.hex() == lp_value.hex()
-        ties += _tie_differences(tree, plan, lp_plan)
-    assert ties > 0  # the corpus does reach ties the two break differently
-
-
-def _below_a_tie(tree):
-    """Per sequence, whether its path passes a decision node whose two
-    moves tie exactly, where any split of the weight is optimal."""
-    below = np.zeros(len(tree.sequences), dtype=bool)
-    for ids, children in zip(tree.ids, _child_values(tree)):
-        if ids is None:
-            continue
-        false, true = children
-        below[1 + 2 * ids] = below[2 + 2 * ids] = below[tree.infosets[ids]] | (false == true)
-    return below
+        assert abs(result.value - lp_value) <= 1e-12 * max(1.0, abs(lp_value))
+        plan = sf.pure_plan(tree, result.strategy)
+        assert set(plan.entries.tolist()) <= {0.0, 1.0}
+        terms = [
+            leaf.chance_weight * leaf.cost * float(plan.entries[leaf.seq1])
+            for leaf in tree.leaves
+        ]
+        assert result.value.hex() == functools.reduce(operator.add, terms).hex()
+        gap = np.abs(plan.entries - lp_plan.entries)
+        assert np.all(gap[~_below_a_tie(tree)] <= 1e-12)
+        differences += int(np.count_nonzero(gap > 1e-12))
+    assert differences > 0  # the corpus does reach ties the two break differently
 
 
 def test_fully_mixed_matches_the_simplex(random_kb_corpus, idelium):
     """Under a lower bound E on every entry the simplex is the oracle:
-    the same feasibility, the same value to 1e-12 relative, and the same
-    plan to 1e-12, except below decision nodes whose two moves tie."""
+    the same feasibility, the same value to 1e-12 relative, and, read
+    back through the returned strategy, the same plan to 1e-12, except
+    below decision nodes whose two moves' values agree to 1e-12
+    relative.  Every entry of that plan is at least E, to 1e-15."""
     seen = collections.Counter()
     for diagram in _simplex_corpus(random_kb_corpus, idelium):
-        tree = opt.build_game_tree(diagram)
-        k = sum(ids is not None for ids in tree.ids)
+        tree = sf.ref_build_game_tree(diagram)
+        k = sum(diagram.kinds[v] != dg.CHANCE for v in tree.order)
         below = _below_a_tie(tree)
         for epsilon in (1e-6, 1e-3, 0.01, 0.1, 0.3, 2.0**-k):
             try:
                 lp_plan, lp_value = sf.solve_lp(sf.assemble_lp(tree, epsilon))
             except simplex.Infeasible:
                 with pytest.raises(opt.InfeasibleEpsilonError, match=f"K = {k} "):
-                    opt.backward_induction(tree, epsilon)
+                    opt.optimal_mixed_strategy(diagram, epsilon)
                 seen["infeasible"] += 1
                 continue
-            plan, value = opt.backward_induction(tree, epsilon)
-            assert abs(value - lp_value) <= 1e-12 * max(1.0, abs(lp_value))
-            assert np.all(plan.entries >= epsilon)
+            result = opt.optimal_mixed_strategy(diagram, epsilon)
+            assert abs(result.value - lp_value) <= 1e-12 * max(1.0, abs(lp_value))
+            plan = sf.pure_plan(tree, result.strategy)
+            assert np.all(plan.entries >= epsilon - 1e-15)
             assert np.all(np.abs(plan.entries - lp_plan.entries)[~below] <= 1e-12)
             seen["feasible"] += 1
             seen["below a tie"] += bool(below.any())
@@ -1015,7 +868,8 @@ def test_fully_mixed_lp_on_14336_information_sets_needs_no_simplex(monkeypatch):
     epsilon = 1e-6
     result = opt.optimal_mixed_strategy(d, fully_mixed=epsilon)
     assert result.kind == "mixed" and result.epsilon == epsilon
-    assert np.all(result.certificate.entries >= epsilon)
+    plan = sf.pure_plan(sf.ref_build_game_tree(d), result.strategy)
+    assert np.all(plan.entries >= epsilon - 1e-15)
     assert abs(result.value - dg.expected_cost(d, result.strategy)) <= 1e-12
     plain = opt.optimal_mixed_strategy(d)
     assert plain.value == 1.0 and plain.kind == "pure"

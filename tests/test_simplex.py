@@ -302,7 +302,7 @@ def test_matches_the_scalar_reference():
 def test_sequence_form_lps_match_the_scalar_reference(random_kb_corpus, epsilon):
     outcomes = set()
     for kb, _ in random_kb_corpus:
-        lp = sf.assemble_lp(opt.build_game_tree(kb.diagram), epsilon=epsilon)
+        lp = sf.assemble_lp(sf.ref_build_game_tree(kb.diagram), epsilon=epsilon)
         shifted = lp.rhs - lp.constraints @ lp.lower_bounds
         outcomes.add(assert_same_as_reference(lp.objective, lp.constraints, shifted))
     assert "optimal" in outcomes

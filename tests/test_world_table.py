@@ -33,7 +33,13 @@ from cider.evidence import (
 )
 from cider.optimizer import enumerate_pure_strategies, optimal_pure_strategy
 
-from conftest import random_concept, random_formula
+from conftest import (
+    random_concept,
+    random_diagram,
+    random_formula,
+    random_kb,
+    random_strategy,
+)
 
 
 def reference_rows(kb, strategy, c, d):
@@ -168,14 +174,40 @@ def test_bounds_match_per_world_reference(random_kb_corpus, bound, sign):
         assert brute_force_conditional_bounds(kb, s, query) == reference_oracle(worlds)
 
 
+def _forgets(diagram):
+    """Whether some decision's forgetful scope, its parents, differs from
+    its influence set."""
+    return any(
+        dg.strategy_scope(diagram, x, forgetful=True) != dg.strategy_scope(diagram, x)
+        for x in diagram.decision_nodes
+    )
+
+
+@pytest.fixture(scope="module")
+def forgetful_corpus():
+    """30 (kb, strategy) pairs over 4 or 5 variables whose forgetful scopes
+    differ from their influence sets, which the shared corpus seldom has."""
+    rng = random.Random(59)
+    pairs = []
+    while len(pairs) < 30:
+        diagram = random_diagram(rng, n_vars=rng.randint(4, 5), strategy_cap_log2=7)
+        if _forgets(diagram):
+            pairs.append((random_kb(rng, diagram), random_strategy(rng, diagram)))
+    return pairs
+
+
 @pytest.mark.parametrize("objective, sign", [
     ("dominant-optimistic", +1), ("dominant-pessimistic", -1),
 ])
-def test_evidence_search_matches_per_world_reference(random_kb_corpus, objective, sign):
+def test_evidence_search_matches_per_world_reference(
+    random_kb_corpus, forgetful_corpus, objective, sign
+):
     """Every pure strategy scored per world; the first strictly better
     one wins, in either direction, with or without forgetful scopes."""
     rng = random.Random(43)
-    for kb, s in random_kb_corpus:
+    corpus = random_kb_corpus + forgetful_corpus
+    assert sum(_forgets(kb.diagram) for kb, _ in corpus) >= 31
+    for kb, s in corpus:
         query = EvidenceQuery(random_concept(rng), random_concept(rng))
         rows = reference_rows(kb, s, query.lhs, query.rhs)
         for direction, forgetful in itertools.product(("min", "max"), (False, True)):
