@@ -2,7 +2,7 @@
 
 import re
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _WS_RE = re.compile(r"[ \t\r\n]+")
 
 # Deepest nesting of parenthesised forms an expression may use.  Parsing
@@ -57,7 +57,7 @@ class Scanner:
         self.pos = m.end()
 
     def read_name(self):
-        m = _NAME_RE.match(self.text, self.pos)
+        m = NAME_RE.match(self.text, self.pos)
         if not m:
             raise self.error("expected a name")
         self.pos = m.end()

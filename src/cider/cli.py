@@ -102,6 +102,7 @@ def _strategy(doc, name, forgetful=False):
         strategy = doc.strategy(name)
     except KBLoadError as exc:
         raise _InputError(str(exc)) from exc
+    dg.check_world_count(doc.kb.diagram)  # before listing the strategy's rows
     problems = dg.validate_strategy(doc.kb.diagram, strategy, forgetful=forgetful)
     if problems:
         details = "; ".join(str(v) for v in problems)

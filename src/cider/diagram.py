@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._sexpr import NAME_RE
+
 CHANCE = "chance"
 DECISION = "decision"
 COST_NODE = "cost"  # reserved id; variables may not use or reference it
@@ -34,6 +36,7 @@ __all__ = [
     "WorldCapError",
     "WorldTable",
     "check_world_count",
+    "row_keys",
     "rowkey",
     "world_from_bits",
     "validate",
@@ -58,7 +61,8 @@ def world_from_bits(bits, variables):
     return {v: b == "1" for v, b in zip(variables, bits)}
 
 
-def _all_rowkeys(n):
+def row_keys(n):
+    """Every row key over n variables, in binary counting order."""
     return ["".join(bits) for bits in itertools.product("01", repeat=n)]
 
 
@@ -122,8 +126,11 @@ def validate(diagram):
         if v in seen:
             out.append(Violation(v, "duplicate variable"))
         seen.add(v)
-        if v == COST_NODE:
-            out.append(Violation(v, "variable name 'cost' is reserved"))
+        if v in (COST_NODE, "true", "false"):
+            out.append(Violation(v, f"variable name {v!r} is reserved"))
+        elif not NAME_RE.fullmatch(v):
+            # the quoted name keeps a newline or comma out of the report
+            out.append(Violation(repr(v), "variable name is not a NAME"))
         kind = diagram.kinds.get(v)
         if kind not in (CHANCE, DECISION):
             out.append(Violation(v, f"unknown kind {kind!r}"))
@@ -148,33 +155,43 @@ def validate(diagram):
         if table is None:
             out.append(Violation(v, "chance node has no CPT"))
             continue
-        keys = _all_rowkeys(len(diagram.parents.get(v, ())))
-        expected = set(keys)  # a list would make the row check quadratic
-        for key in keys:
-            if key not in table:
-                out.append(Violation(v, f"missing CPT row {key!r}"))
-        for key, p in table.items():
-            if key not in expected:
-                out.append(Violation(v, f"unexpected CPT row {key!r}"))
-            elif not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
-                out.append(Violation(v, f"probability out of range in row {key!r}"))
+        n = len(diagram.parents.get(v, ()))
+        out += _row_violations(v, "CPT", table, n, _bad_probability)
     for p in diagram.cost_parents:
         if p not in seen:
             out.append(Violation(COST_NODE, f"unknown cost parent {p!r}"))
         if p == COST_NODE:
             out.append(Violation(COST_NODE, "cost node cannot be its own parent"))
-    keys = _all_rowkeys(len(diagram.cost_parents))
-    expected = set(keys)
-    for key in keys:
-        if key not in diagram.cost_table:
-            out.append(Violation(COST_NODE, f"missing cost row {key!r}"))
-    for key, value in diagram.cost_table.items():
+    n = len(diagram.cost_parents)
+    out += _row_violations(COST_NODE, "cost", diagram.cost_table, n, _bad_cost)
+    return out
+
+
+def _bad_probability(key, p):
+    if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
+        return f"probability out of range in row {key!r}"
+
+
+def _bad_cost(key, cost):
+    if not (isinstance(cost, (int, float)) and math.isfinite(cost)):
+        return f"cost in row {key!r} is not a finite number"
+
+
+def _row_violations(node, noun, table, n, bad_value):
+    """Missing rows of a table over n-bit row keys in key order, then its
+    unexpected rows and the messages of bad_value(key, value) in table
+    order; one violation, listing nothing, past WORLD_CAP rows."""
+    if 1 << n > WORLD_CAP:
+        return [Violation(node, f"{noun} over {n} keys needs 2^{n} rows, "
+                                f"past the world cap {WORLD_CAP}")]
+    keys = row_keys(n)
+    expected = set(keys)  # a list would make the row check quadratic
+    out = [Violation(node, f"missing {noun} row {key!r}") for key in keys if key not in table]
+    for key, value in table.items():
         if key not in expected:
-            out.append(Violation(COST_NODE, f"unexpected cost row {key!r}"))
-        elif not (isinstance(value, (int, float)) and math.isfinite(value)):
-            out.append(
-                Violation(COST_NODE, f"cost in row {key!r} is not a finite number")
-            )
+            out.append(Violation(node, f"unexpected {noun} row {key!r}"))
+        elif problem := bad_value(key, value):
+            out.append(Violation(node, problem))
     return out
 
 
@@ -275,16 +292,8 @@ def validate_strategy(diagram, strategy, forgetful=False):
                 Violation(d, f"scope {local.scope} differs from {expected_scope}")
             )
             continue
-        keys = _all_rowkeys(len(expected_scope))
-        expected = set(keys)
-        for key in keys:
-            if key not in local.table:
-                out.append(Violation(d, f"missing strategy row {key!r}"))
-        for key, p in local.table.items():
-            if key not in expected:
-                out.append(Violation(d, f"unexpected strategy row {key!r}"))
-            elif not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
-                out.append(Violation(d, f"probability out of range in row {key!r}"))
+        n = len(expected_scope)
+        out += _row_violations(d, "strategy", local.table, n, _bad_probability)
     return out
 
 
@@ -325,7 +334,7 @@ def check_world_count(diagram):
 
 def _row_array(table, n):
     """A table over n-bit row keys, indexed by the key read in binary."""
-    return np.array([table[key] for key in _all_rowkeys(n)], dtype=float)
+    return np.array([table[key] for key in row_keys(n)], dtype=float)
 
 
 def _by_value(table, n):
@@ -342,7 +351,8 @@ class WorldTable:
     Boolean row per variable and ``cost`` the cost of every world.
     Factors are gathered from the small CPT and strategy rows on each
     ``joint`` call rather than kept as one column per variable.  A table
-    is built per query and holds nothing beyond the diagram's own data.
+    is built per query and holds nothing beyond the diagram's own data,
+    so no result is kept from one call to the next.
     """
 
     def __init__(self, diagram):
@@ -360,7 +370,6 @@ class WorldTable:
             for v in diagram.chance_nodes
         }
         self.cost = self.gather(diagram.cost_table, diagram.cost_parents)
-        self._last = None
 
     def column(self, v):
         return self.values[self.position[v]]
@@ -381,8 +390,9 @@ class WorldTable:
         """Probability of v's value given the scope row, in every world."""
         return by_value[2 * self.code(scope) + self.column(v)]
 
-    def joint(self, strategy):
-        """Joint probability of every world under a strategy.
+    def joint(self, strategy=None):
+        """Joint probability of every world under a strategy, or with no
+        strategy the product of the chance factors alone.
 
         Factors are multiplied in declared variable order, as
         ``joint_probability`` multiplies them, so the two agree exactly.
@@ -392,7 +402,7 @@ class WorldTable:
             if v in self.chance_rows:
                 scope = self.diagram.parents.get(v, ())
                 p *= self._factor(self.chance_rows[v], scope, v)
-            else:
+            elif strategy is not None:
                 local = strategy.locals[v]
                 rows = _by_value(local.table, len(local.scope))
                 p *= self._factor(rows, local.scope, v)
@@ -411,18 +421,18 @@ class WorldTable:
     def cost_distribution(self, strategy):
         """Probability of paying each cost value under the strategy.
 
-        The last strategy's distribution is kept, so a report that needs
-        the distribution and then its expectation computes it once.
+        One ``np.bincount`` over the worlds' cost-value indices adds each
+        value's worlds in world order, as ``mass`` adds them; a value no
+        world pays gets 0.0.
         """
-        if self._last is None or self._last[0] is not strategy:
-            p = self.joint(strategy)
-            dist = {r: self.mass(p, self.cost == r) for r in self.diagram.cost_values}
-            self._last = (strategy, dist)
-        return dict(self._last[1])
+        values = self.diagram.cost_values
+        index = np.searchsorted(values, self.cost)
+        p = np.bincount(index, weights=self.joint(strategy), minlength=len(values))
+        return dict(zip(values, p.tolist()))
 
     def rowkeys(self):
         """Every world's row key over all variables, in table order."""
-        return _all_rowkeys(len(self.diagram.variables))
+        return row_keys(len(self.diagram.variables))
 
     def world(self, i):
         return dict(zip(self.diagram.variables, self.values[:, i].tolist()))

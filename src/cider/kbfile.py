@@ -186,13 +186,7 @@ def load_kb_text(text, forgetful=False):
 
     cost = _require_mapping(raw.get("cost", {}), "'cost'")
     cost_parents = tuple(_names(cost.get("parents", []), "'cost.parents'"))
-    cost_table_raw = _require_mapping(cost.get("table", {}), "'cost.table'")
-    cost_table = {}
-    for k, v in cost_table_raw.items():
-        key = str(k)
-        if not _is_number(v):
-            raise KBLoadError(f"cost row {key!r} value is not a number")
-        cost_table[key] = float(v)
+    cost_table = _row_table(cost.get("table", {}), "'cost.table'")
 
     diagram = dg.InfluenceDiagram(
         variables=variables,

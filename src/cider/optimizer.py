@@ -82,7 +82,7 @@ class PureStrategy:
                     decision=d,
                     scope=self.scopes[d],
                     table=dict(
-                        zip(dg._all_rowkeys(len(self.scopes[d])), take.astype(float).tolist())
+                        zip(dg.row_keys(len(self.scopes[d])), take.astype(float).tolist())
                     ),
                 )
                 for d, take in self.takes.items()
@@ -215,7 +215,7 @@ def _row_wise_optimum(table, signed_cost, chain, score, forgetful, cap):
     }
     rest = tuple(d for d in scopes if d not in chain)
     rows = {d: table.code(scopes[d]) for d in scopes}
-    chance = _chance_column(table)
+    chance = table.joint()
     best = None
     for fixed in enumerate_pure_strategies(
         diagram, forgetful=forgetful, cap=cap, decisions=rest
@@ -232,15 +232,6 @@ def _row_wise_optimum(table, signed_cost, chain, score, forgetful, cap):
             best = (total, {**fixed.takes, **takes})
     total, takes = best
     return total, PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes)
-
-
-def _chance_column(table):
-    """Every world's product of chance factors, in declared order."""
-    parents = table.diagram.parents
-    chance = np.ones(table.size)
-    for v, by_value in table.chance_rows.items():
-        chance *= by_value[2 * table.code(parents.get(v, ())) + table.column(v)]
-    return chance
 
 
 def _chain_pass(table, chain, rows, w, signed_cost):
@@ -375,7 +366,7 @@ def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
             f"all K = {k} decision variables, so the bound must be at most 2^-K = {2.0**-k}"
         )
     rows = {d: table.code(scope) for d, scope in scopes.items()}
-    chance = _chance_column(table)
+    chance = table.joint()
     takes, _ = _chain_pass(table, tuple(reversed(scopes)), rows, chance, table.cost)
     weight = np.ones(table.size)  # plan entry of each world's last move so far
     locals_ = {}
@@ -389,7 +380,7 @@ def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
         reached = incoming > 0.0
         p = np.full(incoming.size, 0.5)
         p[reached] = true[reached] / incoming[reached]
-        local_table = dict(zip(dg._all_rowkeys(len(scope)), p.tolist()))
+        local_table = dict(zip(dg.row_keys(len(scope)), p.tolist()))
         locals_[d] = LocalStrategy(decision=d, scope=scope, table=local_table)
     return OptimizationResult(
         value=float(np.add.accumulate(chance * table.cost * weight)[-1]),

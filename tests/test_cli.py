@@ -621,6 +621,76 @@ def test_world_cap_exits_three_at_once(tmp_path, capsys):
         assert err == "error: 2^26 worlds exceed the world cap 1048576\n"
 
 
+def test_strategy_queries_check_the_world_cap_before_the_strategy(tmp_path, capsys):
+    """A decision seeing 20 variables has 2^20 strategy rows; with 2^21
+    worlds the query refuses before listing them."""
+    names = [f"V{i:02d}" for i in range(20)]
+    nodes = "".join(
+        f"  {v}: {{kind: chance, parents: [], cpt: {{'': 0.5}}}}\n" for v in names
+    )
+    path = tmp_path / "wide_decision.kb"
+    path.write_text(
+        f"variables: [{', '.join(names)}, D]\n"
+        "nodes:\n" + nodes + f"  D: {{kind: decision, parents: [{', '.join(names)}]}}\n"
+        "cost: {parents: [D], table: {'0': 0, '1': 1}}\n"
+        "strategies:\n"
+        "  s: {D: {'0': 1}}\n"
+    )
+    for argv in (
+        ["expected-cost", "--strategy", "s"],
+        ["worlds", "--strategy", "s"],
+        ["prob-subsume", "--strategy", "s", "A", "B"],
+        ["cond-cost", "--strategy", "s", "--mode", "opt", "A", "B"],
+    ):
+        code, stdout, err = run(capsys, "query", str(path), *argv)
+        assert (code, stdout) == (3, ""), argv
+        assert err == "error: 2^21 worlds exceed the world cap 1048576\n"
+
+
+def test_a_table_over_more_keys_than_the_world_cap_is_one_violation(tmp_path, capsys):
+    path = tmp_path / "repeated_parents.kb"
+    path.write_text(
+        "variables: [A, B]\n"
+        "nodes:\n"
+        "  A: {kind: chance, parents: [], cpt: {'': 0.5}}\n"
+        f"  B: {{kind: chance, parents: [{', '.join(['A'] * 21)}], cpt: {{'': 0.5}}}}\n"
+        "cost: {parents: [A], table: {'0': 0, '1': 1}}\n"
+    )
+    code, stdout, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert stdout.endswith(
+        "result:\n"
+        "  violations:\n"
+        "    - B: CPT over 21 keys needs 2^21 rows, past the world cap 1048576\n"
+    )
+
+
+def test_variable_names_must_be_names(tmp_path, capsys):
+    path = tmp_path / "names.kb"
+    path.write_text(
+        "variables: ['A\"B', x y, 'true', \"c,\\nd\"]\n"
+        "nodes:\n"
+        "  'A\"B': {kind: chance, parents: [], cpt: {'': 0.5}}\n"
+        "  x y: {kind: chance, parents: [], cpt: {'': 0.5}}\n"
+        "  'true': {kind: chance, parents: [], cpt: {'': 0.5}}\n"
+        "  \"c,\\nd\": {kind: chance, parents: [], cpt: {'': 0.5}}\n"
+        "cost: {parents: [x y], table: {'0': 0, '1': 1}}\n"
+    )
+    code, stdout, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert stdout.endswith(
+        "result:\n"
+        "  violations:\n"
+        "    - 'A\"B': variable name is not a NAME\n"
+        "    - 'x y': variable name is not a NAME\n"
+        "    - true: variable name 'true' is reserved\n"
+        "    - 'c,\\nd': variable name is not a NAME\n"
+    )
+    code, stdout, err = run(capsys, "query", str(path), "export-game-tree")
+    assert (code, stdout) == (2, "")
+    assert "is not a NAME" in err and err.count("\n") == 1
+
+
 def test_two_to_the_64_pure_strategies_answer_without_enumeration(tmp_path, capsys):
     """One decision seeing six chance variables has 2^64 pure strategies.
     It is a chain of nested scopes by itself, so the expected objective
@@ -757,6 +827,27 @@ def test_load_kb_text_rejects_bad_rowkey():
             "  A: {kind: chance, parents: [], cpt: {'x': 0.5}}\n"
             "cost: {parents: [A], table: {'0': 0, '1': 1}}\n"
         )
+
+
+@pytest.mark.parametrize(
+    "cpt, cost, message",
+    [
+        ("{'0x': 0.5}", "{'0': 0, '1': 1}", "node 'A' cpt: row key '0x'"),
+        ("{'': 0.5}", "{'0': 0, '1': 1, '0x': 2}", "'cost.table': row key '0x'"),
+    ],
+    ids=["cpt", "cost"],
+)
+def test_bad_rowkey_is_an_input_error(tmp_path, capsys, cpt, cost, message):
+    path = tmp_path / "rowkey.kb"
+    path.write_text(
+        "variables: [A]\n"
+        "nodes:\n"
+        f"  A: {{kind: chance, parents: [], cpt: {cpt}}}\n"
+        f"cost: {{parents: [A], table: {cost}}}\n"
+    )
+    code, stdout, err = run(capsys, "validate", str(path))
+    assert (code, stdout) == (2, "")
+    assert f"{message} is not a '0'/'1' string" in err and err.count("\n") == 1
 
 
 def test_load_kb_text_rejects_unknown_decision_in_strategy():

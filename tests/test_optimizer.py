@@ -391,7 +391,7 @@ def test_split_decisions_of_the_strategy_search_shape():
         cpt={"V01": {"": 0.3}, "V03": {"0": 0.2, "1": 0.9},
              "V04": {"0": 0.5, "1": 0.1}},
         cost_parents=("V01", "V04", "V05"),
-        cost_table={key: float(i % 5) for i, key in enumerate(dg._all_rowkeys(3))},
+        cost_table={key: float(i % 5) for i, key in enumerate(dg.row_keys(3))},
     )
     assert opt.split_decisions(d) == (("V05",), ("V02",))
     kb = KnowledgeBase(diagram=d, vtbox=())

@@ -8,6 +8,7 @@ table must give the same floats bit for bit, so the reports built from
 it stay byte-identical.
 """
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from cider.evidence import (
 from cider.optimizer import enumerate_pure_strategies, optimal_pure_strategy
 
 from conftest import (
+    all_rowkeys,
     random_concept,
     random_diagram,
     random_formula,
@@ -127,9 +129,21 @@ def reference_oracle(worlds):
     return min(values), max(values)
 
 
+def distinct_costs_kb(rng):
+    """A random KB and strategy over 12 variables whose 4096 worlds each
+    have their own cost."""
+    diagram = random_diagram(rng, n_vars=12)
+    diagram = dataclasses.replace(
+        diagram,
+        cost_parents=diagram.variables,
+        cost_table={key: i / 8 for i, key in enumerate(all_rowkeys(12))},
+    )
+    return random_kb(rng, diagram), random_strategy(rng, diagram)
+
+
 def test_table_matches_per_world_reference(random_kb_corpus):
     rng = random.Random(41)
-    for kb, s in random_kb_corpus:
+    for kb, s in random_kb_corpus + [distinct_costs_kb(random.Random(12))]:
         c, d = random_concept(rng), random_concept(rng)
         context = random_formula(rng, kb.diagram.variables)
         rows = reference_rows(kb, s, c, d)
@@ -260,15 +274,3 @@ def test_world_cap_refuses_before_allocating():
     assert dg.WORLD_CAP == 2**20
     with pytest.raises(dg.WorldCapError, match="2\\^21 worlds"):
         dg.WorldTable(diagram)
-
-
-def test_a_report_computes_its_distribution_once(random_kb_corpus, monkeypatch):
-    kb, s = random_kb_corpus[0]
-    table = dg.WorldTable(kb.diagram)
-    joints = []
-    real = table.joint
-    monkeypatch.setattr(table, "joint", lambda s: joints.append(s) or real(s))
-    dist = table.cost_distribution(s)
-    assert dg.expected_cost(table, s) == dg.expected_cost(kb.diagram, s)
-    assert dg.cost_distribution(table, s) == dist
-    assert len(joints) == 1
