@@ -10,6 +10,7 @@ same inputs and options.
 import argparse
 import functools
 import hashlib
+import io
 import math
 import sys
 
@@ -27,7 +28,7 @@ from .contextual import (
     restrict,
 )
 from .el import ParseError, parse_concept
-from .kbfile import KBLoadError, load_kb_document
+from .kbfile import KBLoadError, load_kb_text
 
 PROB_TOL = "1e-09"
 
@@ -40,15 +41,10 @@ class _Unsupported(Exception):
     pass
 
 
-def _digest(path):
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
-def _report(argv, path, lines, tolerance=None):
+def _report(argv, source, lines, tolerance=None):
     out = [f"command: {' '.join(argv)}"]
-    if path is not None:
-        out.append(f"input: {path} sha256={_digest(path)}")
+    if source is not None:
+        out.append(f"input: {source}")
     if tolerance:
         out.append(f"tolerance: abs={tolerance}")
     out.append("result:")
@@ -57,22 +53,29 @@ def _report(argv, path, lines, tolerance=None):
 
 
 def _load(path, forgetful):
+    """The KB document at path, and the report's name for the bytes read:
+    the path and their SHA-256."""
     try:
-        doc = load_kb_document(path, forgetful=forgetful)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        # decoded as open(path, encoding="utf-8").read() would
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        doc = load_kb_text(text, forgetful=forgetful)
     except (KBLoadError, ParseError, ValueError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
-    return doc
+    return doc, f"{path} sha256={hashlib.sha256(data).hexdigest()}"
 
 
 def _valid_doc(path, forgetful):
-    doc = _load(path, forgetful)
+    doc, source = _load(path, forgetful)
     violations = doc.kb.validate()
     if violations:
         details = "; ".join(str(v) for v in violations)
         raise _InputError(f"{path}: knowledge base is not valid: {details}")
-    return doc
+    return doc, source
 
 
 def _concept(text):
@@ -133,13 +136,13 @@ def _conditional_json(result):
 
 
 def _cmd_validate(args, argv):
-    doc = _load(args.path, args.forgetful)
+    doc, source = _load(args.path, args.forgetful)
     violations = doc.kb.validate()
     if not violations:
-        _report(argv, args.path, ["ok"])
+        _report(argv, source, ["ok"])
         return 0
     lines = ["violations:"] + [f"  - {v}" for v in violations]
-    _report(argv, args.path, lines)
+    _report(argv, source, lines)
     return 1
 
 
@@ -158,7 +161,7 @@ def _cmd_fixtures(args, argv):
 
 
 def _cmd_query(args, argv):
-    doc = _valid_doc(args.path, args.forgetful)
+    doc, source = _valid_doc(args.path, args.forgetful)
     kb = doc.kb
     sub = args.subcommand
 
@@ -168,7 +171,7 @@ def _cmd_query(args, argv):
         except ValueError as exc:
             raise _InputError(str(exc)) from exc
         held = el.is_subsumed(restrict(kb.vtbox, world), _concept(args.lhs), _concept(args.rhs))
-        _report(argv, args.path, [f"subsumed: {str(held).lower()}"])
+        _report(argv, source, [f"subsumed: {str(held).lower()}"])
         return 0
 
     if sub == "prob-subsume":
@@ -181,7 +184,7 @@ def _cmd_query(args, argv):
             _concept(args.rhs),
             context=context,
         )
-        _report(argv, args.path, [f"probability: {fmt(p)}"], tolerance=PROB_TOL)
+        _report(argv, source, [f"probability: {fmt(p)}"], tolerance=PROB_TOL)
         return 0
 
     if sub == "expected-cost":
@@ -191,7 +194,7 @@ def _cmd_query(args, argv):
         lines = [f"expected_cost: {fmt(dg.expected_cost(table, strategy))}"]
         lines.append("distribution:")
         lines.extend(f"  {fmt(r)}: {fmt(p)}" for r, p in sorted(dist.items()))
-        _report(argv, args.path, lines, tolerance=PROB_TOL)
+        _report(argv, source, lines, tolerance=PROB_TOL)
         return 0
 
     if sub == "cond-cost":
@@ -205,7 +208,7 @@ def _cmd_query(args, argv):
         result = bound(kb, strategy, query)
         _report(
             argv,
-            args.path,
+            source,
             [f"conditional: {_conditional_json(result)}"],
             tolerance=PROB_TOL,
         )
@@ -218,7 +221,7 @@ def _cmd_query(args, argv):
         rows = zip(bits, table.joint(strategy).tolist(), table.cost.tolist())
         lines = ["worlds:"]
         lines.extend(f"  - {b} probability={fmt(p)} cost={fmt(c)}" for b, p, c in rows)
-        _report(argv, args.path, lines)
+        _report(argv, source, lines)
         return 0
 
     if sub == "optimize":
@@ -246,7 +249,7 @@ def _cmd_query(args, argv):
             if result.epsilon:
                 lines.append(f"epsilon: {fmt(result.epsilon)}")
             lines.extend(_strategy_lines(result.strategy))
-            _report(argv, args.path, lines, tolerance="1e-07")
+            _report(argv, source, lines, tolerance="1e-07")
             return 0
         if args.fully_mixed is not None:
             raise _InputError("--fully-mixed applies to --lp only")
@@ -266,7 +269,7 @@ def _cmd_query(args, argv):
         )
         lines = [f"value: {fmt(result.value)}", f"kind: {result.kind}"]
         lines.extend(_strategy_lines(result.strategy))
-        _report(argv, args.path, lines, tolerance=PROB_TOL)
+        _report(argv, source, lines, tolerance=PROB_TOL)
         return 0
 
     if sub == "decide":
@@ -297,7 +300,7 @@ def _cmd_query(args, argv):
         answer = opt.decide_threshold(result, args.bound, args.problem)
         _report(
             argv,
-            args.path,
+            source,
             [
                 f"answer: {str(answer).lower()}",
                 f"problem: {args.problem}",

@@ -112,7 +112,9 @@ class Violation:
     message: str
 
     def __str__(self):
-        return f"{self.node}: {self.message}"
+        # a quoted name keeps a newline or comma out of the report
+        node = self.node if NAME_RE.fullmatch(self.node) else repr(self.node)
+        return f"{node}: {self.message}"
 
 
 def validate(diagram):
@@ -129,8 +131,7 @@ def validate(diagram):
         if v in (COST_NODE, "true", "false"):
             out.append(Violation(v, f"variable name {v!r} is reserved"))
         elif not NAME_RE.fullmatch(v):
-            # the quoted name keeps a newline or comma out of the report
-            out.append(Violation(repr(v), "variable name is not a NAME"))
+            out.append(Violation(v, "variable name is not a NAME"))
         kind = diagram.kinds.get(v)
         if kind not in (CHANCE, DECISION):
             out.append(Violation(v, f"unknown kind {kind!r}"))

@@ -19,7 +19,7 @@ rewriting is conservative over user names.
 import re
 from dataclasses import dataclass, field
 
-from ._sexpr import ParseError, Scanner
+from ._sexpr import NAME_RE, ParseError, Scanner
 
 __all__ = [
     "Concept",
@@ -43,7 +43,6 @@ __all__ = [
 
 TOP_KEY = "top"
 
-_USER_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _FRESH_NAME_RE = re.compile(r"_n[0-9]+\Z")
 
 
@@ -67,7 +66,7 @@ class ConceptName(Concept):
     def __post_init__(self):
         if self.name == TOP_KEY:
             raise ValueError("'top' is the universal concept, not a concept name")
-        if not (_USER_NAME_RE.match(self.name) or _FRESH_NAME_RE.match(self.name)):
+        if not (NAME_RE.fullmatch(self.name) or _FRESH_NAME_RE.match(self.name)):
             raise ValueError(f"invalid concept name: {self.name!r}")
 
 

@@ -26,14 +26,31 @@ A model document (see the bundled ``idelium_model`` fixture) instead
 stores an explicit weighted family of world-tagged interpretations plus
 optional named (probability, cost) overlays for conditional-cost
 experiments.
+
+Both are read by ``_parse_yaml``: one pass over the events of libyaml's
+parser builds the data directly, with PyYAML's resolver and safe
+constructors for scalars.  The data equals ``yaml.safe_load``'s, except
+that collections with an explicit tag other than ``!!map`` or ``!!seq``
+are refused, and a document may nest at most ``MAX_YAML_DEPTH`` levels.
 """
 
 from dataclasses import dataclass
 
 import yaml
-from yaml.composer import Composer
-from yaml.constructor import SafeConstructor
+from yaml.composer import ComposerError
+from yaml.constructor import ConstructorError, SafeConstructor
 from yaml.cyaml import CParser
+from yaml.events import (
+    AliasEvent,
+    CollectionEndEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+)
+from yaml.nodes import ScalarNode
 from yaml.resolver import Resolver
 
 from . import diagram as dg
@@ -47,7 +64,6 @@ __all__ = [
     "KBDocument",
     "ModelDocument",
     "load_kb_text",
-    "load_kb_document",
     "load_model_text",
 ]
 
@@ -57,37 +73,254 @@ class KBLoadError(ValueError):
 
 
 # Deepest nesting of YAML nodes a document may use.  KB and model
-# documents need about five levels; composition recurses once per level.
+# documents need about five levels.
 MAX_YAML_DEPTH = 100
 
 
-class _Loader(Composer, CParser, SafeConstructor, Resolver):
-    """libyaml's C scanner and parser under PyYAML's Python composer.
+def _at(mark):
+    return f"line {mark.line + 1}, column {mark.column + 1}"
 
-    ``yaml.CSafeLoader`` composes in C without a depth limit, and a
-    document nested some tens of thousands of levels deep kills the
-    process.  Here ``Composer`` precedes ``CParser`` in the bases, so the
-    Python composer, which counts the depth, builds the nodes.
+
+class _Loader(CParser, SafeConstructor, Resolver):
+    """libyaml's C parser, read in one pass over its events.
+
+    ``get_single_data`` builds the dicts and lists as the events arrive,
+    keeping the open collections on an explicit stack, so no document can
+    overflow the C stack (``yaml.CSafeLoader`` composes in C without a
+    depth limit, and a document nested some tens of thousands of levels
+    deep kills the process).  Scalars go through PyYAML's own resolver and
+    safe constructors, so their values and errors are PyYAML's.
     """
 
     def __init__(self, text):
         CParser.__init__(self, text)
-        Composer.__init__(self)
         SafeConstructor.__init__(self)
         Resolver.__init__(self)
-        self.depth = 0
 
-    def compose_node(self, parent, index):
-        self.depth += 1
-        if self.depth > MAX_YAML_DEPTH:
-            mark = self.peek_event().start_mark
-            raise KBLoadError(
-                f"not valid YAML: nested more than {MAX_YAML_DEPTH} levels deep "
-                f"at line {mark.line + 1}, column {mark.column + 1}"
+    def get_single_data(self):
+        """The data of the stream's one document; None for an empty stream.
+
+        The data equals ``yaml.SafeLoader``'s, anchors and merge keys
+        included; composer and constructor errors keep PyYAML's text and
+        marks.  Of several errors in one document, the first met is
+        raised, where PyYAML raises parser and composer errors before
+        constructor errors.
+        """
+        get_event = self.get_event
+        get_event()  # stream start
+        if self.check_event(StreamEndEvent):
+            return None
+        get_event()  # document start
+        root_mark = self.peek_event().start_mark
+        # what the open collection expects next: an item of a sequence, a
+        # mapping key, the value of a merge key ("<<"), the value of a key
+        # held in `key`, or, for a sequence whose items may be merged, an
+        # item and its mark appended to the list held in `key`
+        in_seq, want_key, merge = object(), object(), object()
+        memo = {}  # plain scalar text -> value; memo itself marks a miss
+        anchors = {}  # name -> (value, start mark, item marks of a sequence)
+        fixups = []  # (depth, mapping, start mark, merge sources)
+        stack = []
+        root = container = []
+        key, mark, sources = in_seq, None, None
+        while True:
+            event = get_event()
+            cls = event.__class__
+            if cls is ScalarEvent:
+                text = event.value
+                if event.tag is None and event.anchor is None:
+                    value = memo.get(text, memo) if event.implicit[0] else text
+                else:
+                    value = memo
+                if value is memo:
+                    anchor = event.anchor
+                    if anchor in anchors:
+                        raise _duplicate(anchor, anchors[anchor][1], event)
+                    tag = event.tag
+                    if tag is None or tag == "!":
+                        tag = self.resolve(ScalarNode, text, event.implicit)
+                    # flatten_mapping reads these two tags off mapping keys,
+                    # and refuses a scalar merge value without constructing it
+                    if key is want_key and tag == "tag:yaml.org,2002:merge":
+                        value = merge
+                    elif key is want_key and tag == "tag:yaml.org,2002:value":
+                        value = text
+                    elif key is merge:
+                        value = text
+                    else:
+                        node = ScalarNode(tag, text, event.start_mark, event.end_mark, event.style)
+                        if event.tag is None and event.implicit[0]:
+                            # an implicit tag's constructor returns the value itself
+                            value = memo[text] = self.yaml_constructors.get(
+                                tag, SafeConstructor.construct_undefined
+                            )(self, node)
+                        else:
+                            value = self.construct_object(node, deep=True)
+                    if anchor is not None:
+                        anchors[anchor] = (value, event.start_mark, None)
+            elif cls is MappingStartEvent or cls is SequenceStartEvent:
+                anchor = event.anchor
+                if anchor in anchors:
+                    raise _duplicate(anchor, anchors[anchor][1], event)
+                tag = event.tag
+                plain = "tag:yaml.org,2002:map" if cls is MappingStartEvent else "tag:yaml.org,2002:seq"
+                if tag is not None and tag != "!" and tag != plain:
+                    # no field of a KB or model document holds one
+                    raise KBLoadError(
+                        f"not valid YAML: tagged collection {tag} at {_at(event.start_mark)}"
+                    )
+                if key is want_key:
+                    raise _unhashable(mark, event.start_mark)
+                stack.append((container, key, mark, sources))
+                marked = anchor is not None or key is merge
+                mark, sources = event.start_mark, None
+                if cls is MappingStartEvent:
+                    container, key = {}, want_key
+                else:
+                    container = []
+                    key = [] if marked else in_seq
+                if anchor is not None:
+                    anchors[anchor] = (container, mark, key if marked else None)
+                # the stack holds one frame per open collection
+                if len(stack) == MAX_YAML_DEPTH and not self.check_event(CollectionEndEvent):
+                    raise KBLoadError(
+                        f"not valid YAML: nested more than {MAX_YAML_DEPTH} levels deep "
+                        f"at {_at(self.peek_event().start_mark)}"
+                    )
+                continue
+            elif cls is MappingEndEvent or cls is SequenceEndEvent:
+                if sources:
+                    fixups.append((len(stack), container, mark, sources))
+                value, vmark = container, mark
+                vmarks = key if key.__class__ is list else None
+                container, key, mark, sources = stack.pop()
+            elif cls is AliasEvent:
+                try:
+                    value, vmark, vmarks = anchors[event.anchor]
+                except KeyError:
+                    raise ComposerError(
+                        None, None, f"found undefined alias {event.anchor!r}", event.start_mark
+                    ) from None
+                if key is want_key and isinstance(value, (list, dict)):
+                    raise _unhashable(mark, vmark)
+                if value is merge and key is not want_key:
+                    raise ConstructorError(
+                        None,
+                        None,
+                        "could not determine a constructor for the tag "
+                        "'tag:yaml.org,2002:merge'",
+                        vmark,
+                    )
+            else:  # document end
+                break
+
+            if key is in_seq:
+                container.append(value)
+            elif key is want_key:
+                key = value
+            elif key is merge:
+                if cls is ScalarEvent:
+                    vmark, vmarks = event.start_mark, None
+                if sources is None:
+                    sources = []
+                sources.append((value, vmark, vmarks))
+                key = want_key
+            elif key.__class__ is list:
+                container.append(value)
+                key.append(event.start_mark if cls is ScalarEvent else vmark)
+            else:
+                container[key] = value
+                key = want_key
+
+        if not self.check_event(StreamEndEvent):
+            raise ComposerError(
+                "expected a single document in the stream",
+                root_mark,
+                "but found another document",
+                get_event().start_mark,
             )
-        node = Composer.compose_node(self, parent, index)
-        self.depth -= 1
-        return node
+        get_event()
+        _merge(fixups)
+        return root[0]
+
+
+def _duplicate(anchor, first_mark, event):
+    return ComposerError(
+        f"found duplicate anchor {anchor!r}; first occurrence",
+        first_mark,
+        "second occurrence",
+        event.start_mark,
+    )
+
+
+def _unhashable(mark, key_mark):
+    return ConstructorError("while constructing a mapping", mark, "found unhashable key", key_mark)
+
+
+def _merge(fixups):
+    """Put the pairs of each mapping's merge keys before its own pairs.
+
+    fixups holds (depth, mapping, start mark, merge sources) per mapping
+    with merge keys.  This is ``SafeConstructor.flatten_mapping``'s order:
+    the merged mappings in the order of their keys, each list of mappings
+    in reverse, and then the mapping's own pairs, the last pair of a key
+    winning.  As PyYAML constructs, mappings are merged level by level in
+    document order, and each first merges the mappings it names.  A
+    mapping that merges itself there contributes what its later merge keys
+    and its own pairs give; another mapping still being merged (a cycle)
+    contributes its own pairs.
+    """
+    fixups.sort(key=lambda fixup: (fixup[0], fixup[2].index))
+    pending = {id(mapping): (mark, sources) for _, mapping, mark, sources in fixups}
+    for _, first, _, _ in fixups:
+        todo = [(first, None)]
+        while todo:
+            mapping, parts = todo.pop()
+            if parts is None:
+                entry = pending.pop(id(mapping), None)
+                if entry is None:  # merged already, or being merged
+                    continue
+                parts = _merge_parts(*entry)
+                todo.append((mapping, parts))
+                # the sources, popped in the order flatten_mapping visits them
+                todo.extend((source, None) for part in reversed(parts) for source in part)
+                continue
+            tail = dict(mapping)
+            for part in reversed(parts):
+                head = {}
+                for source in part:
+                    head.update(tail if source is mapping else source)
+                head.update(tail)
+                tail = head
+            mapping.clear()
+            mapping.update(tail)
+
+
+def _merge_parts(mark, sources):
+    """The mappings each merge key names, in flatten_mapping's order."""
+    parts = []
+    for value, value_mark, item_marks in sources:
+        if isinstance(value, dict):
+            parts.append([value])
+        elif isinstance(value, list):
+            for item, item_mark in zip(value, item_marks):
+                if not isinstance(item, dict):
+                    kind = "sequence" if isinstance(item, list) else "scalar"
+                    raise ConstructorError(
+                        "while constructing a mapping",
+                        mark,
+                        f"expected a mapping for merging, but found {kind}",
+                        item_mark,
+                    )
+            parts.append(value[::-1])
+        else:
+            raise ConstructorError(
+                "while constructing a mapping",
+                mark,
+                "expected a mapping or list of mappings for merging, but found scalar",
+                value_mark,
+            )
+    return parts
 
 
 def _parse_yaml(text):
@@ -234,11 +467,6 @@ def load_kb_text(text, forgetful=False):
             )
         strategies[str(name)] = dg.GlobalStrategy(locals=locals_)
     return KBDocument(kb=kb, strategies=strategies)
-
-
-def load_kb_document(path, forgetful=False):
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_kb_text(handle.read(), forgetful=forgetful)
 
 
 @dataclass(frozen=True)

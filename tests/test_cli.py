@@ -1,5 +1,7 @@
 """CLI behaviour: reports, exit codes, fixtures, and document parsing."""
 
+import builtins
+import hashlib
 import json
 import math
 import os
@@ -94,6 +96,57 @@ def test_validate_ok(kb_path, capsys):
     assert code == 0
     assert "ok" in stdout
     assert "sha256=" in stdout
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["query", "expected-cost", "--strategy", "always_test_a"]],
+    ids=["validate", "expected-cost"],
+)
+def test_the_kb_is_read_once(kb_path, capsys, monkeypatch, command):
+    """The report's sha256 names the bytes that were answered."""
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        if os.fspath(file) == kb_path:
+            opened.append(file)
+        return open_(file, *args, **kwargs)
+
+    open_ = builtins.open
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, stdout, _ = run(capsys, command[0], kb_path, *command[1:])
+    assert (code, len(opened)) == (0, 1)
+    assert f"sha256={hashlib.sha256(fixture_bytes('idelium')).hexdigest()}" in stdout
+
+
+def test_crlf_and_undecodable_copies_read_as_text_files(tmp_path, capsys):
+    raw = fixture_bytes("idelium")
+    crlf = tmp_path / "crlf.kb"
+    crlf.write_bytes(raw.replace(b"\n", b"\r\n"))
+    argv = ["query", str(crlf), "expected-cost", "--strategy", "always_test_a"]
+    assert run(capsys, *argv) == (
+        0,
+        f"command: {' '.join(argv)}\n"
+        f"input: {crlf} sha256={hashlib.sha256(crlf.read_bytes()).hexdigest()}\n"
+        "tolerance: abs=1e-09\n"
+        "result:\n"
+        "  expected_cost: 2.36\n"
+        "  distribution:\n"
+        "    0: 0.63\n"
+        "    2: 0.28\n"
+        "    5: 0\n"
+        "    20: 0.09\n"
+        "    90: 0\n",
+        "",
+    )
+    bad = tmp_path / "bad.kb"
+    bad.write_bytes(raw + b"# \xff\n")
+    assert run(capsys, "validate", str(bad)) == (
+        2,
+        "",
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position {len(raw) + 2}: "
+        "invalid start byte\n",
+    )
 
 
 def test_validate_violations_exit_one(tmp_path, capsys):
@@ -689,6 +742,24 @@ def test_variable_names_must_be_names(tmp_path, capsys):
     code, stdout, err = run(capsys, "query", str(path), "export-game-tree")
     assert (code, stdout) == (2, "")
     assert "is not a NAME" in err and err.count("\n") == 1
+
+
+def test_a_name_with_a_newline_keeps_one_line_per_violation(tmp_path, capsys):
+    path = tmp_path / "newline.kb"
+    path.write_text(
+        'variables: ["a\\nb"]\n'
+        'nodes:\n'
+        '  "a\\nb": {kind: chance, parents: []}\n'
+        'cost: {parents: [], table: {"": 0}}\n'
+    )
+    code, stdout, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert stdout.endswith(
+        "result:\n"
+        "  violations:\n"
+        "    - 'a\\nb': variable name is not a NAME\n"
+        "    - 'a\\nb': chance node has no CPT\n"
+    )
 
 
 def test_two_to_the_64_pure_strategies_answer_without_enumeration(tmp_path, capsys):

@@ -1,16 +1,24 @@
 """The YAML layer of KB and model documents.
 
-``kbfile._parse_yaml`` reads documents with libyaml; ``yaml.SafeLoader``,
-PyYAML's pure-Python loader, is the reference for the data it returns.
+``kbfile._parse_yaml`` reads documents in one pass over libyaml's events.
+``yaml.SafeLoader``, PyYAML's pure-Python loader, is the reference for the
+data it returns; libyaml's events under PyYAML's Python composer and safe
+constructor are the reference for its error messages.
 """
 
 import contextlib
 import io
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.cyaml import CParser
+from yaml.resolver import Resolver
 
 from cider import kbfile
 from cider.cli import main
@@ -80,6 +88,168 @@ def test_nesting_up_to_the_cap_parses():
 def test_nesting_past_the_cap_is_a_load_error():
     with pytest.raises(KBLoadError, match=f"nested more than {MAX_YAML_DEPTH} levels"):
         kbfile._parse_yaml(_nested(MAX_YAML_DEPTH + 1))
+
+
+def _alias_at_depth(depth):
+    """An alias as the one node at the given depth."""
+    return "[&a x, " + "[" * (depth - 2) + "*a" + "]" * (depth - 2) + "]"
+
+
+def test_an_alias_counts_toward_the_depth_cap():
+    text = _alias_at_depth(MAX_YAML_DEPTH)
+    assert kbfile._parse_yaml(text) == reference(text)
+    text = _alias_at_depth(MAX_YAML_DEPTH + 1)
+    with pytest.raises(KBLoadError) as caught:
+        kbfile._parse_yaml(text)
+    assert str(caught.value) == (
+        f"not valid YAML: nested more than {MAX_YAML_DEPTH} levels deep "
+        f"at line 1, column {text.index('*') + 1}"
+    )
+
+
+# --- against the node path ---------------------------------------------------
+
+
+class _NodeLoader(Composer, CParser, SafeConstructor, Resolver):
+    """libyaml's events under PyYAML's Python composer, which builds one node
+    per scalar, and its safe constructor, which walks the nodes again."""
+
+    def __init__(self, text):
+        CParser.__init__(self, text)
+        Composer.__init__(self)
+        SafeConstructor.__init__(self)
+        Resolver.__init__(self)
+
+
+def _error(parse, text):
+    """(type, one-line message) of the error parse(text) raises, as
+    ``_parse_yaml`` reports a YAML error."""
+    with pytest.raises(ValueError) as caught:
+        try:
+            parse(text)
+        except yaml.YAMLError as exc:
+            raise KBLoadError(f"not valid YAML: {' '.join(str(exc).split())}") from exc
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a: *nope\n",
+        "a: &x 1\nb: &x 2\n",
+        "a: &x {p: 1}\nb: [&x {q: 2}]\n",
+        "{[a]: 1}\n",
+        "? [a]\n: 1\n",
+        "a: &k [1]\nb: {*k: 2}\n",
+        "a: 1\n---\nb: 2\n",
+        "m: {<<: 1}\n",
+        "m: {<<: [1]}\n",
+        "s: &s [{a: 1}, [2]]\nm:\n  x: 1\n  <<: *s\n",
+        "a: !foo x\n",
+        "a: !!python/name:os.system ''\n",
+        "a: !!int abc\n",
+        "a: [1, <<]\n",
+        "a: =\n",
+        "a: !!map x\n",
+        "a: 2001-13-45\n",
+    ],
+    ids=[
+        "undefined-alias",
+        "duplicate-scalar-anchor",
+        "duplicate-mapping-anchor",
+        "unhashable-flow-key",
+        "unhashable-block-key",
+        "unhashable-alias-key",
+        "second-document",
+        "merge-scalar",
+        "merge-list-of-scalar",
+        "merge-alias-list-of-list",
+        "unknown-scalar-tag",
+        "python-tag",
+        "bad-int",
+        "merge-tag-value",
+        "value-tag-value",
+        "map-tag-on-scalar",
+        "bad-timestamp",
+    ],
+)
+def test_errors_match_the_node_path(text):
+    expected = _error(lambda t: _NodeLoader(t).get_single_data(), text)
+    assert _error(kbfile._parse_yaml, text) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a: [!!str 01, !!int '3', !!binary aGVsbG8=, !!float 1, !!bool yes, !!str '']\n"
+        "b: {!!str 1: x, !!null '': y, !!timestamp 2001-12-14: z}\n",
+        "b1: &b1 {x: 1, y: 2}\n"
+        "b2: &b2 {y: 3, z: 4, w: 5}\n"
+        "m: {z: 0, <<: [*b1, *b2], x: 9, =: eq, '<<': quoted}\n"
+        "n: {<<: *b1, <<: {v: 1, <<: *b2}, y: 7}\n",
+        "!!map {a: !!seq [1, ! {b: 2}], c: ! [3]}\n",
+        "a: &x 1\nb: [*x, &y {k: *x}, *y]\nc: *y\n",
+        "m: &m {<<: *m, a: 1, <<: {b: 2}}\nn: &n {c: 3, <<: [*n, *m], a: 4}\n",
+    ],
+    ids=["tagged-scalars", "merge-keys", "tags-on-collections", "aliases", "self-merge"],
+)
+def test_data_and_key_order_match_the_reference(text):
+    data = kbfile._parse_yaml(text)
+    assert data == reference(text)
+    assert repr(data) == repr(reference(text))  # keys in the same order
+
+
+def test_recursive_aliases_refer_to_their_own_collection():
+    data = kbfile._parse_yaml("a: &l [1, *l]\nm: &m {self: *m, v: 1}\n")
+    assert data["a"][1] is data["a"]
+    assert data["m"]["self"] is data["m"]
+    assert data["m"]["v"] == 1
+    reference_data = reference("a: &l [1, *l]\n")
+    assert reference_data["a"][1] is reference_data["a"]
+
+
+@pytest.mark.parametrize(
+    "tagged, tag",
+    [
+        ("!!set {a, b}", "tag:yaml.org,2002:set"),
+        ("!!omap [{a: 1}]", "tag:yaml.org,2002:omap"),
+        ("!!pairs [{a: 1}]", "tag:yaml.org,2002:pairs"),
+        ("!foo {a: 1}", "!foo"),
+        ("!foo [a]", "!foo"),
+        ("!!map [a]", "tag:yaml.org,2002:map"),
+        ("!!seq {a: 1}", "tag:yaml.org,2002:seq"),
+    ],
+)
+def test_tagged_collections_are_refused(tmp_path, tagged, tag):
+    path = tmp_path / "tagged.kb"
+    path.write_text(_KB + f"notes: {tagged}\n", encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert main(["validate", str(path)]) == 2
+    line = _KB.count("\n") + 1
+    assert (stdout.getvalue(), stderr.getvalue()) == (
+        "",
+        f"error: {path}: not valid YAML: tagged collection {tag} at line {line}, column 8\n",
+    )
+
+
+def test_generated_kbs_parse_as_the_reference():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import kbgen
+    finally:
+        sys.path.pop(0)
+    texts = [
+        spec.to_yaml()
+        for workload in ("world-queries", "strategy-search", "small-kbs")
+        for seed in (1, 3, 5)
+        for spec in kbgen.generate(workload, seed)
+    ]
+    assert len(texts) == 3 * 45
+    for text in texts:
+        data = kbfile._parse_yaml(text)
+        assert data == reference(text)
+        assert repr(data) == repr(reference(text))
 
 
 # --- model documents -------------------------------------------------------
