@@ -217,8 +217,7 @@ def _cmd_query(args, argv):
     if sub == "worlds":
         strategy = _strategy(doc, args.strategy, args.forgetful)
         table = dg.WorldTable(kb.diagram)
-        bits = map(kb.diagram.bits, kb.diagram.worlds())
-        rows = zip(bits, table.joint(strategy).tolist(), table.cost.tolist())
+        rows = zip(table.rowkeys(), table.joint(strategy).tolist(), table.cost.tolist())
         lines = ["worlds:"]
         lines.extend(f"  - {b} probability={fmt(p)} cost={fmt(c)}" for b, p, c in rows)
         _report(argv, source, lines)

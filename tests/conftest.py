@@ -1,6 +1,8 @@
 """Shared fixtures and seeded random generators for the test suite."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,21 @@ def idelium():
 @pytest.fixture(scope="session")
 def idelium_model():
     return load_fixture_model()
+
+
+def bench_specs(seeds):
+    """The benchmark's generated KB specs of every workload at the seeds."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import kbgen
+    finally:
+        sys.path.pop(0)
+    return [
+        spec
+        for workload in ("world-queries", "strategy-search", "small-kbs")
+        for seed in seeds
+        for spec in kbgen.generate(workload, seed)
+    ]
 
 
 def all_rowkeys(n):

@@ -1,9 +1,12 @@
-"""Concept parsing, normalization, saturation, and the subsumption suite."""
+"""Concept parsing, the subsumption suite, and the completion's agreement
+with the normalize-and-saturate reference, whose own tests are here too."""
 
 import random
 
 import pytest
 
+from cider import diagram as dg
+from cider.contextual import restriction_groups
 from cider.el import (
     GCI,
     Conjunction,
@@ -14,14 +17,14 @@ from cider.el import (
     TOP,
     check_gci_on_interpretation,
     is_subsumed,
-    normal_form_of,
-    normalize,
     parse_concept,
     print_concept,
-    saturate,
 )
+from cider.kbfile import load_kb_text
 
-from conftest import random_concept, random_tbox
+from conftest import bench_specs, random_concept, random_tbox
+from el_reference import FreshName, normal_form_of, normalize, saturate
+from el_reference import is_subsumed as reference_is_subsumed
 
 
 def N(name):
@@ -85,10 +88,11 @@ def test_concept_name_rejects_reserved():
         ConceptName("top")
     with pytest.raises(ValueError):
         ConceptName("_private")
-    assert ConceptName("_n12")  # internal fresh-name shape is allowed
+    with pytest.raises(ValueError):
+        ConceptName("_n12")
 
 
-# --- normalization ----------------------------------------------------------
+# --- normalization (the reference) ------------------------------------------
 
 
 def test_normalize_empty():
@@ -99,7 +103,7 @@ def test_normalize_existential_conjunction():
     ntbox = normalize([GCI(N("A"), C("(some r (and B C))"))])
     fresh = [n for n in ntbox.name_map if n.startswith("_n")]
     assert len(fresh) == 1
-    x = ConceptName(fresh[0])
+    x = FreshName(fresh[0])
     assert set(ntbox.axioms) == {
         GCI(N("A"), Existential("r", x)),
         GCI(x, N("B")),
@@ -140,7 +144,7 @@ def test_normalize_conservative():
                 assert is_subsumed(tbox, a, b) == is_subsumed(as_tbox, a, b)
 
 
-# --- saturation -------------------------------------------------------------
+# --- saturation (the reference) ---------------------------------------------
 
 
 def test_saturate_empty_is_reflexive():
@@ -221,6 +225,37 @@ SUITE = [
     (SYMPTOMATIC_RESTRICTED, "Subject", "Distance", True),
     (SYMPTOMATIC_RESTRICTED, "Subject", "Benefits", True),
     (SYMPTOMATIC_RESTRICTED, "Subject", "Safe", False),
+    # a filler context that no left-hand side names
+    ([GCI(N("A"), C("(some r (and B C))")), GCI(C("(some r B)"), N("E"))], "A", "E", True),
+    (
+        [GCI(N("A"), C("(some r (and B C))")), GCI(C("(some r (and C B))"), N("E"))],
+        "A",
+        "E",
+        True,
+    ),
+    ([GCI(N("A"), C("(some r (and B C))")), GCI(C("(some r E)"), N("F"))], "A", "F", False),
+    # (some r top) on a left-hand side
+    ([GCI(C("(some r top)"), N("B"))], "(some r A)", "B", True),
+    ([GCI(C("(some r top)"), N("B")), GCI(N("A"), C("(some r C)"))], "A", "B", True),
+    ([GCI(C("(some r top)"), N("B")), GCI(N("A"), C("(some s C)"))], "A", "B", False),
+    # a cycle
+    ([GCI(N("A"), C("(some r A)")), GCI(C("(some r A)"), N("B"))], "A", "B", True),
+    ([GCI(N("A"), C("(some r A)")), GCI(C("(some r A)"), N("B"))], "A", "(some r B)", True),
+    ([GCI(N("A"), C("(some r A)")), GCI(C("(some r A)"), N("B"))], "B", "A", False),
+    # a complex right-hand side absent from the TBox
+    (
+        [GCI(N("A"), N("B")), GCI(N("A"), C("(some r C)"))],
+        "A",
+        "(and B (some r (and C top)))",
+        True,
+    ),
+    ([GCI(N("A"), C("(some r C)"))], "A", "(some r (and C B))", False),
+    # an existential or top as the query's left-hand side
+    ([GCI(N("B"), N("C"))], "(some r B)", "(some r C)", True),
+    ([GCI(N("A"), N("B"))], "(some r A)", "B", False),
+    ([GCI(TOP, C("(some r A)"))], "top", "(some r top)", True),
+    ([GCI(TOP, N("A"))], "top", "(and A top)", True),
+    ([GCI(N("A"), N("B"))], "top", "(some r top)", False),
 ]
 
 
@@ -362,3 +397,37 @@ def test_reflexivity_top_monotonicity_on_random_tboxes():
         a, b = rng.choice(names), rng.choice(names)
         if is_subsumed(smaller, a, b):
             assert is_subsumed(bigger, a, b)
+
+
+# --- agreement with the reference -------------------------------------------
+
+
+def test_completion_agrees_with_the_reference_on_random_tboxes():
+    rng = random.Random(2005)
+    answers = []
+    for _ in range(5000):
+        tbox = random_tbox(rng, max_axioms=10)
+        c = random_concept(rng, depth=rng.randint(0, 3))
+        d = random_concept(rng, depth=rng.randint(0, 3))
+        expected = reference_is_subsumed(tbox, c, d)
+        assert is_subsumed(tbox, c, d) is expected, (tbox, c, d)
+        answers.append(expected)
+    assert set(answers) == {True, False}
+
+
+def test_completion_agrees_with_the_reference_on_the_benchmark_kbs():
+    """Every distinct restricted TBox of every generated KB, with each of
+    the KB's query pairs."""
+    answers = []
+    for spec in bench_specs((1, 3, 5)):
+        kb = load_kb_text(spec.to_yaml()).kb
+        tboxes, _ = restriction_groups(kb.vtbox, dg.WorldTable(kb.diagram))
+        for lhs, rhs in spec.concept_pairs:
+            c, d = C(lhs), C(rhs)
+            for tbox in tboxes:
+                expected = reference_is_subsumed(tbox, c, d)
+                assert is_subsumed(tbox, c, d) is expected, (spec.name, tbox, c, d)
+                answers.append(expected)
+    # world-queries, strategy-search and small-kbs over the three seeds
+    assert len(answers) == 144 + 294 + 1119
+    assert set(answers) == {True, False}

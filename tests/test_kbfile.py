@@ -8,8 +8,6 @@ constructor are the reference for its error messages.
 
 import contextlib
 import io
-import sys
-from pathlib import Path
 
 import pytest
 import yaml
@@ -25,6 +23,8 @@ from cider.cli import main
 from cider.fixtures import fixture_bytes
 from cider.contextual import FALSE, TRUE
 from cider.kbfile import MAX_YAML_DEPTH, KBLoadError, load_kb_text, load_model_text
+
+from conftest import bench_specs
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -234,17 +234,7 @@ def test_tagged_collections_are_refused(tmp_path, tagged, tag):
 
 
 def test_generated_kbs_parse_as_the_reference():
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import kbgen
-    finally:
-        sys.path.pop(0)
-    texts = [
-        spec.to_yaml()
-        for workload in ("world-queries", "strategy-search", "small-kbs")
-        for seed in (1, 3, 5)
-        for spec in kbgen.generate(workload, seed)
-    ]
+    texts = [spec.to_yaml() for spec in bench_specs((1, 3, 5))]
     assert len(texts) == 3 * 45
     for text in texts:
         data = kbfile._parse_yaml(text)

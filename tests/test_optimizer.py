@@ -17,8 +17,6 @@ import functools
 import itertools
 import operator
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +31,7 @@ from cider.evidence import EvidenceQuery, optimistic_expected_cost
 from cider.kbfile import load_kb_text
 
 import sequence_form as sf
-from conftest import random_diagram, random_strategy
+from conftest import bench_specs, random_diagram, random_strategy
 
 
 # --- the recursive reference ------------------------------------------------
@@ -344,17 +342,7 @@ def assert_matches_enumeration(kb, scored, direction, forgetful):
 
 def _bench_kbs():
     """The benchmark's generated KBs of every workload at five seeds."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import kbgen
-    finally:
-        sys.path.pop(0)
-    return [
-        load_kb_text(spec.to_yaml()).kb
-        for workload in ("world-queries", "strategy-search", "small-kbs")
-        for seed in (1, 3, 5, 11, 29)
-        for spec in kbgen.generate(workload, seed)
-    ]
+    return [load_kb_text(spec.to_yaml()).kb for spec in bench_specs((1, 3, 5, 11, 29))]
 
 
 def test_row_wise_optimum_matches_enumeration(random_kb_corpus):
