@@ -217,7 +217,8 @@ def _cmd_query(args, argv):
     if sub == "worlds":
         strategy = _strategy(doc, args.strategy, args.forgetful)
         table = dg.WorldTable(kb.diagram)
-        rows = zip(table.rowkeys(), table.joint(strategy).tolist(), table.cost.tolist())
+        bits = map(kb.diagram.bits, kb.diagram.worlds())
+        rows = zip(bits, table.joint(strategy).tolist(), table.cost.tolist())
         lines = ["worlds:"]
         lines.extend(f"  - {b} probability={fmt(p)} cost={fmt(c)}" for b, p, c in rows)
         _report(argv, source, lines)

@@ -2,11 +2,11 @@
 
 Whether a TBox entails c <= d is decided by one goal-directed
 completion (Baader, Brandt & Lutz, IJCAI 2005), run over subconcepts as
-in Kazakov, Krötzsch & Simančík, "The Incredible ELK" (JAR 2014).  No
-axiom is rewritten and no name is invented.  A context x stands for the
-elements of a concept; it is opened for c and for the filler of every
-derived existential, and S(x) collects the concepts derived to contain
-it, top always among them.  From one work list the rules are
+in Kazakov, Krötzsch & Simančík, "The Incredible ELK" (JAR 2014).  A
+context x stands for the elements of a concept; it is opened for c and
+for the filler of every derived existential, and S(x) collects the
+concepts derived to contain it, top always among them.  From one work
+list the rules are
 
   R⊑   e in S(x) and e <= f told        =>  f in S(x)
   R⊓−  (and e1 e2) in S(x)              =>  e1, e2 in S(x)
