@@ -29,9 +29,10 @@ experiments.
 
 Both are read by ``_parse_yaml``: one pass over the events of libyaml's
 parser builds the data directly, with PyYAML's resolver and safe
-constructors for scalars.  The data equals ``yaml.safe_load``'s, except
-that collections with an explicit tag other than ``!!map`` or ``!!seq``
-are refused, and a document may nest at most ``MAX_YAML_DEPTH`` levels.
+constructors for scalars.  The data equals ``yaml.safe_load``'s, anchors
+and aliases included, except that merge keys (``<<``) and collections
+with an explicit tag other than ``!!map`` or ``!!seq`` are refused, and
+a document may nest at most ``MAX_YAML_DEPTH`` levels.
 """
 
 from dataclasses import dataclass
@@ -100,11 +101,11 @@ class _Loader(CParser, SafeConstructor, Resolver):
     def get_single_data(self):
         """The data of the stream's one document; None for an empty stream.
 
-        The data equals ``yaml.SafeLoader``'s, anchors and merge keys
-        included; composer and constructor errors keep PyYAML's text and
-        marks.  Of several errors in one document, the first met is
-        raised, where PyYAML raises parser and composer errors before
-        constructor errors.
+        The data equals ``yaml.SafeLoader``'s, anchors and aliases included,
+        except that a merge key (``<<``) is refused wherever it stands;
+        composer and constructor errors keep PyYAML's text and marks.  Of
+        several errors in one document, the first met is raised, where
+        PyYAML raises parser and composer errors before constructor errors.
         """
         get_event = self.get_event
         get_event()  # stream start
@@ -113,16 +114,13 @@ class _Loader(CParser, SafeConstructor, Resolver):
         get_event()  # document start
         root_mark = self.peek_event().start_mark
         # what the open collection expects next: an item of a sequence, a
-        # mapping key, the value of a merge key ("<<"), the value of a key
-        # held in `key`, or, for a sequence whose items may be merged, an
-        # item and its mark appended to the list held in `key`
-        in_seq, want_key, merge = object(), object(), object()
+        # mapping key, or the value of the key held in `key`
+        in_seq, want_key = object(), object()
         memo = {}  # plain scalar text -> value; memo itself marks a miss
-        anchors = {}  # name -> (value, start mark, item marks of a sequence)
-        fixups = []  # (depth, mapping, start mark, merge sources)
+        anchors = {}  # name -> (value, start mark)
         stack = []
         root = container = []
-        key, mark, sources = in_seq, None, None
+        key, mark = in_seq, None
         while True:
             event = get_event()
             cls = event.__class__
@@ -139,14 +137,11 @@ class _Loader(CParser, SafeConstructor, Resolver):
                     tag = event.tag
                     if tag is None or tag == "!":
                         tag = self.resolve(ScalarNode, text, event.implicit)
-                    # flatten_mapping reads these two tags off mapping keys,
-                    # and refuses a scalar merge value without constructing it
-                    if key is want_key and tag == "tag:yaml.org,2002:merge":
-                        value = merge
-                    elif key is want_key and tag == "tag:yaml.org,2002:value":
-                        value = text
-                    elif key is merge:
-                        value = text
+                    if tag == "tag:yaml.org,2002:merge":
+                        # a YAML 1.1 type that no field of a KB or model document needs
+                        raise KBLoadError(f"not valid YAML: merge key at {_at(event.start_mark)}")
+                    if key is want_key and tag == "tag:yaml.org,2002:value":
+                        value = text  # as flatten_mapping reads a "=" key
                     else:
                         node = ScalarNode(tag, text, event.start_mark, event.end_mark, event.style)
                         if event.tag is None and event.implicit[0]:
@@ -157,7 +152,7 @@ class _Loader(CParser, SafeConstructor, Resolver):
                         else:
                             value = self.construct_object(node, deep=True)
                     if anchor is not None:
-                        anchors[anchor] = (value, event.start_mark, None)
+                        anchors[anchor] = (value, event.start_mark)
             elif cls is MappingStartEvent or cls is SequenceStartEvent:
                 anchor = event.anchor
                 if anchor in anchors:
@@ -171,16 +166,11 @@ class _Loader(CParser, SafeConstructor, Resolver):
                     )
                 if key is want_key:
                     raise _unhashable(mark, event.start_mark)
-                stack.append((container, key, mark, sources))
-                marked = anchor is not None or key is merge
-                mark, sources = event.start_mark, None
-                if cls is MappingStartEvent:
-                    container, key = {}, want_key
-                else:
-                    container = []
-                    key = [] if marked else in_seq
+                stack.append((container, key, mark))
+                mark = event.start_mark
+                container, key = ({}, want_key) if cls is MappingStartEvent else ([], in_seq)
                 if anchor is not None:
-                    anchors[anchor] = (container, mark, key if marked else None)
+                    anchors[anchor] = (container, mark)
                 # the stack holds one frame per open collection
                 if len(stack) == MAX_YAML_DEPTH and not self.check_event(CollectionEndEvent):
                     raise KBLoadError(
@@ -189,28 +179,17 @@ class _Loader(CParser, SafeConstructor, Resolver):
                     )
                 continue
             elif cls is MappingEndEvent or cls is SequenceEndEvent:
-                if sources:
-                    fixups.append((len(stack), container, mark, sources))
-                value, vmark = container, mark
-                vmarks = key if key.__class__ is list else None
-                container, key, mark, sources = stack.pop()
+                value = container
+                container, key, mark = stack.pop()
             elif cls is AliasEvent:
                 try:
-                    value, vmark, vmarks = anchors[event.anchor]
+                    value, vmark = anchors[event.anchor]
                 except KeyError:
                     raise ComposerError(
                         None, None, f"found undefined alias {event.anchor!r}", event.start_mark
                     ) from None
                 if key is want_key and isinstance(value, (list, dict)):
                     raise _unhashable(mark, vmark)
-                if value is merge and key is not want_key:
-                    raise ConstructorError(
-                        None,
-                        None,
-                        "could not determine a constructor for the tag "
-                        "'tag:yaml.org,2002:merge'",
-                        vmark,
-                    )
             else:  # document end
                 break
 
@@ -218,16 +197,6 @@ class _Loader(CParser, SafeConstructor, Resolver):
                 container.append(value)
             elif key is want_key:
                 key = value
-            elif key is merge:
-                if cls is ScalarEvent:
-                    vmark, vmarks = event.start_mark, None
-                if sources is None:
-                    sources = []
-                sources.append((value, vmark, vmarks))
-                key = want_key
-            elif key.__class__ is list:
-                container.append(value)
-                key.append(event.start_mark if cls is ScalarEvent else vmark)
             else:
                 container[key] = value
                 key = want_key
@@ -240,7 +209,6 @@ class _Loader(CParser, SafeConstructor, Resolver):
                 get_event().start_mark,
             )
         get_event()
-        _merge(fixups)
         return root[0]
 
 
@@ -255,72 +223,6 @@ def _duplicate(anchor, first_mark, event):
 
 def _unhashable(mark, key_mark):
     return ConstructorError("while constructing a mapping", mark, "found unhashable key", key_mark)
-
-
-def _merge(fixups):
-    """Put the pairs of each mapping's merge keys before its own pairs.
-
-    fixups holds (depth, mapping, start mark, merge sources) per mapping
-    with merge keys.  This is ``SafeConstructor.flatten_mapping``'s order:
-    the merged mappings in the order of their keys, each list of mappings
-    in reverse, and then the mapping's own pairs, the last pair of a key
-    winning.  As PyYAML constructs, mappings are merged level by level in
-    document order, and each first merges the mappings it names.  A
-    mapping that merges itself there contributes what its later merge keys
-    and its own pairs give; another mapping still being merged (a cycle)
-    contributes its own pairs.
-    """
-    fixups.sort(key=lambda fixup: (fixup[0], fixup[2].index))
-    pending = {id(mapping): (mark, sources) for _, mapping, mark, sources in fixups}
-    for _, first, _, _ in fixups:
-        todo = [(first, None)]
-        while todo:
-            mapping, parts = todo.pop()
-            if parts is None:
-                entry = pending.pop(id(mapping), None)
-                if entry is None:  # merged already, or being merged
-                    continue
-                parts = _merge_parts(*entry)
-                todo.append((mapping, parts))
-                # the sources, popped in the order flatten_mapping visits them
-                todo.extend((source, None) for part in reversed(parts) for source in part)
-                continue
-            tail = dict(mapping)
-            for part in reversed(parts):
-                head = {}
-                for source in part:
-                    head.update(tail if source is mapping else source)
-                head.update(tail)
-                tail = head
-            mapping.clear()
-            mapping.update(tail)
-
-
-def _merge_parts(mark, sources):
-    """The mappings each merge key names, in flatten_mapping's order."""
-    parts = []
-    for value, value_mark, item_marks in sources:
-        if isinstance(value, dict):
-            parts.append([value])
-        elif isinstance(value, list):
-            for item, item_mark in zip(value, item_marks):
-                if not isinstance(item, dict):
-                    kind = "sequence" if isinstance(item, list) else "scalar"
-                    raise ConstructorError(
-                        "while constructing a mapping",
-                        mark,
-                        f"expected a mapping for merging, but found {kind}",
-                        item_mark,
-                    )
-            parts.append(value[::-1])
-        else:
-            raise ConstructorError(
-                "while constructing a mapping",
-                mark,
-                "expected a mapping or list of mappings for merging, but found scalar",
-                value_mark,
-            )
-    return parts
 
 
 def _parse_yaml(text):
@@ -385,7 +287,10 @@ def _is_number(value):
 def _number(value, what):
     if not _is_number(value):
         raise KBLoadError(f"{what} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the largest float
+        raise KBLoadError(f"{what} is too large for a float") from None
 
 
 def _row_table(raw, what):
@@ -394,9 +299,7 @@ def _row_table(raw, what):
         key = str(k)
         if set(key) - {"0", "1"} and key != "":
             raise KBLoadError(f"{what}: row key {key!r} is not a '0'/'1' string")
-        if not _is_number(v):
-            raise KBLoadError(f"{what}: row {key!r} value is not a number")
-        table[key] = float(v)
+        table[key] = _number(v, f"{what}: row {key!r} value")
     return table
 
 

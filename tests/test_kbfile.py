@@ -3,11 +3,13 @@
 ``kbfile._parse_yaml`` reads documents in one pass over libyaml's events.
 ``yaml.SafeLoader``, PyYAML's pure-Python loader, is the reference for the
 data it returns; libyaml's events under PyYAML's Python composer and safe
-constructor are the reference for its error messages.
+constructor are the reference for its error messages.  Merge keys (``<<``),
+which both references accept, are refused.
 """
 
 import contextlib
 import io
+from pathlib import Path
 
 import pytest
 import yaml
@@ -33,6 +35,22 @@ def reference(text):
     return yaml.load(text, Loader=yaml.SafeLoader)
 
 
+def sharing(data):
+    """The collections of data in walk order, each as the number of its first
+    visit: two loads give the same list when their aliases share alike."""
+    first, order, todo = {}, [], [data]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (list, dict)):
+            if id(item) not in first:
+                todo.extend(reversed(list(item.values() if isinstance(item, dict) else item)))
+            order.append(first.setdefault(id(item), len(first)))
+    return order
+
+
+_KB = fixture_bytes("idelium").decode("utf-8")
+
+
 @pytest.mark.parametrize("name", ["idelium", "idelium_model"])
 def test_bundled_fixtures_parse_as_the_reference(name):
     text = fixture_bytes(name).decode("utf-8")
@@ -43,14 +61,16 @@ def test_anchors_aliases_and_merge_keys():
     text = (
         "base: &row {'0': 1, '1': 0}\n"
         "copy: *row\n"
-        "merged: {<<: *row, '1': 1}\n"
         "list: &l [a, [b, c]]\n"
         "again: [*l, *l]\n"
     )
     data = kbfile._parse_yaml(text)
     assert data == reference(text)
     assert data["copy"] is data["base"]
-    assert data["merged"] == {"0": 1, "1": 1}
+    assert data["again"][0] is data["again"][1] is data["list"]
+    with pytest.raises(KBLoadError) as caught:
+        kbfile._parse_yaml(text + "merged: {<<: *row, '1': 1}\n")
+    assert str(caught.value) == "not valid YAML: merge key at line 5, column 10"
 
 
 _keys = st.sampled_from(["", "0", "01", "001", "1", "10", "D", "TA", "yes", "null"])
@@ -62,18 +82,39 @@ _scalars = (
     | st.text(max_size=8)
     | _keys
 )
-_documents = st.recursive(
-    _scalars,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=4),
-    max_leaves=30,
-)
 
 
-@PROPERTY
-@given(_documents, st.booleans())
-def test_dumped_documents_parse_as_the_reference(data, flow):
-    text = yaml.safe_dump(data, default_flow_style=flow)
-    assert kbfile._parse_yaml(text) == reference(text) == data
+def _collections(inner):
+    """Lists and mappings of inner values, some holding one drawn collection
+    more than once, which ``yaml.safe_dump`` writes as an anchor and aliases."""
+    drawn = st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=4)
+
+    def reusing(shared):
+        item = st.just(shared) | st.just([shared]) | inner
+        return st.lists(item, min_size=2, max_size=4) | st.dictionaries(
+            _keys, item, min_size=2, max_size=4
+        )
+
+    return drawn | drawn.flatmap(reusing)
+
+
+_documents = st.recursive(_scalars, _collections, max_leaves=30)
+
+
+def test_dumped_documents_parse_as_the_reference():
+    anchored = []
+
+    @PROPERTY
+    @given(_documents, st.booleans())
+    def check(data, flow):
+        text = yaml.safe_dump(data, default_flow_style=flow)
+        loaded = kbfile._parse_yaml(text)
+        assert loaded == reference(text) == data
+        assert sharing(loaded) == sharing(reference(text))
+        anchored.append("&id" in text)
+
+    check()
+    assert sum(anchored) >= len(anchored) // 4
 
 
 def _nested(depth):
@@ -142,13 +183,9 @@ def _error(parse, text):
         "? [a]\n: 1\n",
         "a: &k [1]\nb: {*k: 2}\n",
         "a: 1\n---\nb: 2\n",
-        "m: {<<: 1}\n",
-        "m: {<<: [1]}\n",
-        "s: &s [{a: 1}, [2]]\nm:\n  x: 1\n  <<: *s\n",
         "a: !foo x\n",
         "a: !!python/name:os.system ''\n",
         "a: !!int abc\n",
-        "a: [1, <<]\n",
         "a: =\n",
         "a: !!map x\n",
         "a: 2001-13-45\n",
@@ -161,13 +198,9 @@ def _error(parse, text):
         "unhashable-block-key",
         "unhashable-alias-key",
         "second-document",
-        "merge-scalar",
-        "merge-list-of-scalar",
-        "merge-alias-list-of-list",
         "unknown-scalar-tag",
         "python-tag",
         "bad-int",
-        "merge-tag-value",
         "value-tag-value",
         "map-tag-on-scalar",
         "bad-timestamp",
@@ -183,20 +216,23 @@ def test_errors_match_the_node_path(text):
     [
         "a: [!!str 01, !!int '3', !!binary aGVsbG8=, !!float 1, !!bool yes, !!str '']\n"
         "b: {!!str 1: x, !!null '': y, !!timestamp 2001-12-14: z}\n",
+        # keys spelled like a merge key that are not one
         "b1: &b1 {x: 1, y: 2}\n"
         "b2: &b2 {y: 3, z: 4, w: 5}\n"
-        "m: {z: 0, <<: [*b1, *b2], x: 9, =: eq, '<<': quoted}\n"
-        "n: {<<: *b1, <<: {v: 1, <<: *b2}, y: 7}\n",
+        "m: {z: 0, b: [*b1, *b2], x: 9, =: eq, '<<': quoted}\n"
+        "n: {!!str <<: *b1, v: {v: 1, b: *b2}, y: 7}\n",
         "!!map {a: !!seq [1, ! {b: 2}], c: ! [3]}\n",
         "a: &x 1\nb: [*x, &y {k: *x}, *y]\nc: *y\n",
-        "m: &m {<<: *m, a: 1, <<: {b: 2}}\nn: &n {c: 3, <<: [*n, *m], a: 4}\n",
+        # mappings that name themselves
+        "m: &m {self: *m, a: 1, b: {b: 2}}\nn: &n {c: 3, l: [*n, *m], a: 4}\n",
     ],
     ids=["tagged-scalars", "merge-keys", "tags-on-collections", "aliases", "self-merge"],
 )
 def test_data_and_key_order_match_the_reference(text):
     data = kbfile._parse_yaml(text)
-    assert data == reference(text)
-    assert repr(data) == repr(reference(text))  # keys in the same order
+    # repr is equality that also holds on cycles, with the keys in order
+    assert repr(data) == repr(reference(text))
+    assert sharing(data) == sharing(reference(text))
 
 
 def test_recursive_aliases_refer_to_their_own_collection():
@@ -208,28 +244,47 @@ def test_recursive_aliases_refer_to_their_own_collection():
     assert reference_data["a"][1] is reference_data["a"]
 
 
+_NOTES = _KB.count("\n") + 1  # the line of a "notes: " key put after _KB
+
+
+def _merge_key(fragment, line, column, id):
+    return pytest.param(fragment, f"merge key at line {_NOTES + line}, column {column}", id=id)
+
+
 @pytest.mark.parametrize(
-    "tagged, tag",
+    "fragment, message",
     [
-        ("!!set {a, b}", "tag:yaml.org,2002:set"),
-        ("!!omap [{a: 1}]", "tag:yaml.org,2002:omap"),
-        ("!!pairs [{a: 1}]", "tag:yaml.org,2002:pairs"),
-        ("!foo {a: 1}", "!foo"),
-        ("!foo [a]", "!foo"),
-        ("!!map [a]", "tag:yaml.org,2002:map"),
-        ("!!seq {a: 1}", "tag:yaml.org,2002:seq"),
+        pytest.param(tagged, f"tagged collection {tag} at line {_NOTES}, column 8", id=f"{tagged}-{tag}")
+        for tagged, tag in [
+            ("!!set {a, b}", "tag:yaml.org,2002:set"),
+            ("!!omap [{a: 1}]", "tag:yaml.org,2002:omap"),
+            ("!!pairs [{a: 1}]", "tag:yaml.org,2002:pairs"),
+            ("!foo {a: 1}", "!foo"),
+            ("!foo [a]", "!foo"),
+            ("!!map [a]", "tag:yaml.org,2002:map"),
+            ("!!seq {a: 1}", "tag:yaml.org,2002:seq"),
+        ]
+    ]
+    + [
+        _merge_key("{<<: 1}", 0, 9, "merge-scalar"),
+        _merge_key("{<<: [1]}", 0, 9, "merge-list-of-scalar"),
+        _merge_key("&s [{a: 1}, [2]]\nm:\n  x: 1\n  <<: *s", 3, 3, "merge-alias-list-of-list"),
+        _merge_key("\n  a: 1\n  <<: {b: 2}", 2, 3, "merge-block"),
+        _merge_key("{!!merge <<: {a: 1}}", 0, 9, "merge-tag"),
+        _merge_key("{&m <<: {a: 1}}", 0, 9, "merge-anchor"),
+        _merge_key("{a: <<}", 0, 12, "merge-value"),
+        _merge_key("[1, <<]", 0, 12, "merge-tag-value"),
     ],
 )
-def test_tagged_collections_are_refused(tmp_path, tagged, tag):
+def test_tagged_collections_are_refused(tmp_path, fragment, message):
     path = tmp_path / "tagged.kb"
-    path.write_text(_KB + f"notes: {tagged}\n", encoding="utf-8")
+    path.write_text(_KB + f"notes: {fragment}\n", encoding="utf-8")
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         assert main(["validate", str(path)]) == 2
-    line = _KB.count("\n") + 1
     assert (stdout.getvalue(), stderr.getvalue()) == (
         "",
-        f"error: {path}: not valid YAML: tagged collection {tag} at line {line}, column 8\n",
+        f"error: {path}: not valid YAML: {message}\n",
     )
 
 
@@ -244,6 +299,7 @@ def test_generated_kbs_parse_as_the_reference():
 
 # --- model documents -------------------------------------------------------
 
+_HUGE = "1" + "0" * 400  # an integer past the largest float
 _MODEL = (
     "variables: [A, B]\n"
     "domain: [d0]\n"
@@ -260,8 +316,9 @@ _MODEL = (
         ("{world: '01'}", "entries[1]: missing field 'weight'"),
         ("{world: '01', weight: half}", "entries[1]: 'weight' is not a number"),
         ("{world: '011', weight: 0.5}", "entries[1]: world '011' does not match"),
+        (f"{{world: '01', weight: {_HUGE}}}", "entries[1]: 'weight' is too large for a float"),
     ],
-    ids=["missing-world", "missing-weight", "non-numeric-weight", "mismatched-world"],
+    ids=["missing-world", "missing-weight", "non-numeric-weight", "mismatched-world", "huge-weight"],
 )
 def test_bad_model_entry_is_a_load_error(entry, message):
     with pytest.raises(KBLoadError) as caught:
@@ -357,6 +414,39 @@ def test_unquoted_boolean_context_is_the_constant(tmp_path, value, constant):
         assert main(["validate", str(path)]) == 0
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('cpt: {"": 0.3}', f'cpt: {{"": {_HUGE}}}', "node 'D' cpt: row '' value"),
+        ('"000": 20', f'"000": {_HUGE}', "'cost.table': row '000' value"),
+        (
+            'TA: {"0": 1, "1": 0}',
+            f'TA: {{"0": 1, "1": -{_HUGE}}}',
+            "strategy 'test_a_if_clear' for 'TA': row '1' value",
+        ),
+    ],
+    ids=["cpt", "cost", "strategy"],
+)
+def test_row_value_too_large_for_a_float_exits_two(tmp_path, old, new, message):
+    assert old in _KB
+    path = tmp_path / "huge.kb"
+    path.write_text(_KB.replace(old, new, 1), encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert main(["validate", str(path)]) == 2
+    assert (stdout.getvalue(), stderr.getvalue()) == (
+        "",
+        f"error: {path}: {message} is too large for a float\n",
+    )
+
+
+def test_the_documented_format_loads_and_validates():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Document format\n", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert load_kb_text(block).kb.validate() == []
+
+
 # --- mutated documents -----------------------------------------------------
 
 _EDIT_CHARS = "01 :-[]{},'\"\n\t#&*!|>aDSTP.5e"
@@ -376,7 +466,6 @@ def _mutations(draw, text):
     return "".join(chars)
 
 
-_KB = fixture_bytes("idelium").decode("utf-8")
 _QUERIES = (
     ["validate"],
     ["query", "expected-cost", "--strategy", "always_test_a"],
