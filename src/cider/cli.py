@@ -52,9 +52,10 @@ def _report(argv, source, lines, tolerance=None):
     print("\n".join(out))
 
 
-def _load(path, forgetful):
-    """The KB document at path, and the report's name for the bytes read:
-    the path and their SHA-256."""
+def _load(args):
+    """The KB document at args.path, and the report's name for the bytes
+    read: the path and their SHA-256."""
+    path = args.path
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -63,18 +64,18 @@ def _load(path, forgetful):
     try:
         # decoded as open(path, encoding="utf-8").read() would
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-        doc = load_kb_text(text, forgetful=forgetful)
+        doc = load_kb_text(text, args.forgetful)
     except (KBLoadError, ParseError, ValueError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
     return doc, f"{path} sha256={hashlib.sha256(data).hexdigest()}"
 
 
-def _valid_doc(path, forgetful):
-    doc, source = _load(path, forgetful)
+def _valid_doc(args):
+    doc, source = _load(args)
     violations = doc.kb.validate()
     if violations:
         details = "; ".join(str(v) for v in violations)
-        raise _InputError(f"{path}: knowledge base is not valid: {details}")
+        raise _InputError(f"{args.path}: knowledge base is not valid: {details}")
     return doc, source
 
 
@@ -100,13 +101,13 @@ def _formula(text, variables):
     return formula
 
 
-def _strategy(doc, name, forgetful=False):
+def _strategy(doc, name):
     try:
         strategy = doc.strategy(name)
     except KBLoadError as exc:
         raise _InputError(str(exc)) from exc
     dg.check_world_count(doc.kb.diagram)  # before listing the strategy's rows
-    problems = dg.validate_strategy(doc.kb.diagram, strategy, forgetful=forgetful)
+    problems = dg.validate_strategy(doc.kb.diagram, strategy)
     if problems:
         details = "; ".join(str(v) for v in problems)
         raise _InputError(f"strategy {name!r} is not valid: {details}")
@@ -136,7 +137,7 @@ def _conditional_json(result):
 
 
 def _cmd_validate(args, argv):
-    doc, source = _load(args.path, args.forgetful)
+    doc, source = _load(args)
     violations = doc.kb.validate()
     if not violations:
         _report(argv, source, ["ok"])
@@ -161,7 +162,7 @@ def _cmd_fixtures(args, argv):
 
 
 def _cmd_query(args, argv):
-    doc, source = _valid_doc(args.path, args.forgetful)
+    doc, source = _valid_doc(args)
     kb = doc.kb
     sub = args.subcommand
 
@@ -175,7 +176,7 @@ def _cmd_query(args, argv):
         return 0
 
     if sub == "prob-subsume":
-        strategy = _strategy(doc, args.strategy, args.forgetful)
+        strategy = _strategy(doc, args.strategy)
         context = TRUE if args.context is None else _formula(args.context, kb.diagram.variables)
         p = prob_subsumption(
             kb,
@@ -188,7 +189,7 @@ def _cmd_query(args, argv):
         return 0
 
     if sub == "expected-cost":
-        strategy = _strategy(doc, args.strategy, args.forgetful)
+        strategy = _strategy(doc, args.strategy)
         table = dg.WorldTable(kb.diagram)
         dist = table.cost_distribution(strategy)
         lines = [f"expected_cost: {fmt(dg.expected_cost(table, strategy))}"]
@@ -198,7 +199,7 @@ def _cmd_query(args, argv):
         return 0
 
     if sub == "cond-cost":
-        strategy = _strategy(doc, args.strategy, args.forgetful)
+        strategy = _strategy(doc, args.strategy)
         query = _evidence(args.lhs, args.rhs)
         bound = (
             ev.optimistic_expected_cost
@@ -215,7 +216,7 @@ def _cmd_query(args, argv):
         return 0
 
     if sub == "worlds":
-        strategy = _strategy(doc, args.strategy, args.forgetful)
+        strategy = _strategy(doc, args.strategy)
         table = dg.WorldTable(kb.diagram)
         bits = map(kb.diagram.bits, kb.diagram.worlds())
         rows = zip(bits, table.joint(strategy).tolist(), table.cost.tolist())
@@ -261,11 +262,7 @@ def _cmd_query(args, argv):
             )
             query = _evidence(*args.evidence)
         result = opt.optimal_pure_strategy(
-            kb,
-            objective=objective,
-            evidence=query,
-            direction=args.direction,
-            forgetful=args.forgetful,
+            kb, objective=objective, evidence=query, direction=args.direction
         )
         lines = [f"value: {fmt(result.value)}", f"kind: {result.kind}"]
         lines.extend(_strategy_lines(result.strategy))
@@ -284,9 +281,7 @@ def _cmd_query(args, argv):
                 if args.problem == "d-dom-opt"
                 else "dominant-pessimistic"
             )
-            result = opt.optimal_pure_strategy(
-                kb, objective=objective, evidence=query, forgetful=args.forgetful
-            )
+            result = opt.optimal_pure_strategy(kb, objective=objective, evidence=query)
         else:
             if args.evidence:
                 raise _InputError(
@@ -294,9 +289,7 @@ def _cmd_query(args, argv):
                     "only d-dom-opt and d-dom-pes do"
                 )
             direction = "min" if args.problem == "d-opt" else "max"
-            result = opt.optimal_pure_strategy(
-                kb, direction=direction, forgetful=args.forgetful
-            )
+            result = opt.optimal_pure_strategy(kb, direction=direction)
         answer = opt.decide_threshold(result, args.bound, args.problem)
         _report(
             argv,

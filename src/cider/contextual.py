@@ -8,6 +8,7 @@ entry satisfies every contextual axiom and the per-world weight totals
 match the strategy-induced joint distribution.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,11 +374,8 @@ def context_size_cost(kb, mode="axiom-count"):
         else:
             concepts, roles = el.signature(restricted)
             sizes.append(len(concepts) + len(roles))
-    return dg.InfluenceDiagram(
-        variables=d.variables,
-        kinds=dict(d.kinds),
-        parents=dict(d.parents),
-        cpt=dict(d.cpt),
+    return dataclasses.replace(
+        d,
         cost_parents=d.variables,
         cost_table=dict(zip(table.rowkeys(), np.array(sizes)[group].tolist())),
     )

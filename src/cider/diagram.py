@@ -15,6 +15,7 @@ all of them at once as numpy columns; the per-world functions
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,9 @@ class InfluenceDiagram:
 
     cpt maps each chance variable to {rowkey over its parents: P(v=true)}.
     cost_table maps every rowkey over cost_parents to a real cost.
+    forgetful picks every decision's strategy scope (``strategy_scope``):
+    its influence set by default (no-forgetting), or with forgetful=True
+    only its direct parents, as in a LIMID.
     """
 
     variables: tuple
@@ -80,6 +84,7 @@ class InfluenceDiagram:
     cpt: dict
     cost_parents: tuple
     cost_table: dict
+    forgetful: bool = False
 
     @property
     def chance_nodes(self):
@@ -123,11 +128,10 @@ def validate(diagram):
     An empty list means the diagram is well-formed.
     """
     out = []
-    seen = set()
-    for v in diagram.variables:
-        if v in seen:
+    counts = Counter(diagram.variables)  # each distinct variable once, in order
+    for v, count in counts.items():
+        if count > 1:
             out.append(Violation(v, "duplicate variable"))
-        seen.add(v)
         if v in (COST_NODE, "true", "false"):
             out.append(Violation(v, f"variable name {v!r} is reserved"))
         elif not NAME_RE.fullmatch(v):
@@ -135,16 +139,16 @@ def validate(diagram):
         kind = diagram.kinds.get(v)
         if kind not in (CHANCE, DECISION):
             out.append(Violation(v, f"unknown kind {kind!r}"))
-    for v in diagram.variables:
+    for v in counts:
         for p in diagram.parents.get(v, ()):
             if p == COST_NODE:
                 out.append(Violation(COST_NODE, "cost node has outgoing edge"))
-            elif p not in seen:
+            elif p not in counts:
                 out.append(Violation(v, f"unknown parent {p!r}"))
     cycle = _find_cycle(diagram)
     if cycle:
         out.append(Violation(cycle, "parent graph has a cycle through this node"))
-    for v in diagram.variables:
+    for v in counts:
         kind = diagram.kinds.get(v)
         table = diagram.cpt.get(v)
         if kind == DECISION:
@@ -159,7 +163,7 @@ def validate(diagram):
         n = len(diagram.parents.get(v, ()))
         out += _row_violations(v, "CPT", table, n, _bad_probability)
     for p in diagram.cost_parents:
-        if p not in seen:
+        if p not in counts:
             out.append(Violation(COST_NODE, f"unknown cost parent {p!r}"))
         if p == COST_NODE:
             out.append(Violation(COST_NODE, "cost node cannot be its own parent"))
@@ -243,13 +247,11 @@ def influence_set(diagram, decision):
     return decision_ancestors | set(diagram.parents.get(decision, ()))
 
 
-def strategy_scope(diagram, decision, forgetful=False):
-    """Conditioning variables of a local strategy, in declared order.
-
-    Defaults to the influence set (no-forgetting); with forgetful=True
-    only the direct parents condition the choice.
+def strategy_scope(diagram, decision):
+    """Conditioning variables of a local strategy, in declared order: the
+    influence set, or only the direct parents in a forgetful diagram.
     """
-    if forgetful:
+    if diagram.forgetful:
         members = set(diagram.parents.get(decision, ()))
         if diagram.kinds.get(decision) != DECISION:
             raise ValueError(f"{decision!r} is not a decision node")
@@ -274,7 +276,7 @@ class GlobalStrategy:
     locals: dict
 
 
-def validate_strategy(diagram, strategy, forgetful=False):
+def validate_strategy(diagram, strategy):
     """Check totality, row keys and probability range of a global strategy."""
     out = []
     decisions = set(diagram.decision_nodes)
@@ -287,7 +289,7 @@ def validate_strategy(diagram, strategy, forgetful=False):
         )
         return out
     for d, local in strategy.locals.items():
-        expected_scope = strategy_scope(diagram, d, forgetful=forgetful)
+        expected_scope = strategy_scope(diagram, d)
         if tuple(local.scope) != expected_scope:
             out.append(
                 Violation(d, f"scope {local.scope} differs from {expected_scope}")

@@ -44,7 +44,7 @@ def write_fixture(name, out_path):
 
 
 def load_fixture_kb(name="idelium", forgetful=False):
-    return load_kb_text(fixture_bytes(name).decode("utf-8"), forgetful=forgetful)
+    return load_kb_text(fixture_bytes(name).decode("utf-8"), forgetful)
 
 
 def load_fixture_model(name="idelium_model"):

@@ -18,9 +18,10 @@ contextual TBox, and optionally named strategy tables:
 
 Row keys concatenate parent values as '0'/'1' characters in declared
 parent order (quote them: YAML would read a bare 01 as the integer 1).
-Strategy rows are keyed over the decision's conditioning scope, i.e.
-its influence set in declared variable order (just its parents when
-loaded in forgetful mode).
+Strategy rows are keyed over the decision's conditioning scope,
+``diagram.strategy_scope``: its influence set in declared variable
+order, or just its parents when the diagram is loaded as a LIMID (see
+``load_kb_text``).
 
 A model document (see the bundled ``idelium_model`` fixture) instead
 stores an explicit weighted family of world-tagged interpretations plus
@@ -304,6 +305,8 @@ def _row_table(raw, what):
 
 
 def load_kb_text(text, forgetful=False):
+    """The KB document in text; forgetful sets the scope policy of its
+    diagram, under which its strategies are read and optimized."""
     raw = _require_mapping(_parse_yaml(text), "document")
 
     variables = tuple(_names(raw.get("variables"), "'variables'"))
@@ -331,6 +334,7 @@ def load_kb_text(text, forgetful=False):
         cpt=cpt,
         cost_parents=cost_parents,
         cost_table=cost_table,
+        forgetful=forgetful,
     )
 
     vtbox = []
@@ -362,7 +366,7 @@ def load_kb_text(text, forgetful=False):
                 raise KBLoadError(
                     f"strategy {name!r}: {decision!r} is not a decision node"
                 )
-            scope = dg.strategy_scope(diagram, decision, forgetful=forgetful)
+            scope = dg.strategy_scope(diagram, decision)
             locals_[decision] = dg.LocalStrategy(
                 decision=decision,
                 scope=scope,

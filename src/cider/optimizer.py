@@ -94,13 +94,11 @@ def _format_count(log2):
     return str(1 << log2) if log2 <= 62 else f"2^{log2}"
 
 
-def enumerate_pure_strategies(
-    diagram, forgetful=False, cap=DEFAULT_CAP, decisions=None
-):
+def enumerate_pure_strategies(diagram, cap=DEFAULT_CAP, decisions=None):
     """All pure strategies of some decisions (by default every one),
     lexicographic over rows, false before true."""
     decisions = diagram.decision_nodes if decisions is None else tuple(decisions)
-    scopes = {d: strategy_scope(diagram, d, forgetful=forgetful) for d in decisions}
+    scopes = {d: strategy_scope(diagram, d) for d in decisions}
     log2 = sum(2 ** len(scope) for scope in scopes.values())
     if log2 > 62 or (1 << log2) > cap:
         raise EnumerationCapError(
@@ -112,7 +110,7 @@ def enumerate_pure_strategies(
         yield PureStrategy(takes=dict(zip(decisions, takes)), scopes=scopes)
 
 
-def split_decisions(diagram, forgetful=False):
+def split_decisions(diagram):
     """The decisions whose scopes nest (the chain) and the rest.
 
     Walking from the largest strategy scope to the smallest, ties in
@@ -121,10 +119,7 @@ def split_decisions(diagram, forgetful=False):
     largest scope first, the rest in declared order.  Perfect recall is
     an empty rest.
     """
-    scopes = {
-        d: set(strategy_scope(diagram, d, forgetful=forgetful))
-        for d in diagram.decision_nodes
-    }
+    scopes = {d: set(strategy_scope(diagram, d)) for d in diagram.decision_nodes}
     chain = []
     for d in sorted(scopes, key=lambda d: -len(scopes[d])):
         if all(scopes[d] | {d} <= scopes[e] for e in chain):
@@ -146,7 +141,6 @@ def optimal_pure_strategy(
     objective="expected",
     evidence=None,
     direction="min",
-    forgetful=False,
     cap=DEFAULT_CAP,
 ):
     """Best pure strategy, from the one search ``_row_wise_optimum``.
@@ -171,7 +165,7 @@ def optimal_pure_strategy(
     table = dg.WorldTable(kb.diagram)
     signed_cost = sign * table.cost
     if objective == "expected":
-        chain = split_decisions(kb.diagram, forgetful=forgetful)[0]
+        chain = split_decisions(kb.diagram)[0]
 
         def score(w):
             return np.add.accumulate(w * signed_cost)[-1]
@@ -184,7 +178,7 @@ def optimal_pure_strategy(
         def score(w):
             return sign * greedy_bound(table, forced, w, bound_sign).value
 
-    best, pure = _row_wise_optimum(table, signed_cost, chain, score, forgetful, cap)
+    best, pure = _row_wise_optimum(table, signed_cost, chain, score, cap)
     strategy = pure.to_strategy()
     return OptimizationResult(
         value=expected_cost(table, strategy) if objective == "expected" else sign * best,
@@ -194,7 +188,7 @@ def optimal_pure_strategy(
     )
 
 
-def _row_wise_optimum(table, signed_cost, chain, score, forgetful, cap):
+def _row_wise_optimum(table, signed_cost, chain, score, cap):
     """(score, PureStrategy) minimizing score(w) over the joint column w,
     by backward induction over the chain (``split_decisions``' chain, or
     empty) for each pure strategy of the rest, the other decisions.
@@ -209,17 +203,12 @@ def _row_wise_optimum(table, signed_cost, chain, score, forgetful, cap):
     bound.
     """
     diagram = table.diagram
-    scopes = {
-        d: strategy_scope(diagram, d, forgetful=forgetful)
-        for d in diagram.decision_nodes
-    }
+    scopes = {d: strategy_scope(diagram, d) for d in diagram.decision_nodes}
     rest = tuple(d for d in scopes if d not in chain)
     rows = {d: table.code(scopes[d]) for d in scopes}
     chance = table.joint()
     best = None
-    for fixed in enumerate_pure_strategies(
-        diagram, forgetful=forgetful, cap=cap, decisions=rest
-    ):
+    for fixed in enumerate_pure_strategies(diagram, cap=cap, decisions=rest):
         w = chance
         for d in rest:
             w = w * (fixed.takes[d][rows[d]] == table.column(d))

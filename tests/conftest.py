@@ -1,5 +1,6 @@
 """Shared fixtures and seeded random generators for the test suite."""
 
+import dataclasses
 import random
 import sys
 from pathlib import Path
@@ -172,6 +173,13 @@ def random_kb(rng, diagram=None):
         for _ in range(rng.randint(0, 4))
     )
     return KnowledgeBase(diagram=diagram, vtbox=vtbox)
+
+
+def with_scopes(kb, forgetful):
+    """The KB with its diagram's scope policy set: influence sets, or
+    with forgetful=True only the direct parents."""
+    diagram = dataclasses.replace(kb.diagram, forgetful=forgetful)
+    return dataclasses.replace(kb, diagram=diagram)
 
 
 @pytest.fixture(scope="session")

@@ -164,6 +164,70 @@ def test_validate_violations_exit_one(tmp_path, capsys):
     assert "cycle" in stdout
 
 
+_ONE_CHANCE = "  A: {kind: chance, parents: [], cpt: {'': 0.5}}\n"
+_COST_A = "cost: {parents: [A], table: {'0': 0, '1': 1}}\n"
+
+
+@pytest.mark.parametrize(
+    "document, violation",
+    [
+        (
+            "variables: [A]\nnodes:\n  A: {kind: foo, parents: []}\n" + _COST_A,
+            "A: unknown kind 'foo'",
+        ),
+        (
+            "variables: [A]\nnodes:\n"
+            "  A: {kind: chance, parents: [Z], cpt: {'0': 0.5, '1': 0.5}}\n" + _COST_A,
+            "A: unknown parent 'Z'",
+        ),
+        (
+            "variables: [A]\nnodes:\n" + _ONE_CHANCE
+            + "cost: {parents: [Z], table: {'0': 0, '1': 1}}\n",
+            "cost: unknown cost parent 'Z'",
+        ),
+        (
+            "variables: [A]\nnodes:\n"
+            "  A: {kind: chance, parents: [cost], cpt: {'0': 0.5, '1': 0.5}}\n" + _COST_A,
+            "cost: cost node has outgoing edge",
+        ),
+        (
+            "variables: [A]\nnodes:\n" + _ONE_CHANCE
+            + "cost: {parents: [cost], table: {'0': 0, '1': 1}}\n",
+            "cost: cost node cannot be its own parent",
+        ),
+        (
+            "variables: [A, A]\nnodes:\n" + _ONE_CHANCE + _COST_A,
+            "A: duplicate variable",
+        ),
+    ],
+    ids=["kind", "parent", "cost-parent", "cost-edge", "cost-own-parent", "duplicate"],
+)
+def test_validate_reports_each_structural_violation(tmp_path, capsys, document, violation):
+    path = tmp_path / "broken.kb"
+    path.write_text(document)
+    code, stdout, err = run(capsys, "validate", str(path))
+    assert (code, err) == (1, "")
+    assert f"    - {violation}\n" in stdout
+
+
+def test_twice_declared_variable_is_checked_once(tmp_path, capsys):
+    path = tmp_path / "twice.kb"
+    path.write_text(
+        "variables: [A, A]\n"
+        "nodes:\n"
+        "  A: {kind: foo, parents: [Z]}\n"
+        "cost: {parents: [], table: {'': 0}}\n"
+    )
+    code, stdout, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert stdout.split("result:\n", 1)[1] == (
+        "  violations:\n"
+        "    - A: duplicate variable\n"
+        "    - A: unknown kind 'foo'\n"
+        "    - A: unknown parent 'Z'\n"
+    )
+
+
 def _chain(n, closed):
     """V0 -> V1 -> ... -> V(n-1), declared child first, so a depth-first
     search from the first declared variable walks the whole chain;

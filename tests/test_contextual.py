@@ -16,6 +16,7 @@ from cider.contextual import (
     Var,
     build_trivial_model,
     context_size_cost,
+    entailment_column,
     eval_context,
     is_consistent_with,
     is_model,
@@ -25,13 +26,55 @@ from cider.contextual import (
     prob_subsumption,
     prob_subsumption_in_model,
     restrict,
+    restriction_groups,
     satisfies_vgci,
 )
 from cider.el import GCI, ConceptName as N, FiniteInterpretation
+from cider.fixtures import load_fixture_kb
 
 from conftest import random_formula, random_kb, random_strategy
 
 W_EXA = {"D": True, "S": False, "TA": True, "P": False}
+
+
+def test_restriction_groups_past_two_renumberings():
+    """85 axioms: the packed truth-vector key is renumbered densely at
+    axioms 40 and 80.  The axioms form a chain A0 <= A1 <= ... <= A85,
+    so every axiom is distinct and each group is one distinct
+    restriction.  Only the first 21 links have contexts over all four
+    variables; the last 64 see P alone, so packing all 85 bits into one
+    64-bit key without renumbering would drop the bits that tell most
+    worlds apart."""
+    rng = random.Random(7)
+    variables = ("P", "Q", "R", "S")
+    diagram = dg.InfluenceDiagram(
+        variables=variables,
+        kinds=dict.fromkeys(variables, dg.CHANCE),
+        parents=dict.fromkeys(variables, ()),
+        cpt=dict.fromkeys(variables, {"": 0.5}),
+        cost_parents=(),
+        cost_table={"": 0.0},
+    )
+    vtbox = tuple(
+        VGCI(
+            gci=GCI(N(f"A{i}"), N(f"A{i + 1}")),
+            context=random_formula(rng, variables if i < 21 else ("P",)),
+        )
+        for i in range(85)
+    )
+    kb = KnowledgeBase(diagram=diagram, vtbox=vtbox)
+    table = dg.WorldTable(diagram)
+    worlds = list(diagram.worlds())
+    tboxes, group = restriction_groups(vtbox, table)
+    assert [tboxes[g] for g in group.tolist()] == [restrict(vtbox, w) for w in worlds]
+    assert len(set(tboxes)) == len(tboxes) > 1
+    mixed = 0
+    for i, j in [(0, 1), (0, 2), (5, 7), (19, 21), (40, 42), (79, 81), (83, 85)]:
+        lhs, rhs = N(f"A{i}"), N(f"A{j}")
+        column = entailment_column(kb, table, lhs, rhs)
+        assert column.tolist() == [el.is_subsumed(restrict(vtbox, w), lhs, rhs) for w in worlds]
+        mixed += 0 < column.sum() < table.size
+    assert mixed >= 3
 
 
 def test_parse_formula_roundtrip():
@@ -267,6 +310,8 @@ def test_context_size_cost(idelium):
     assert by_names.cost_table[w_bits] == 5
     empty = context_size_cost(KnowledgeBase(diagram=kb.diagram, vtbox=()), "axiom-count")
     assert set(empty.cost_table.values()) == {0}
+    assert not by_axioms.forgetful
+    assert context_size_cost(load_fixture_kb(forgetful=True).kb).forgetful
     with pytest.raises(ValueError):
         context_size_cost(kb, "nonsense")
 

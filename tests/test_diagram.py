@@ -1,5 +1,6 @@
 """Diagram validation, influence sets, joint distribution, and costs."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -133,7 +134,7 @@ def test_influence_set_through_chance_chain():
     assert influence_set(d, "D1") == set()
     assert influence_set(d, "D2") == {"D1", "X"}
     assert strategy_scope(d, "D2") == ("D1", "X")
-    assert strategy_scope(d, "D2", forgetful=True) == ("X",)
+    assert strategy_scope(dataclasses.replace(d, forgetful=True), "D2") == ("X",)
 
 
 def test_joint_probability_fixture_world(idelium):

@@ -31,7 +31,7 @@ from cider.evidence import EvidenceQuery, optimistic_expected_cost
 from cider.kbfile import load_kb_text
 
 import sequence_form as sf
-from conftest import bench_specs, random_diagram, random_strategy
+from conftest import bench_specs, random_diagram, random_strategy, with_scopes
 
 
 # --- the recursive reference ------------------------------------------------
@@ -305,28 +305,28 @@ def test_decide_threshold(idelium):
 # --- the pure optimum, row-wise -----------------------------------------------
 
 
-def enumerated_optimum(diagram, forgetful=False):
+def enumerated_optimum(diagram):
     """Every pure strategy with its expected cost, in enumeration order:
     the oracle for the row-wise solver."""
     table = dg.WorldTable(diagram)
     return [
         (dg.expected_cost(table, pure.to_strategy()), pure)
-        for pure in opt.enumerate_pure_strategies(diagram, forgetful=forgetful)
+        for pure in opt.enumerate_pure_strategies(diagram)
     ]
 
 
-def assert_matches_enumeration(kb, scored, direction, forgetful):
+def assert_matches_enumeration(kb, scored, direction):
     """The optimum equals enumeration's within 1e-12 relative, and so
     does the strategy wherever every strategy within 1e-9 relative of
     the optimum has the same joint (so an optimum that beats the
     runner-up by more, and the false rows no world reaches)."""
     diagram = kb.diagram
-    result = opt.optimal_pure_strategy(kb, direction=direction, forgetful=forgetful)
+    result = opt.optimal_pure_strategy(kb, direction=direction)
     sign = 1.0 if direction == "min" else -1.0
     value, pure = min(scored, key=lambda vp: sign * vp[0])  # first of the best
     scale = max(abs(value), 1.0)
     assert abs(result.value - value) <= 1e-12 * scale
-    assert dg.validate_strategy(diagram, result.strategy, forgetful=forgetful) == []
+    assert dg.validate_strategy(diagram, result.strategy) == []
     assert dg.expected_cost(diagram, result.strategy) == result.value
     table = dg.WorldTable(diagram)
     joint = table.joint(pure.to_strategy())
@@ -348,22 +348,24 @@ def _bench_kbs():
 def test_row_wise_optimum_matches_enumeration(random_kb_corpus):
     rng = random.Random(1)
     cases = [
-        (KnowledgeBase(diagram=random_diagram(rng, n_vars=rng.randint(2, 6)), vtbox=()),
-         forgetful)
+        with_scopes(
+            KnowledgeBase(diagram=random_diagram(rng, n_vars=rng.randint(2, 6)), vtbox=()),
+            forgetful,
+        )
         for _ in range(500)
         for forgetful in (False, True)
     ]
-    cases += [(kb, f) for kb, _ in random_kb_corpus for f in (False, True)]
-    cases += [(kb, False) for kb in _bench_kbs()]
-    splits = [opt.split_decisions(kb.diagram, forgetful=f) for kb, f in cases]
+    cases += [with_scopes(kb, f) for kb, _ in random_kb_corpus for f in (False, True)]
+    cases += _bench_kbs()
+    splits = [opt.split_decisions(kb.diagram) for kb in cases]
     assert any(rest for _, rest in splits)
     assert any(len(chain) >= 2 for chain, _ in splits)
     assert any(len(chain) >= 2 and rest for chain, rest in splits)
     unique = 0
-    for kb, forgetful in cases:
-        scored = enumerated_optimum(kb.diagram, forgetful=forgetful)
+    for kb in cases:
+        scored = enumerated_optimum(kb.diagram)
         for direction in ("min", "max"):
-            unique += assert_matches_enumeration(kb, scored, direction, forgetful)
+            unique += assert_matches_enumeration(kb, scored, direction)
     assert unique > len(cases)  # most optima are unique up to unreached rows
 
 
@@ -389,6 +391,38 @@ def test_split_decisions_of_the_strategy_search_shape():
     message = "^4 pure strategies exceed the cap 3$"
     with pytest.raises(opt.EnumerationCapError, match=message):
         opt.optimal_pure_strategy(kb, cap=3)
+
+
+_LIMID = (
+    "variables: [X, D1, Y, D2]\n"
+    "nodes:\n"
+    "  X: {kind: chance, parents: [], cpt: {'': 0.5}}\n"
+    "  D1: {kind: decision, parents: [X]}\n"
+    "  Y: {kind: chance, parents: [D1], cpt: {'0': 0.2, '1': 0.8}}\n"
+    "  D2: {kind: decision, parents: [Y]}\n"
+    "cost: {parents: [X, D2], table: {'00': 0, '01': 1, '10': 1, '11': 0}}\n"
+    "strategies:\n"
+    "  copy: {D1: {'0': 0, '1': 1}, D2: {'0': 0, '1': 1}}\n"
+    "  never: {D1: {'0': 0, '1': 0}, D2: {'0': 0, '1': 0}}\n"
+)
+
+
+def test_a_forgetful_kb_is_optimized_and_validated_over_parent_scopes():
+    """D2 pays unless it guesses X.  Its influence set holds D1, which
+    can copy X; loaded forgetful, it sees only Y, a noisy copy of D1, so
+    the best pure strategy errs with probability 0.2."""
+    doc = load_kb_text(_LIMID, forgetful=True)
+    result = opt.optimal_pure_strategy(doc.kb)
+    assert result.certificate.scopes == {"D1": ("X",), "D2": ("Y",)}
+    best = min(v for v, _ in enumerated_optimum(doc.kb.diagram))
+    assert result.value == pytest.approx(best, rel=1e-12)
+    assert result.value == pytest.approx(0.2, rel=1e-12)
+    for name in doc.strategies:
+        assert dg.validate_strategy(doc.kb.diagram, doc.strategy(name)) == []
+    assert dg.expected_cost(doc.kb.diagram, doc.strategy("copy")) == result.value
+    recall = opt.optimal_pure_strategy(load_kb_text(_LIMID).kb)
+    assert recall.certificate.scopes["D2"] == ("D1", "Y")
+    assert recall.value == 0.0
 
 
 def test_perfect_recall_enumerates_nothing():

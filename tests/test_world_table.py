@@ -41,6 +41,7 @@ from conftest import (
     random_formula,
     random_kb,
     random_strategy,
+    with_scopes,
 )
 
 
@@ -192,7 +193,8 @@ def _forgets(diagram):
     """Whether some decision's forgetful scope, its parents, differs from
     its influence set."""
     return any(
-        dg.strategy_scope(diagram, x, forgetful=True) != dg.strategy_scope(diagram, x)
+        dg.strategy_scope(dataclasses.replace(diagram, forgetful=True), x)
+        != dg.strategy_scope(diagram, x)
         for x in diagram.decision_nodes
     )
 
@@ -225,20 +227,17 @@ def test_evidence_search_matches_per_world_reference(
         query = EvidenceQuery(random_concept(rng), random_concept(rng))
         rows = reference_rows(kb, s, query.lhs, query.rhs)
         for direction, forgetful in itertools.product(("min", "max"), (False, True)):
+            scoped = with_scopes(kb, forgetful)
             better = 1.0 if direction == "min" else -1.0
             best = None
-            for pure in enumerate_pure_strategies(kb.diagram, forgetful=forgetful):
+            for pure in enumerate_pure_strategies(scoped.diagram):
                 strategy = pure.to_strategy()
                 joint = [dg.joint_probability(kb.diagram, strategy, w) for w, *_ in rows]
                 value = reference_bound(classified(rows, joint), sign)[0]
                 if best is None or better * value < better * best[0]:
                     best = (value, strategy)
             result = optimal_pure_strategy(
-                kb,
-                objective=objective,
-                evidence=query,
-                direction=direction,
-                forgetful=forgetful,
+                scoped, objective=objective, evidence=query, direction=direction
             )
             assert (result.value, result.strategy) == best
 
