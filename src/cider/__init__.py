@@ -8,6 +8,7 @@ strategies and the optimal arbitrary strategy over the game tree, both
 by backward induction over decisions whose scopes nest.
 """
 
+# numpy is bound inside functions: every layer stays imported, for the library and the benchmark's layers
 from . import contextual, diagram, el, evidence, fixtures, kbfile, optimizer, simplex
 
 __all__ = [

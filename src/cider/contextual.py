@@ -11,8 +11,6 @@ match the strategy-induced joint distribution.
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import diagram as dg
 from . import el
 from ._sexpr import Scanner
@@ -182,6 +180,7 @@ def eval_context(world, f):
 
 def eval_context_column(table, f):
     """Truth value of a formula in every world of a ``WorldTable``."""
+    import numpy as np
     if isinstance(f, Truth):
         return np.ones(table.size, dtype=bool)
     if isinstance(f, Falsity):
@@ -236,6 +235,7 @@ def restriction_groups(vtbox, table):
     of its group.  Each world's truth vector is packed into one integer
     key, re-numbered densely every 40 axioms so it fits in 64 bits.
     """
+    import numpy as np
     key = np.zeros(table.size, dtype=np.int64)
     for i, axiom in enumerate(vtbox):
         if i and i % 40 == 0:
@@ -251,6 +251,7 @@ def entailment_column(kb, table, c, d):
 
     Entailment is decided once per distinct axiom-context truth vector.
     """
+    import numpy as np
     tboxes, group = restriction_groups(kb.vtbox, table)
     held = np.array([el.is_subsumed(tbox, c, d) for tbox in tboxes], dtype=bool)
     return held[group]
@@ -296,6 +297,7 @@ def is_tbox_model(pi, vtbox):
 
 def is_consistent_with(pi, diagram, strategy):
     """Per-world weight totals match the strategy-induced joint distribution."""
+    import numpy as np
     table = dg.WorldTable(diagram)
     totals = [0.0] * table.size
     for e in pi.entries:
@@ -362,6 +364,7 @@ def context_size_cost(kb, mode="axiom-count"):
     concept names plus distinct role names in the restricted TBox.  The
     cost node of the returned diagram has every variable as a parent.
     """
+    import numpy as np
     if mode not in ("axiom-count", "vocabulary-size"):
         raise ValueError(f"unknown mode {mode!r}")
     d = kb.diagram

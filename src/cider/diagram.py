@@ -18,8 +18,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._sexpr import NAME_RE
 
 CHANCE = "chance"
@@ -140,10 +138,11 @@ def validate(diagram):
         if kind not in (CHANCE, DECISION):
             out.append(Violation(v, f"unknown kind {kind!r}"))
     for v in counts:
-        for p in diagram.parents.get(v, ()):
-            if p == COST_NODE:
-                out.append(Violation(COST_NODE, "cost node has outgoing edge"))
-            elif p not in counts:
+        parents = diagram.parents.get(v, ())
+        if COST_NODE in parents:
+            out.append(Violation(COST_NODE, f"cost node has outgoing edge to {v!r}"))
+        for p in parents:
+            if p != COST_NODE and p not in counts:
                 out.append(Violation(v, f"unknown parent {p!r}"))
     cycle = _find_cycle(diagram)
     if cycle:
@@ -337,11 +336,13 @@ def check_world_count(diagram):
 
 def _row_array(table, n):
     """A table over n-bit row keys, indexed by the key read in binary."""
+    import numpy as np
     return np.array([table[key] for key in row_keys(n)], dtype=float)
 
 
 def _by_value(table, n):
     """P(v = value | row) at index 2 * row + value."""
+    import numpy as np
     p_true = _row_array(table, n)
     return np.stack([1.0 - p_true, p_true], axis=1).ravel()
 
@@ -359,6 +360,7 @@ class WorldTable:
     """
 
     def __init__(self, diagram):
+        import numpy as np
         check_world_count(diagram)
         n = len(diagram.variables)
         self.diagram = diagram
@@ -379,6 +381,7 @@ class WorldTable:
 
     def code(self, variables):
         """Every world's row key over some variables, as an integer."""
+        import numpy as np
         code = np.zeros(self.size, dtype=np.int32)
         for v in variables:
             code <<= 1
@@ -400,6 +403,7 @@ class WorldTable:
         Factors are multiplied in declared variable order, as
         ``joint_probability`` multiplies them, so the two agree exactly.
         """
+        import numpy as np
         p = np.ones(self.size)
         for v in self.diagram.variables:
             if v in self.chance_rows:
@@ -418,6 +422,7 @@ class WorldTable:
         Added left to right in world order, as a per-world loop adds;
         ``np.sum`` adds pairwise and can differ in the last bits.
         """
+        import numpy as np
         chosen = probability[where]
         return float(np.add.accumulate(chosen)[-1]) if chosen.size else 0.0
 
@@ -428,6 +433,7 @@ class WorldTable:
         value's worlds in world order, as ``mass`` adds them; a value no
         world pays gets 0.0.
         """
+        import numpy as np
         values = self.diagram.cost_values
         index = np.searchsorted(values, self.cost)
         p = np.bincount(index, weights=self.joint(strategy), minlength=len(values))

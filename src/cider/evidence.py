@@ -13,8 +13,6 @@ mask, the strategy's joint probability and the cost.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import diagram as dg
 from . import el
 from .contextual import entailment_column
@@ -72,6 +70,7 @@ def classify_worlds(kb, strategy, query):
 def bit_strings(mask):
     """The worlds where a mask over the world table holds, as bit strings
     in declared variable order; world order is also sorted order."""
+    import numpy as np
     n = (mask.size - 1).bit_length()
     # the leading 1 keeps the zero padding, and leaves "" when n is 0
     return [format(i | 1 << n, "b")[1:] for i in np.flatnonzero(mask).tolist()]
@@ -87,7 +86,7 @@ class ConditionalCostResult:
 
     value: float
     evidence_probability: float
-    included: np.ndarray
+    included: "np.ndarray"
 
     @property
     def included_worlds(self):
@@ -110,6 +109,7 @@ def greedy_bound(table, forced, probability, sign):
     excluded since they cannot change the value.  Running sums add left
     to right, as a per-world loop adds.
     """
+    import numpy as np
     forced, optional = _split(forced, probability)
     cost = table.cost
     if not forced.any():
@@ -161,6 +161,7 @@ def brute_force_conditional_bounds(kb, strategy, query, limit=ORACLE_LIMIT):
     including a world's mass never beats including all of it or none of
     it in a weighted average.  Refuses beyond ``limit`` optional worlds.
     """
+    import numpy as np
     table, forced, probability = classify_worlds(kb, strategy, query)
     forced, optional = _split(forced, probability)
     count = int(np.count_nonzero(optional))

@@ -27,8 +27,6 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import diagram as dg
 from .contextual import entailment_column
 from .diagram import (
@@ -97,6 +95,7 @@ def _format_count(log2):
 def enumerate_pure_strategies(diagram, cap=DEFAULT_CAP, decisions=None):
     """All pure strategies of some decisions (by default every one),
     lexicographic over rows, false before true."""
+    import numpy as np
     decisions = diagram.decision_nodes if decisions is None else tuple(decisions)
     scopes = {d: strategy_scope(diagram, d) for d in decisions}
     log2 = sum(2 ** len(scope) for scope in scopes.values())
@@ -155,6 +154,7 @@ def optimal_pure_strategy(
     evidence entailment do not depend on the strategy and are built
     once.  cap bounds the number of strategies enumerated.
     """
+    import numpy as np
     if objective not in ("expected", "dominant-optimistic", "dominant-pessimistic"):
         raise ValueError(f"unknown objective {objective!r}")
     if objective != "expected" and evidence is None:
@@ -202,6 +202,7 @@ def _row_wise_optimum(table, signed_cost, chain, score, cap):
     the evidence objectives pass an empty chain and score the greedy
     bound.
     """
+    import numpy as np
     diagram = table.diagram
     scopes = {d: strategy_scope(diagram, d) for d in diagram.decision_nodes}
     rest = tuple(d for d in scopes if d not in chain)
@@ -235,6 +236,7 @@ def _chain_pass(table, chain, rows, w, signed_cost):
     row occurs in the table with both values, so the sums cover every
     row.
     """
+    import numpy as np
     takes = {}
     for d in chain:
         column = table.column(d)
@@ -304,7 +306,12 @@ def expansion_order(diagram):
 
 
 def build_game_tree(diagram):
-    """Expand the diagram into a perfect-information tree against chance."""
+    """Expand the diagram into a perfect-information tree against chance.
+
+    A forgetful diagram's decisions see only their parents, which no
+    perfect-information tree models, so it raises ValueError."""
+    if diagram.forgetful:
+        raise ValueError("a forgetful diagram has no perfect-information game tree")
     dg.check_world_count(diagram)  # before ordering a document of any size
     order = expansion_order(diagram)
     table = dg.WorldTable(dataclasses.replace(diagram, variables=order))
@@ -339,8 +346,10 @@ def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
     share of its incoming weight, or uniformly if that weight is 0.  The
     value adds  chance * cost * weight  left to right in world order,
     where weight is the plan entry of the world's last move.  The result
-    is mixed when E > 0 and there is a decision.
+    is mixed when E > 0 and there is a decision.  A forgetful diagram
+    raises ValueError, as ``build_game_tree`` does.
     """
+    import numpy as np
     diagram = getattr(kb_or_diagram, "diagram", kb_or_diagram)
     epsilon = 0.0 if fully_mixed is None else float(fully_mixed)
     if not (np.isfinite(epsilon) and epsilon >= 0.0):

@@ -5,8 +5,6 @@ adequate up to a few thousand variables, which covers every linear
 program this package builds.
 """
 
-import numpy as np
-
 __all__ = ["Infeasible", "SimplexError", "minimize"]
 
 PIVOT_TOL = 1e-9
@@ -33,6 +31,7 @@ def _pivot(tableau, basis, row, col):
 
 def _run(tableau, basis, ncols, max_iter, tol):
     """Optimize the tableau in place; the objective row is the last row."""
+    import numpy as np
     m = tableau.shape[0] - 1
     for _ in range(max_iter):
         eligible = (tableau[-1, :ncols] < -tol).nonzero()[0]
@@ -68,6 +67,7 @@ def minimize(c, A, b, tol=PIVOT_TOL, max_iter=None):
     the artificial variables, and ValueError when an entry of c, A or b
     is not finite.
     """
+    import numpy as np
     A = np.asarray(A, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
     c = np.asarray(c, dtype=float)

@@ -188,7 +188,7 @@ _COST_A = "cost: {parents: [A], table: {'0': 0, '1': 1}}\n"
         (
             "variables: [A]\nnodes:\n"
             "  A: {kind: chance, parents: [cost], cpt: {'0': 0.5, '1': 0.5}}\n" + _COST_A,
-            "cost: cost node has outgoing edge",
+            "cost: cost node has outgoing edge to 'A'",
         ),
         (
             "variables: [A]\nnodes:\n" + _ONE_CHANCE
@@ -208,6 +208,26 @@ def test_validate_reports_each_structural_violation(tmp_path, capsys, document, 
     code, stdout, err = run(capsys, "validate", str(path))
     assert (code, err) == (1, "")
     assert f"    - {violation}\n" in stdout
+
+
+def test_each_cost_edge_names_its_variable(tmp_path, capsys):
+    path = tmp_path / "edges.kb"
+    path.write_text(
+        "variables: [A, B]\n"
+        "nodes:\n"
+        "  A: {kind: chance, parents: [cost], cpt: {'0': 0.5, '1': 0.5}}\n"
+        "  B: {kind: chance, parents: [cost, cost], cpt: {'00': 0.5, '11': 0.5}}\n"
+        "cost: {parents: [], table: {'': 0}}\n"
+    )
+    code, stdout, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert stdout.split("result:\n", 1)[1] == (
+        "  violations:\n"
+        "    - cost: cost node has outgoing edge to 'A'\n"
+        "    - cost: cost node has outgoing edge to 'B'\n"
+        "    - B: missing CPT row '01'\n"
+        "    - B: missing CPT row '10'\n"
+    )
 
 
 def test_twice_declared_variable_is_checked_once(tmp_path, capsys):
@@ -1060,6 +1080,40 @@ def test_deep_yaml_exits_two(tmp_path, capsys, style):
     assert code == 2 and stdout == ""
     assert f"nested more than {kbfile.MAX_YAML_DEPTH} levels deep" in err
     assert err.count("\n") == 1
+
+
+_NUMPY_AFTER_MAIN = (
+    "import sys\n"
+    "from cider.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy' in sys.modules)\n"
+    "raise SystemExit(code)\n"
+)
+
+
+def test_commands_that_tabulate_no_worlds_do_not_import_numpy(tmp_path):
+    """validate, fixtures and subsume --world run in a fresh interpreter
+    without loading numpy; expected-cost, which tabulates, loads it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cider.__file__).parents[1]))
+
+    def loads_numpy(script, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        return proc.stdout.splitlines()[-1] == "True"
+
+    assert not loads_numpy("import sys, cider; print('numpy' in sys.modules)")
+    assert not loads_numpy(_NUMPY_AFTER_MAIN, "fixtures", "idelium")
+    assert not loads_numpy(_NUMPY_AFTER_MAIN, "validate", "idelium.kb")
+    assert not loads_numpy(
+        _NUMPY_AFTER_MAIN, "query", "idelium.kb", "subsume", "--world", "1010", "Subject",
+        "Infectious",
+    )
+    assert loads_numpy(
+        _NUMPY_AFTER_MAIN, "query", "idelium.kb", "expected-cost", "--strategy", "test_a_if_clear"
+    )
 
 
 @pytest.mark.parametrize("style", ["flow", "block"])

@@ -425,6 +425,19 @@ def test_a_forgetful_kb_is_optimized_and_validated_over_parent_scopes():
     assert recall.value == 0.0
 
 
+def test_the_game_tree_refuses_a_forgetful_diagram():
+    """A perfect-information tree would let D2 see X, for a value of 0.0
+    where the forgetful KB's best strategy costs 0.2."""
+    forgetful = load_kb_text(_LIMID, forgetful=True).kb
+    for call in (opt.build_game_tree, opt.optimal_mixed_strategy):
+        with pytest.raises(ValueError, match="forgetful") as info:
+            call(forgetful.diagram)
+        assert "\n" not in str(info.value)
+    with pytest.raises(ValueError, match="forgetful"):
+        opt.optimal_mixed_strategy(forgetful, fully_mixed=0.1)
+    assert opt.optimal_mixed_strategy(load_kb_text(_LIMID).kb).value == 0.0
+
+
 def test_perfect_recall_enumerates_nothing():
     """One decision seeing six variables has 2^64 pure strategies; it is
     a chain by itself, so the optimum needs no enumeration."""
