@@ -6,6 +6,14 @@ interpretation tags finitely many finite EL interpretations with worlds
 and weights; it models a knowledge base w.r.t. a strategy when every
 entry satisfies every contextual axiom and the per-world weight totals
 match the strategy-induced joint distribution.
+
+Whether each world's restricted TBox entails c <= d is one column over
+the world table.  Only the axioms reachable from the names of c can
+fire, and EL entailment is monotone in the axiom set, so one completion
+over all of those axioms, whatever their contexts, rules the inclusion
+out in every world at once; only when it holds there are the worlds
+grouped by the truth vector of those axioms' contexts and each group
+decided.
 """
 
 import dataclasses
@@ -246,14 +254,66 @@ def restriction_groups(vtbox, table):
     return tboxes, group
 
 
+def _signature(concept):
+    """The concept names (as ``el.ConceptName`` nodes) and role names (as
+    strings) of a concept, in one set with the two kinds kept apart."""
+    names, stack = set(), [concept]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, el.ConceptName):
+            names.add(x)
+        elif isinstance(x, el.Conjunction):
+            stack += (x.left, x.right)
+        elif isinstance(x, el.Existential):
+            names.add(x.role)
+            stack.append(x.filler)
+    return names
+
+
+def _reachable(vtbox, c):
+    """The axioms reachable from sig(c), whatever their contexts, in
+    vtbox order.
+
+    An axiom is reachable when every name on its left side is in the
+    signature, which starts as sig(c) and grows by the names on the right
+    side of each reachable axiom (Suntisrivaraporn, ESWC 2008).  Emptying
+    every name outside the final signature in a model of the reachable
+    axioms keeps it a model of them, empties the left side of every other
+    axiom and keeps c, while d can only shrink.  So any subset of vtbox
+    entails c <= d exactly when its reachable members do.
+    """
+    sigma = _signature(c)
+    lhs = [_signature(a.gci.lhs) for a in vtbox]
+    reached = [False] * len(vtbox)
+    grew = True
+    while grew:
+        grew = False
+        for i, axiom in enumerate(vtbox):
+            if not reached[i] and lhs[i] <= sigma:
+                reached[i] = grew = True
+                sigma |= _signature(axiom.gci.rhs)
+    return tuple(a for a, r in zip(vtbox, reached) if r)
+
+
 def entailment_column(kb, table, c, d):
     """Whether each world's restricted TBox entails c <= d.
 
-    Entailment is decided once per distinct axiom-context truth vector.
+    Only the axioms reachable from sig(c) take part.  Entailment is
+    monotone in the axiom set, so when their union does not entail
+    c <= d, no world's restriction does, and the column is all false
+    after one completion.  Otherwise it is decided once per distinct
+    truth vector of the reachable axioms' contexts, and a restriction
+    equal to the union reuses the first answer.
     """
     import numpy as np
-    tboxes, group = restriction_groups(kb.vtbox, table)
-    held = np.array([el.is_subsumed(tbox, c, d) for tbox in tboxes], dtype=bool)
+    reachable = _reachable(kb.vtbox, c)
+    union = frozenset(a.gci for a in reachable)
+    if not el.is_subsumed(union, c, d):
+        return np.zeros(table.size, dtype=bool)
+    tboxes, group = restriction_groups(reachable, table)
+    held = np.array(
+        [tbox == union or el.is_subsumed(tbox, c, d) for tbox in tboxes], dtype=bool
+    )
     return held[group]
 
 

@@ -144,6 +144,7 @@ def validate(diagram):
         for p in parents:
             if p != COST_NODE and p not in counts:
                 out.append(Violation(v, f"unknown parent {p!r}"))
+        out += _duplicates(v, "parent", parents)
     cycle = _find_cycle(diagram)
     if cycle:
         out.append(Violation(cycle, "parent graph has a cycle through this node"))
@@ -166,9 +167,20 @@ def validate(diagram):
             out.append(Violation(COST_NODE, f"unknown cost parent {p!r}"))
         if p == COST_NODE:
             out.append(Violation(COST_NODE, "cost node cannot be its own parent"))
+    out += _duplicates(COST_NODE, "cost parent", diagram.cost_parents)
     n = len(diagram.cost_parents)
     out += _row_violations(COST_NODE, "cost", diagram.cost_table, n, _bad_cost)
     return out
+
+
+def _duplicates(node, noun, parents):
+    """One violation per name listed more than once among the parents,
+    leaving out the cost node, whose every mention is already one."""
+    return [
+        Violation(node, f"duplicate {noun} {p!r}")
+        for p, count in Counter(parents).items()
+        if count > 1 and p != COST_NODE
+    ]
 
 
 def _bad_probability(key, p):

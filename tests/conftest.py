@@ -175,6 +175,31 @@ def random_kb(rng, diagram=None):
     return KnowledgeBase(diagram=diagram, vtbox=vtbox)
 
 
+def reachable_axioms(vtbox, c):
+    """The contextual axioms reachable from sig(c), recomputed from
+    ``el.signature`` until nothing changes: an axiom is reachable when the
+    concept and role names of its left side are among those of c and of
+    the right sides of reachable axioms."""
+    def names(concept):
+        return el.signature([el.GCI(concept, el.TOP)])
+
+    def inside(concept):
+        lhs_concepts, lhs_roles = names(concept)
+        return lhs_concepts <= concepts and lhs_roles <= roles
+
+    concepts, roles = names(c)
+    reached = []
+    while True:
+        new = [a for a in vtbox if a not in reached and inside(a.gci.lhs)]
+        if not new:
+            return [a for a in vtbox if a in reached]
+        reached += new
+        for a in new:
+            more_concepts, more_roles = names(a.gci.rhs)
+            concepts |= more_concepts
+            roles |= more_roles
+
+
 def with_scopes(kb, forgetful):
     """The KB with its diagram's scope policy set: influence sets, or
     with forgetful=True only the direct parents."""

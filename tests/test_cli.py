@@ -199,8 +199,21 @@ _COST_A = "cost: {parents: [A], table: {'0': 0, '1': 1}}\n"
             "variables: [A, A]\nnodes:\n" + _ONE_CHANCE + _COST_A,
             "A: duplicate variable",
         ),
+        (
+            "variables: [A, B]\nnodes:\n"
+            "  A: {kind: chance, parents: [], cpt: {'': 0.5}}\n"
+            "  B: {kind: chance, parents: [A, A], cpt: {'00': 0.1, '01': 0.9, '10': 0.3, '11': 0.7}}\n"
+            + _COST_A,
+            "B: duplicate parent 'A'",
+        ),
+        (
+            "variables: [A]\nnodes:\n" + _ONE_CHANCE
+            + "cost: {parents: [A, A], table: {'00': 0, '01': 5, '10': 7, '11': 1}}\n",
+            "cost: duplicate cost parent 'A'",
+        ),
     ],
-    ids=["kind", "parent", "cost-parent", "cost-edge", "cost-own-parent", "duplicate"],
+    ids=["kind", "parent", "cost-parent", "cost-edge", "cost-own-parent", "duplicate",
+         "duplicate-parent", "duplicate-cost-parent"],
 )
 def test_validate_reports_each_structural_violation(tmp_path, capsys, document, violation):
     path = tmp_path / "broken.kb"
@@ -228,6 +241,41 @@ def test_each_cost_edge_names_its_variable(tmp_path, capsys):
         "    - B: missing CPT row '01'\n"
         "    - B: missing CPT row '10'\n"
     )
+
+
+_TWICE_LISTED_PARENTS = (
+    "variables: [A, B]\n"
+    "nodes:\n"
+    "  A: {kind: chance, parents: [], cpt: {'': 0.5}}\n"
+    "  B: {kind: chance, parents: [A, A], cpt: {'00': 0.1, '01': 0.9, '10': 0.3, '11': 0.7}}\n"
+    "cost: {parents: [B, B], table: {'00': 0, '01': 5, '10': 7, '11': 1}}\n"
+)
+
+
+def test_twice_listed_parents_are_refused(tmp_path, capsys):
+    """Rows 01 and 10 of either table could never be read; validate
+    names each repeated parent once, and every query refuses the KB."""
+    path = tmp_path / "twice.kb"
+    path.write_text(_TWICE_LISTED_PARENTS)
+    code, stdout, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert stdout.split("result:\n", 1)[1] == (
+        "  violations:\n"
+        "    - B: duplicate parent 'A'\n"
+        "    - cost: duplicate cost parent 'B'\n"
+    )
+    for query in (
+        ["expected-cost", "--strategy", "none"],
+        ["subsume", "--world", "10", "A", "B"],
+        ["optimize", "--pure"],
+        ["optimize", "--lp"],
+    ):
+        code, stdout, err = run(capsys, "query", str(path), *query)
+        assert (code, stdout) == (2, ""), query
+        assert err == (
+            f"error: {path}: knowledge base is not valid: "
+            "B: duplicate parent 'A'; cost: duplicate cost parent 'B'\n"
+        )
 
 
 def test_twice_declared_variable_is_checked_once(tmp_path, capsys):
@@ -798,6 +846,7 @@ def test_a_table_over_more_keys_than_the_world_cap_is_one_violation(tmp_path, ca
     assert stdout.endswith(
         "result:\n"
         "  violations:\n"
+        "    - B: duplicate parent 'A'\n"
         "    - B: CPT over 21 keys needs 2^21 rows, past the world cap 1048576\n"
     )
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cider import contextual
 from cider import diagram as dg
 from cider import el
 from cider.contextual import (
@@ -31,8 +32,16 @@ from cider.contextual import (
 )
 from cider.el import GCI, ConceptName as N, FiniteInterpretation
 from cider.fixtures import load_fixture_kb
+from cider.kbfile import load_kb_text
 
-from conftest import random_formula, random_kb, random_strategy
+from conftest import (
+    bench_specs,
+    random_concept,
+    random_formula,
+    random_kb,
+    random_strategy,
+    reachable_axioms,
+)
 
 W_EXA = {"D": True, "S": False, "TA": True, "P": False}
 
@@ -75,6 +84,107 @@ def test_restriction_groups_past_two_renumberings():
         assert column.tolist() == [el.is_subsumed(restrict(vtbox, w), lhs, rhs) for w in worlds]
         mixed += 0 < column.sum() < table.size
     assert mixed >= 3
+
+
+def per_world_column(kb, c, d):
+    """Whether each world's restricted TBox entails c <= d, world by world."""
+    return [el.is_subsumed(restrict(kb.vtbox, w), c, d) for w in kb.diagram.worlds()]
+
+
+def test_entailment_column_matches_per_world_reference_on_random_kbs():
+    rng = random.Random(2008)
+    mixed = pruned = 0
+    for _ in range(4000):
+        kb = random_kb(rng)
+        c, d = random_concept(rng), random_concept(rng)
+        table = dg.WorldTable(kb.diagram)
+        column = entailment_column(kb, table, c, d).tolist()
+        assert column == per_world_column(kb, c, d), (kb.vtbox, c, d)
+        reachable = reachable_axioms(kb.vtbox, c)
+        assert list(contextual._reachable(kb.vtbox, c)) == reachable, (kb.vtbox, c)
+        mixed += 0 < sum(column) < table.size
+        pruned += len(reachable) < len(kb.vtbox)
+    assert mixed >= 100
+    assert pruned >= 100
+
+
+def test_entailment_column_matches_per_world_reference_on_the_benchmark_kbs():
+    """Every generated KB of every workload with each of its query pairs;
+    the reference decides each world's restriction, memoized by the
+    restricted TBox."""
+    columns = []
+    for spec in bench_specs((1, 3, 5)):
+        kb = load_kb_text(spec.to_yaml()).kb
+        table = dg.WorldTable(kb.diagram)
+        restrictions = [restrict(kb.vtbox, w) for w in kb.diagram.worlds()]
+        for lhs, rhs in spec.concept_pairs:
+            c, d = el.parse_concept(lhs), el.parse_concept(rhs)
+            held = {}
+            expected = [
+                held[t] if t in held else held.setdefault(t, el.is_subsumed(t, c, d))
+                for t in restrictions
+            ]
+            column = entailment_column(kb, table, c, d).tolist()
+            assert column == expected, (spec.name, lhs, rhs)
+            columns.append(sum(column) / len(column))
+    assert any(share == 0 for share in columns)
+    assert any(0 < share < 1 for share in columns)
+
+
+def _two_variable_kb(*axioms):
+    """A KB over chance variables X and Y from (lhs, rhs, context) texts."""
+    variables = ("X", "Y")
+    diagram = dg.InfluenceDiagram(
+        variables=variables,
+        kinds=dict.fromkeys(variables, dg.CHANCE),
+        parents=dict.fromkeys(variables, ()),
+        cpt=dict.fromkeys(variables, {"": 0.5}),
+        cost_parents=(),
+        cost_table={"": 0.0},
+    )
+    vtbox = tuple(
+        VGCI(GCI(el.parse_concept(lhs), el.parse_concept(rhs)), parse_formula(context))
+        for lhs, rhs, context in axioms
+    )
+    return KnowledgeBase(diagram=diagram, vtbox=vtbox)
+
+
+@pytest.mark.parametrize(
+    "axioms, query, held, calls",
+    [
+        # a left side of top is reachable from any query
+        ([("top", "A", "X")], ("B", "A"), "0011", 2),
+        # (some r A) <= B fires only once r is in the signature
+        ([("(some r A)", "B", "X")], ("A", "B"), "0000", 1),
+        ([("(some r A)", "B", "X")], ("(some r A)", "B"), "0011", 2),
+        ([("A", "(some r A)", "Y"), ("(some r A)", "B", "X")], ("A", "B"), "0001", 4),
+        # a chain through a right side
+        ([("A", "(some r B)", "X"), ("(some r B)", "C", "Y")], ("A", "C"), "0001", 4),
+        ([("(some r B)", "C", "Y"), ("A", "(some r B)", "X")], ("A", "C"), "0001", 4),
+        # one GCI under two contexts: the worlds where either holds reuse
+        # the first completion
+        ([("A", "B", "X"), ("A", "B", "Y")], ("A", "B"), "0111", 2),
+    ],
+    ids=["top", "role-unreached", "role-in-query", "role-reached",
+         "chain", "chain-reversed", "twice"],
+)
+def test_entailment_column_edge_cases(monkeypatch, axioms, query, held, calls):
+    """Worlds in order XY = 00, 01, 10, 11."""
+    kb = _two_variable_kb(*axioms)
+    c, d = (el.parse_concept(text) for text in query)
+    expected = per_world_column(kb, c, d)
+    assert "".join("1" if h else "0" for h in expected) == held
+    made = []
+    real = el.is_subsumed
+
+    def counting(tbox, c, d):
+        made.append(tbox)
+        return real(tbox, c, d)
+
+    monkeypatch.setattr(el, "is_subsumed", counting)
+    column = entailment_column(kb, dg.WorldTable(kb.diagram), c, d)
+    assert column.tolist() == expected
+    assert len(made) == calls
 
 
 def test_parse_formula_roundtrip():

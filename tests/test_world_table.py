@@ -19,6 +19,7 @@ from cider import diagram as dg
 from cider import el
 from cider.contextual import (
     context_size_cost,
+    entailment_column,
     eval_context,
     prob_subsumption,
     restrict,
@@ -41,6 +42,7 @@ from conftest import (
     random_formula,
     random_kb,
     random_strategy,
+    reachable_axioms,
     with_scopes,
 )
 
@@ -243,7 +245,12 @@ def test_evidence_search_matches_per_world_reference(
 
 
 def test_entailment_decided_once_per_truth_vector(idelium, monkeypatch):
+    """One completion over the axioms the query's left side reaches, then
+    at most one per distinct truth vector of their contexts, and only the
+    first when it finds no entailment."""
     kb = idelium.kb
+    table = dg.WorldTable(kb.diagram)
+    worlds = list(kb.diagram.worlds())
     calls = []
     real = el.is_subsumed
 
@@ -252,12 +259,25 @@ def test_entailment_decided_once_per_truth_vector(idelium, monkeypatch):
         return real(tbox, c, d)
 
     monkeypatch.setattr(el, "is_subsumed", counting)
-    prob_subsumption(kb, idelium.strategy("uniform"), N("Subject"), N("Infectious"))
-    vectors = {
-        tuple(eval_context(w, a.context) for a in kb.vtbox) for w in kb.diagram.worlds()
-    }
-    assert 1 < len(vectors) < 16
-    assert len(calls) == len(vectors)
+    for lhs, rhs, n_reachable in [
+        ("Subject", "Infectious", 5),  # entailed where D holds
+        ("Subject", "Distance", 5),  # entailed where S holds
+        ("Control", "Infectious", 2),  # reaches two axioms, entailed nowhere
+        ("Infectious", "Subject", 0),  # reaches no axiom
+    ]:
+        c, d = N(lhs), N(rhs)
+        calls.clear()
+        column = entailment_column(kb, table, c, d)
+        n_calls = len(calls)
+        expected = [real(restrict(kb.vtbox, w), c, d) for w in worlds]
+        assert column.tolist() == expected, (lhs, rhs)
+        reachable = reachable_axioms(kb.vtbox, c)
+        assert len(reachable) == n_reachable
+        vectors = {tuple(eval_context(w, a.context) for a in reachable) for w in worlds}
+        if any(expected):
+            assert n_calls <= 1 + len(vectors)
+        else:
+            assert n_calls == 1
 
 
 def test_world_cap_refuses_before_allocating():
