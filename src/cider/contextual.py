@@ -8,15 +8,14 @@ entry satisfies every contextual axiom and the per-world weight totals
 match the strategy-induced joint distribution.
 
 Whether each world's restricted TBox entails c <= d is one column over
-the world table.  Only the axioms reachable from the names of c can
-fire, and EL entailment is monotone in the axiom set, so one completion
-over all of those axioms, whatever their contexts, rules the inclusion
-out in every world at once; only when it holds there are the worlds
+the world table.  One completion over every axiom, whatever its
+context, rules the inclusion out in every world at once, since EL
+entailment is monotone in the axiom set.  When it holds there, only the
+axioms that completion fired can fire in any world, so the worlds are
 grouped by the truth vector of those axioms' contexts and each group
 decided.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 from . import diagram as dg
@@ -54,7 +53,6 @@ __all__ = [
     "build_trivial_model",
     "prob_subsumption_in_model",
     "prob_subsumption",
-    "context_size_cost",
 ]
 
 
@@ -244,75 +242,45 @@ def restriction_groups(vtbox, table):
     key, re-numbered densely every 40 axioms so it fits in 64 bits.
     """
     import numpy as np
+    truth = np.empty((len(vtbox), table.size), dtype=bool)
     key = np.zeros(table.size, dtype=np.int64)
     for i, axiom in enumerate(vtbox):
         if i and i % 40 == 0:
             key = np.unique(key, return_inverse=True)[1]
-        key = (key << 1) | eval_context_column(table, axiom.context)
+        truth[i] = eval_context_column(table, axiom.context)
+        key = (key << 1) | truth[i]
     _keys, first, group = np.unique(key, return_index=True, return_inverse=True)
-    tboxes = [restrict(vtbox, table.world(i)) for i in first.tolist()]
+    tboxes = [
+        frozenset(a.gci for a, held in zip(vtbox, row) if held)
+        for row in truth[:, first].T.tolist()
+    ]
     return tboxes, group
-
-
-def _signature(concept):
-    """The concept names (as ``el.ConceptName`` nodes) and role names (as
-    strings) of a concept, in one set with the two kinds kept apart."""
-    names, stack = set(), [concept]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, el.ConceptName):
-            names.add(x)
-        elif isinstance(x, el.Conjunction):
-            stack += (x.left, x.right)
-        elif isinstance(x, el.Existential):
-            names.add(x.role)
-            stack.append(x.filler)
-    return names
-
-
-def _reachable(vtbox, c):
-    """The axioms reachable from sig(c), whatever their contexts, in
-    vtbox order.
-
-    An axiom is reachable when every name on its left side is in the
-    signature, which starts as sig(c) and grows by the names on the right
-    side of each reachable axiom (Suntisrivaraporn, ESWC 2008).  Emptying
-    every name outside the final signature in a model of the reachable
-    axioms keeps it a model of them, empties the left side of every other
-    axiom and keeps c, while d can only shrink.  So any subset of vtbox
-    entails c <= d exactly when its reachable members do.
-    """
-    sigma = _signature(c)
-    lhs = [_signature(a.gci.lhs) for a in vtbox]
-    reached = [False] * len(vtbox)
-    grew = True
-    while grew:
-        grew = False
-        for i, axiom in enumerate(vtbox):
-            if not reached[i] and lhs[i] <= sigma:
-                reached[i] = grew = True
-                sigma |= _signature(axiom.gci.rhs)
-    return tuple(a for a, r in zip(vtbox, reached) if r)
 
 
 def entailment_column(kb, table, c, d):
     """Whether each world's restricted TBox entails c <= d.
 
-    Only the axioms reachable from sig(c) take part.  Entailment is
-    monotone in the axiom set, so when their union does not entail
-    c <= d, no world's restriction does, and the column is all false
-    after one completion.  Otherwise it is decided once per distinct
-    truth vector of the reachable axioms' contexts, and a restriction
-    equal to the union reuses the first answer.
+    One completion runs over every axiom, whatever its context.
+    Entailment is monotone in the axiom set, so when it does not derive
+    d for c, no world's restriction entails c <= d, and the column is
+    all false.  Otherwise let F be the axioms whose left side it derives
+    in some context.  The full completion applies every rule that the
+    completion over a subset R of the axioms applies, so an axiom outside
+    F never fires under R, and R entails c <= d exactly when its axioms
+    in F do.  The column is then decided once per distinct truth vector
+    of F's contexts, and a restriction equal to F reuses the first
+    answer.
     """
     import numpy as np
-    reachable = _reachable(kb.vtbox, c)
-    union = frozenset(a.gci for a in reachable)
-    if not el.is_subsumed(union, c, d):
+    subsumers = el._completion([a.gci for a in kb.vtbox], c, d)
+    if d not in subsumers[c]:
         return np.zeros(table.size, dtype=bool)
-    tboxes, group = restriction_groups(reachable, table)
+    derived = set().union(*subsumers.values())
+    fired = tuple(a for a in kb.vtbox if a.gci.lhs in derived)
+    fired_tbox = frozenset(a.gci for a in fired)
+    tboxes, group = restriction_groups(fired, table)
     held = np.array(
-        [tbox == union or el.is_subsumed(tbox, c, d) for tbox in tboxes], dtype=bool
+        [tbox == fired_tbox or el.is_subsumed(tbox, c, d) for tbox in tboxes], dtype=bool
     )
     return held[group]
 
@@ -415,30 +383,3 @@ def prob_subsumption(kb, strategy, c, d, context=TRUE):
     table = dg.WorldTable(kb.diagram)
     excluded = eval_context_column(table, context) & ~entailment_column(kb, table, c, d)
     return max(0.0, 1.0 - table.mass(table.joint(strategy), excluded))
-
-
-def context_size_cost(kb, mode="axiom-count"):
-    """Derived diagram whose cost is the size of the per-world restriction.
-
-    mode "axiom-count" counts axioms; "vocabulary-size" counts distinct
-    concept names plus distinct role names in the restricted TBox.  The
-    cost node of the returned diagram has every variable as a parent.
-    """
-    import numpy as np
-    if mode not in ("axiom-count", "vocabulary-size"):
-        raise ValueError(f"unknown mode {mode!r}")
-    d = kb.diagram
-    table = dg.WorldTable(d)
-    tboxes, group = restriction_groups(kb.vtbox, table)
-    sizes = []
-    for restricted in tboxes:
-        if mode == "axiom-count":
-            sizes.append(len(restricted))
-        else:
-            concepts, roles = el.signature(restricted)
-            sizes.append(len(concepts) + len(roles))
-    return dataclasses.replace(
-        d,
-        cost_parents=d.variables,
-        cost_table=dict(zip(table.rowkeys(), np.array(sizes)[group].tolist())),
-    )

@@ -455,9 +455,6 @@ class WorldTable:
         """Every world's row key over all variables, in table order."""
         return row_keys(len(self.diagram.variables))
 
-    def world(self, i):
-        return dict(zip(self.diagram.variables, self.values[:, i].tolist()))
-
     def index(self, world):
         return int(self.diagram.bits(world) or "0", 2)
 

@@ -163,6 +163,14 @@ def is_subsumed(tbox, c, d):
     module docstring describes; the answer is whether d is derived in
     the context of c.
     """
+    return d in _completion(tbox, c, d)[c]
+
+
+def _completion(tbox, c, d):
+    """S(x) for every context x of the completion for c <= d, keyed by x.
+
+    A told axiom fires exactly when its left side is in some S(x).
+    """
     told = {}  # lhs -> [rhs]
     for gci in tbox:
         told.setdefault(gci.lhs, []).append(gci.rhs)
@@ -215,7 +223,7 @@ def is_subsumed(tbox, c, d):
                 links[y].add((x, e.role))
                 for f in subsumers[y]:
                     work += ((x, ex) for r, ex in existentials.get(f, ()) if r == e.role)
-    return d in subsumers[c]
+    return subsumers
 
 
 @dataclass(frozen=True)

@@ -315,7 +315,8 @@ def load_kb_text(text, forgetful=False):
     nodes = _str_keys(_require_mapping(raw.get("nodes", {}), "'nodes'"))
     for v in variables:
         spec = _require_mapping(nodes.get(v, {}), f"node {v!r}")
-        kinds[v] = spec.get("kind")
+        kind = spec.get("kind")
+        kinds[v] = None if kind is None else _text(kind, f"node {v!r}: 'kind'")
         parents[v] = tuple(_names(spec.get("parents", []), f"node {v!r}: 'parents'"))
         if "cpt" in spec:
             cpt[v] = _row_table(spec["cpt"], f"node {v!r} cpt")

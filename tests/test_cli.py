@@ -176,6 +176,14 @@ _COST_A = "cost: {parents: [A], table: {'0': 0, '1': 1}}\n"
             "A: unknown kind 'foo'",
         ),
         (
+            "variables: [A]\nnodes:\n  A: {kind: null, parents: []}\n" + _COST_A,
+            "A: unknown kind None",
+        ),
+        (
+            "variables: [A]\nnodes:\n  A: {parents: []}\n" + _COST_A,
+            "A: unknown kind None",
+        ),
+        (
             "variables: [A]\nnodes:\n"
             "  A: {kind: chance, parents: [Z], cpt: {'0': 0.5, '1': 0.5}}\n" + _COST_A,
             "A: unknown parent 'Z'",
@@ -212,7 +220,7 @@ _COST_A = "cost: {parents: [A], table: {'0': 0, '1': 1}}\n"
             "cost: duplicate cost parent 'A'",
         ),
     ],
-    ids=["kind", "parent", "cost-parent", "cost-edge", "cost-own-parent", "duplicate",
+    ids=["kind", "null-kind", "missing-kind", "parent", "cost-parent", "cost-edge", "cost-own-parent", "duplicate",
          "duplicate-parent", "duplicate-cost-parent"],
 )
 def test_validate_reports_each_structural_violation(tmp_path, capsys, document, violation):

@@ -357,8 +357,11 @@ _AXIOM = "{lhs: Subject, rhs: Infectious, context: D}"
         (_AXIOM, "{lhs: 5, rhs: B}", "tbox[0]: 'lhs' must be a string, got int"),
         ("parents: [D], cpt", f"parents: {_DEEP}, cpt", "node 'S': 'parents' must be"),
         ("parents: [D, P, TA]", f"parents: [D, {_DEEP}]", "'cost.parents' must be"),
+        # validate would print the kind in an 'unknown kind' violation
+        ("D: {kind: chance,", "D: {kind: [chance],", "node 'D': 'kind' must be a string, got list"),
+        ("D: {kind: chance,", f"D: {{kind: {_DEEP},", "node 'D': 'kind' must be a string, got list"),
     ],
-    ids=["lhs", "rhs", "context", "int-lhs", "parents", "cost-parents"],
+    ids=["lhs", "rhs", "context", "int-lhs", "parents", "cost-parents", "kind", "alias-kind"],
 )
 def test_kb_field_that_is_not_a_string_is_a_load_error(tmp_path, old, new, message):
     assert old in _KB
@@ -368,10 +371,13 @@ def test_kb_field_that_is_not_a_string_is_a_load_error(tmp_path, old, new, messa
     assert str(caught.value).startswith(message)
     path = tmp_path / "alias.kb"
     path.write_text(text, encoding="utf-8")
-    stderr = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        assert main(["validate", str(path)]) == 2
-    assert message in stderr.getvalue() and stderr.getvalue().count("\n") == 1
+    for argv in (["validate", str(path)],
+                 ["query", str(path), "prob-subsume", "--strategy", "always_test_a",
+                  "Subject", "Infectious"]):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            assert main(argv) == 2
+        assert message in stderr.getvalue() and stderr.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize(

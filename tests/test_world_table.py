@@ -18,7 +18,6 @@ import pytest
 from cider import diagram as dg
 from cider import el
 from cider.contextual import (
-    context_size_cost,
     entailment_column,
     eval_context,
     prob_subsumption,
@@ -172,9 +171,6 @@ def test_table_matches_per_world_reference(random_kb_corpus):
         assert dg.cost_distribution(kb.diagram, s) == dist
         assert dg.expected_cost(kb.diagram, s) == sum(r * p for r, p in dist.items())
 
-        sizes = {b: len(restrict(kb.vtbox, w)) for w, b, *_ in rows}
-        assert context_size_cost(kb).cost_table == sizes
-
 
 @pytest.mark.parametrize("bound, sign", [
     (optimistic_expected_cost, +1), (pessimistic_expected_cost, -1),
@@ -245,20 +241,20 @@ def test_evidence_search_matches_per_world_reference(
 
 
 def test_entailment_decided_once_per_truth_vector(idelium, monkeypatch):
-    """One completion over the axioms the query's left side reaches, then
-    at most one per distinct truth vector of their contexts, and only the
-    first when it finds no entailment."""
+    """One completion over every axiom, then at most one per distinct
+    truth vector of the contexts of the axioms the query's left side
+    reaches, and only the first when it finds no entailment."""
     kb = idelium.kb
     table = dg.WorldTable(kb.diagram)
     worlds = list(kb.diagram.worlds())
     calls = []
-    real = el.is_subsumed
+    real = el._completion
 
     def counting(tbox, c, d):
         calls.append(tbox)
         return real(tbox, c, d)
 
-    monkeypatch.setattr(el, "is_subsumed", counting)
+    monkeypatch.setattr(el, "_completion", counting)
     for lhs, rhs, n_reachable in [
         ("Subject", "Infectious", 5),  # entailed where D holds
         ("Subject", "Distance", 5),  # entailed where S holds
@@ -269,7 +265,7 @@ def test_entailment_decided_once_per_truth_vector(idelium, monkeypatch):
         calls.clear()
         column = entailment_column(kb, table, c, d)
         n_calls = len(calls)
-        expected = [real(restrict(kb.vtbox, w), c, d) for w in worlds]
+        expected = [el.is_subsumed(restrict(kb.vtbox, w), c, d) for w in worlds]
         assert column.tolist() == expected, (lhs, rhs)
         reachable = reachable_axioms(kb.vtbox, c)
         assert len(reachable) == n_reachable
