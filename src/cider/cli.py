@@ -126,7 +126,7 @@ def _strategy_lines(strategy):
 
 
 def _conditional_json(result):
-    worlds = ", ".join(f'"{b}"' for b in ev.bit_strings(result.included))
+    worlds = ", ".join(f'"{b}"' for b in dg.bit_strings(result.included))
     return (
         "{"
         + f'"value": {fmt(result.value)}, '

@@ -4,7 +4,11 @@ A diagram is a DAG of chance and decision variables plus one cost node.
 Chance variables carry conditional probability tables; decision
 variables are resolved by strategies supplied separately.  Table rows
 are keyed by the parent values concatenated as '0'/'1' characters in
-declared parent order (the root row key is the empty string).
+declared parent order (the root row key is the empty string).  Past
+the loader, only this module spells row keys (``row_keys``,
+``bit_strings``) and reads or writes row tables: ``WorldTable.gather``
+reads a CPT, strategy or cost row for every world, and
+``local_strategy`` writes a column over scope rows as a strategy table.
 
 Worlds (total valuations) are plain ``{variable: bool}`` mappings and
 are always enumerated in binary counting order over the declared
@@ -37,6 +41,8 @@ __all__ = [
     "check_world_count",
     "row_keys",
     "rowkey",
+    "bit_strings",
+    "local_strategy",
     "world_from_bits",
     "validate",
     "validate_strategy",
@@ -63,6 +69,16 @@ def world_from_bits(bits, variables):
 def row_keys(n):
     """Every row key over n variables, in binary counting order."""
     return ["".join(bits) for bits in itertools.product("01", repeat=n)]
+
+
+def bit_strings(mask):
+    """Row keys of the rows where a mask holds, for a mask over all 2^n
+    rows of n variables (such as the world table's worlds), in row
+    order, which is also sorted order."""
+    import numpy as np
+    n = (mask.size - 1).bit_length()
+    # the leading 1 keeps the zero padding, and leaves "" when n is 0
+    return [format(i | 1 << n, "b")[1:] for i in np.flatnonzero(mask).tolist()]
 
 
 @dataclass(frozen=True)
@@ -280,6 +296,13 @@ class LocalStrategy:
     table: dict
 
 
+def local_strategy(decision, scope, column):
+    """The local strategy whose table holds a column over the scope rows,
+    row r being the row whose key reads r in binary."""
+    rows = dict(zip(row_keys(len(scope)), column.astype(float).tolist()))
+    return LocalStrategy(decision=decision, scope=scope, table=rows)
+
+
 @dataclass(frozen=True)
 class GlobalStrategy:
     """One local strategy per decision node."""
@@ -352,23 +375,15 @@ def _row_array(table, n):
     return np.array([table[key] for key in row_keys(n)], dtype=float)
 
 
-def _by_value(table, n):
-    """P(v = value | row) at index 2 * row + value."""
-    import numpy as np
-    p_true = _row_array(table, n)
-    return np.stack([1.0 - p_true, p_true], axis=1).ravel()
-
-
 class WorldTable:
     """Every world of a diagram as columns over the world index.
 
     World i is the i-th valuation in binary counting order, so the first
     declared variable is its most significant bit.  ``values`` holds one
     Boolean row per variable and ``cost`` the cost of every world.
-    Factors are gathered from the small CPT and strategy rows on each
-    ``joint`` call rather than kept as one column per variable.  A table
-    is built per query and holds nothing beyond the diagram's own data,
-    so no result is kept from one call to the next.
+    ``gather`` is the one reader of row tables: it gives every world its
+    row of a CPT, a local strategy or the cost table.  A table is built
+    per query and keeps no result from one call to the next.
     """
 
     def __init__(self, diagram):
@@ -382,10 +397,6 @@ class WorldTable:
         self.values = np.empty((n, self.size), dtype=bool)
         for j in range(n):
             self.values[j] = (index >> (n - 1 - j)) & 1
-        self.chance_rows = {
-            v: _by_value(diagram.cpt[v], len(diagram.parents.get(v, ())))
-            for v in diagram.chance_nodes
-        }
         self.cost = self.gather(diagram.cost_table, diagram.cost_parents)
 
     def column(self, v):
@@ -404,27 +415,27 @@ class WorldTable:
         """Every world's entry of a table keyed by row keys over scope."""
         return _row_array(table, len(scope))[self.code(scope)]
 
-    def _factor(self, by_value, scope, v):
-        """Probability of v's value given the scope row, in every world."""
-        return by_value[2 * self.code(scope) + self.column(v)]
-
     def joint(self, strategy=None):
         """Joint probability of every world under a strategy, or with no
         strategy the product of the chance factors alone.
 
-        Factors are multiplied in declared variable order, as
-        ``joint_probability`` multiplies them, so the two agree exactly.
+        A factor is P(v true) gathered from v's CPT or local strategy
+        where v holds, and 1 - P(v true) where it does not.  Factors are
+        multiplied in declared variable order, as ``joint_probability``
+        multiplies them, so the two agree exactly.
         """
         import numpy as np
+        diagram = self.diagram
         p = np.ones(self.size)
-        for v in self.diagram.variables:
-            if v in self.chance_rows:
-                scope = self.diagram.parents.get(v, ())
-                p *= self._factor(self.chance_rows[v], scope, v)
+        for v in diagram.variables:
+            if diagram.kinds[v] == CHANCE:
+                p_true = self.gather(diagram.cpt[v], diagram.parents.get(v, ()))
             elif strategy is not None:
                 local = strategy.locals[v]
-                rows = _by_value(local.table, len(local.scope))
-                p *= self._factor(rows, local.scope, v)
+                p_true = self.gather(local.table, local.scope)
+            else:
+                continue
+            p *= np.where(self.column(v), p_true, 1.0 - p_true)
         return p
 
     @staticmethod
@@ -450,10 +461,6 @@ class WorldTable:
         index = np.searchsorted(values, self.cost)
         p = np.bincount(index, weights=self.joint(strategy), minlength=len(values))
         return dict(zip(values, p.tolist()))
-
-    def rowkeys(self):
-        """Every world's row key over all variables, in table order."""
-        return row_keys(len(self.diagram.variables))
 
     def index(self, world):
         return int(self.diagram.bits(world) or "0", 2)

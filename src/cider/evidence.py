@@ -21,7 +21,6 @@ __all__ = [
     "UndefinedConditionalError",
     "EvidenceQuery",
     "ConditionalCostResult",
-    "bit_strings",
     "conditional_expectation",
     "classify_worlds",
     "greedy_bound",
@@ -67,15 +66,6 @@ def classify_worlds(kb, strategy, query):
     return table, forced, table.joint(strategy)
 
 
-def bit_strings(mask):
-    """The worlds where a mask over the world table holds, as bit strings
-    in declared variable order; world order is also sorted order."""
-    import numpy as np
-    n = (mask.size - 1).bit_length()
-    # the leading 1 keeps the zero padding, and leaves "" when n is 0
-    return [format(i | 1 << n, "b")[1:] for i in np.flatnonzero(mask).tolist()]
-
-
 @dataclass(frozen=True, eq=False)
 class ConditionalCostResult:
     """A conditional bound and the worlds whose full mass attains it.
@@ -91,7 +81,7 @@ class ConditionalCostResult:
     @property
     def included_worlds(self):
         """The included worlds as bit strings in declared variable order."""
-        return frozenset(bit_strings(self.included))
+        return frozenset(dg.bit_strings(self.included))
 
 
 def _split(forced, probability):

@@ -28,14 +28,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import diagram as dg
+from ._format import format_float as fmt
 from .contextual import entailment_column
-from .diagram import (
-    CHANCE,
-    GlobalStrategy,
-    LocalStrategy,
-    expected_cost,
-    strategy_scope,
-)
+from .diagram import CHANCE, GlobalStrategy, expected_cost, strategy_scope
 from .evidence import greedy_bound
 
 __all__ = [
@@ -76,13 +71,7 @@ class PureStrategy:
     def to_strategy(self):
         return GlobalStrategy(
             locals={
-                d: LocalStrategy(
-                    decision=d,
-                    scope=self.scopes[d],
-                    table=dict(
-                        zip(dg.row_keys(len(self.scopes[d])), take.astype(float).tolist())
-                    ),
-                )
+                d: dg.local_strategy(d, self.scopes[d], take)
                 for d, take in self.takes.items()
             }
         )
@@ -264,8 +253,10 @@ class GameTree:
     redeclared in expansion order, so world i is leaf i.  Level d holds
     the 2^d valuations of the first d variables in binary counting
     order: node x of level d has the children 2x and 2x + 1 on level
-    d + 1, and its leftmost leaf is x << (n - d).  Every decision node is
-    its own information set, with one sequence per move."""
+    d + 1, and its leftmost leaf is x << (n - d).  A chance level's
+    probabilities are its CPT gathered over the table at those leftmost
+    leaves.  Every decision node is its own information set, with one
+    sequence per move."""
 
     table: dg.WorldTable
     p_true: tuple  # per level: P(order[d] true) at each node, None for decisions
@@ -316,14 +307,13 @@ def build_game_tree(diagram):
     order = expansion_order(diagram)
     table = dg.WorldTable(dataclasses.replace(diagram, variables=order))
     n = len(order)
-    p_true = []
-    for d, v in enumerate(order):
-        if diagram.kinds[v] == CHANCE:
-            code = 2 * table.code(diagram.parents.get(v, ()))
-            p_true.append(table.chance_rows[v][code[:: 1 << (n - d)] + 1])
-        else:
-            p_true.append(None)
-    return GameTree(table=table, p_true=tuple(p_true))
+    # a copy, so that a level keeps 2^d entries alive rather than 2^n
+    p_true = tuple(
+        table.gather(diagram.cpt[v], diagram.parents.get(v, ()))[:: 1 << (n - d)].copy()
+        if diagram.kinds[v] == CHANCE else None
+        for d, v in enumerate(order)
+    )
+    return GameTree(table=table, p_true=p_true)
 
 
 def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
@@ -378,8 +368,7 @@ def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
         reached = incoming > 0.0
         p = np.full(incoming.size, 0.5)
         p[reached] = true[reached] / incoming[reached]
-        local_table = dict(zip(dg.row_keys(len(scope)), p.tolist()))
-        locals_[d] = LocalStrategy(decision=d, scope=scope, table=local_table)
+        locals_[d] = dg.local_strategy(d, scope, p)
     return OptimizationResult(
         value=float(np.add.accumulate(chance * table.cost * weight)[-1]),
         strategy=GlobalStrategy(locals=locals_),
@@ -396,34 +385,34 @@ def export_game_tree_dot(tree):
     Nodes are numbered in preorder, and the edge to a child follows the
     lines of the child's subtree.
     """
-    from ._format import format_float as fmt
-
-    n = len(tree.order)
     p_true = [None if p is None else p.tolist() for p in tree.p_true]
-    costs = tree.table.cost.tolist()
     lines = ["digraph game_tree {"]
-    pending = [(0, 0, 0)]  # (level, node on the level, preorder id) or a line
-    while pending:
-        item = pending.pop()
-        if isinstance(item, str):
-            lines.append(item)
-            continue
-        depth, x, node = item
-        if depth == n:
-            lines.append(f'  n{node} [shape=diamond label="cost={fmt(costs[x])}"];')
-            continue
-        v = tree.order[depth]
-        if p_true[depth] is None:
-            lines.append(f'  n{node} [shape=box label="{v}"];')
-            labels = (f"{v}=0", f"{v}=1")
-        else:
-            p = p_true[depth][x]
-            lines.append(f'  n{node} [shape=circle label="{v}"];')
-            labels = (f"{v}=0 p={fmt(1.0 - p)}", f"{v}=1 p={fmt(p)}")
-        # the false child's subtree holds 2^(n - depth) - 1 nodes
-        children = (node + 1, node + (1 << (n - depth)))
-        for value in (1, 0):
-            pending.append(f'  n{node} -> n{children[value]} [label="{labels[value]}"];')
-            pending.append((depth + 1, 2 * x + value, children[value]))
+    _dot_subtree(lines, tree.order, p_true, tree.table.cost.tolist(), 0, 0, 0)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_subtree(lines, order, p_true, costs, depth, x, node):
+    """Append the lines of node x on level depth, numbered node, then of
+    each child's subtree followed by the edge to that child.
+
+    The recursion is at most 21 deep under the world cap.  It is a
+    module function, not a closure that names itself, so no reference
+    cycle keeps the lines alive after the export returns.
+    """
+    n = len(order)
+    if depth == n:
+        lines.append(f'  n{node} [shape=diamond label="cost={fmt(costs[x])}"];')
+        return
+    v = order[depth]
+    if p_true[depth] is None:
+        lines.append(f'  n{node} [shape=box label="{v}"];')
+        labels = (f"{v}=0", f"{v}=1")
+    else:
+        p = p_true[depth][x]
+        lines.append(f'  n{node} [shape=circle label="{v}"];')
+        labels = (f"{v}=0 p={fmt(1.0 - p)}", f"{v}=1 p={fmt(p)}")
+    # the false child's subtree holds 2^(n - depth) - 1 nodes
+    for value, child in enumerate((node + 1, node + (1 << (n - depth)))):
+        _dot_subtree(lines, order, p_true, costs, depth + 1, 2 * x + value, child)
+        lines.append(f'  n{node} -> n{child} [label="{labels[value]}"];')

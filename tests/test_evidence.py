@@ -61,7 +61,7 @@ def test_classify_worlds_fixture(idelium):
     assert table.size == 16
     assert joint.sum() == pytest.approx(1.0)
     # exactly the D-worlds
-    assert forced.tolist() == [b.startswith("1") for b in table.rowkeys()]
+    assert forced.tolist() == [b.startswith("1") for b in dg.row_keys(4)]
     positive_forced = joint[forced & (joint > 0)]
     assert positive_forced.size == 4
     assert positive_forced.sum() == pytest.approx(0.3)
@@ -116,7 +116,7 @@ def test_no_forced_mass_concentrates_on_extremes(idelium):
     low = optimistic_expected_cost(bare, s, query)
     high = pessimistic_expected_cost(bare, s, query)
     table = dg.WorldTable(bare.diagram)
-    p = dict(zip(table.rowkeys(), table.joint(s).tolist()))
+    p = dict(zip(dg.row_keys(4), table.joint(s).tolist()))
     assert low.value == 0.0
     # cost-0 worlds 0110 and 1111 have probability 0 and stay out
     assert low.included_worlds == {"0010", "1011"}
@@ -215,7 +215,7 @@ def test_greedy_included_worlds_cover_forced(idelium):
     s = idelium.strategy("test_a_if_clear")
     table, forced, joint = classify_worlds(kb, s, SUB_INF)
     forced_bits = {
-        b for b, f, p in zip(table.rowkeys(), forced, joint) if f and p > 0
+        b for b, f, p in zip(dg.row_keys(4), forced, joint) if f and p > 0
     }
     for bound in (optimistic_expected_cost, pessimistic_expected_cost):
         result = bound(kb, s, SUB_INF)

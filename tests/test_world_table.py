@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from cider import diagram as dg
@@ -274,6 +275,42 @@ def test_entailment_decided_once_per_truth_vector(idelium, monkeypatch):
             assert n_calls <= 1 + len(vectors)
         else:
             assert n_calls == 1
+
+
+def test_a_written_strategy_table_reads_back_per_world(random_kb_corpus):
+    """``local_strategy`` writes a column over scope rows and ``gather``
+    reads every world's row of it back: random scopes in random order,
+    the empty scope, and a diagram with no variables."""
+    rng = random.Random(61)
+    empty = dg.InfluenceDiagram(
+        variables=(), kinds={}, parents={}, cpt={}, cost_parents=(), cost_table={"": 3.0}
+    )
+    tables = [dg.WorldTable(empty)]
+    tables += [dg.WorldTable(kb.diagram) for kb, _ in random_kb_corpus[:40]]
+    assert tables[0].size == 1 and tables[0].cost.tolist() == [3.0]
+    for table in tables:
+        variables = table.diagram.variables
+        for k in range(len(variables) + 1):
+            scope = tuple(rng.sample(variables, k))
+            for column in (
+                np.array([rng.random() for _ in range(1 << k)]),
+                np.array([rng.random() < 0.5 for _ in range(1 << k)]),
+            ):
+                local = dg.local_strategy("D", scope, column)
+                assert (local.decision, local.scope) == ("D", scope)
+                assert list(local.table) == dg.row_keys(k)
+                assert {type(p) for p in local.table.values()} == {float}
+                got = table.gather(local.table, scope).tolist()
+                assert got == column[table.code(scope)].tolist()
+
+
+def test_bit_strings_name_the_rows_where_a_mask_holds():
+    assert dg.bit_strings(np.array([True])) == [""]
+    assert dg.bit_strings(np.array([False])) == []
+    rng = random.Random(67)
+    for n in range(1, 7):
+        mask = np.array([rng.random() < 0.5 for _ in range(1 << n)])
+        assert dg.bit_strings(mask) == [key for key, m in zip(dg.row_keys(n), mask) if m]
 
 
 def test_world_cap_refuses_before_allocating():
