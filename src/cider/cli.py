@@ -217,11 +217,14 @@ def _cmd_query(args, argv):
 
     if sub == "worlds":
         strategy = _strategy(doc, args.strategy)
-        table = dg.WorldTable(kb.diagram)
-        bits = map(kb.diagram.bits, kb.diagram.worlds())
-        rows = zip(bits, table.joint(strategy).tolist(), table.cost.tolist())
+        diagram = kb.diagram
+        table = dg.WorldTable(diagram)
+        bits = map(diagram.bits, diagram.worlds())
+        costs, code = table.rows(diagram.cost_table, diagram.cost_parents)
+        texts = [fmt(c) for c in costs.tolist()]
+        rows = zip(bits, table.joint(strategy).tolist(), code.tolist())
         lines = ["worlds:"]
-        lines.extend(f"  - {b} probability={fmt(p)} cost={fmt(c)}" for b, p, c in rows)
+        lines.extend(f"  - {b} probability={fmt(p)} cost={texts[c]}" for b, p, c in rows)
         _report(argv, source, lines)
         return 0
 

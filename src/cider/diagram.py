@@ -6,9 +6,10 @@ variables are resolved by strategies supplied separately.  Table rows
 are keyed by the parent values concatenated as '0'/'1' characters in
 declared parent order (the root row key is the empty string).  Past
 the loader, only this module spells row keys (``row_keys``,
-``bit_strings``) and reads or writes row tables: ``WorldTable.gather``
-reads a CPT, strategy or cost row for every world, and
-``local_strategy`` writes a column over scope rows as a strategy table.
+``bit_strings``) and reads or writes row tables: ``WorldTable.rows``
+reads a CPT, strategy or cost table as its values per row and every
+world's row, and ``local_strategy`` writes a column over scope rows as
+a strategy table.
 
 Worlds (total valuations) are plain ``{variable: bool}`` mappings and
 are always enumerated in binary counting order over the declared
@@ -369,21 +370,18 @@ def check_world_count(diagram):
         raise WorldCapError(f"2^{n} worlds exceed the world cap {WORLD_CAP}")
 
 
-def _row_array(table, n):
-    """A table over n-bit row keys, indexed by the key read in binary."""
-    import numpy as np
-    return np.array([table[key] for key in row_keys(n)], dtype=float)
-
-
 class WorldTable:
     """Every world of a diagram as columns over the world index.
 
     World i is the i-th valuation in binary counting order, so the first
     declared variable is its most significant bit.  ``values`` holds one
     Boolean row per variable and ``cost`` the cost of every world.
-    ``gather`` is the one reader of row tables: it gives every world its
-    row of a CPT, a local strategy or the cost table.  A table is built
-    per query and keeps no result from one call to the next.
+    ``rows`` is the one reader of row tables: it gives the values of a
+    CPT, a local strategy or the cost table, one per row, and every
+    world's row, so a caller can work once per row and hand the result
+    to each world.  ``gather`` gives every world its row's value.  A
+    table is built per query and keeps no result from one call to the
+    next.
     """
 
     def __init__(self, diagram):
@@ -411,9 +409,18 @@ class WorldTable:
             code |= self.column(v)
         return code
 
+    def rows(self, table, scope):
+        """(values, code) of a table keyed by row keys over scope: the
+        value of row r at values[r], row r being the row whose key reads
+        r in binary, and every world's row as ``code(scope)``."""
+        import numpy as np
+        values = np.array([table[key] for key in row_keys(len(scope))], dtype=float)
+        return values, self.code(scope)
+
     def gather(self, table, scope):
         """Every world's entry of a table keyed by row keys over scope."""
-        return _row_array(table, len(scope))[self.code(scope)]
+        values, code = self.rows(table, scope)
+        return values[code]
 
     def joint(self, strategy=None):
         """Joint probability of every world under a strategy, or with no

@@ -94,10 +94,14 @@ def greedy_bound(table, forced, probability, sign):
     """Shared greedy pass over world columns; sign +1 minimizes, -1 maximizes.
 
     Forced worlds are always in.  Optional worlds, visited by ascending
-    (descending) cost with ties in world order, are included while
-    strictly below (above) the running conditional average; ties are
-    excluded since they cannot change the value.  Running sums add left
-    to right, as a per-world loop adds.
+    (descending) cost with ties in world order, are included while their
+    cost is strictly below (above) the running conditional average as
+    computed, the float quotient of the running sums.  A world whose
+    cost equals the exact average cannot change the value, but it is
+    taken in when the computed average rounds past its cost (above it
+    when minimizing, below when maximizing), so the included worlds and
+    the evidence probability can follow rounding where the value does
+    not.  Running sums add left to right, as a per-world loop adds.
     """
     import numpy as np
     forced, optional = _split(forced, probability)

@@ -253,13 +253,14 @@ class GameTree:
     redeclared in expansion order, so world i is leaf i.  Level d holds
     the 2^d valuations of the first d variables in binary counting
     order: node x of level d has the children 2x and 2x + 1 on level
-    d + 1, and its leftmost leaf is x << (n - d).  A chance level's
-    probabilities are its CPT gathered over the table at those leftmost
-    leaves.  Every decision node is its own information set, with one
-    sequence per move."""
+    d + 1, and its leftmost leaf is x << (n - d).  A chance level d
+    keeps  chance[d] = (p_rows, rows):  P(order[d] true) per row of its
+    CPT, and each node's row, the row of its leftmost leaf, so node x
+    has probability  p_rows[rows[x]].  Every decision node is its own
+    information set, with one sequence per move."""
 
     table: dg.WorldTable
-    p_true: tuple  # per level: P(order[d] true) at each node, None for decisions
+    chance: tuple  # per level: (p_rows, rows), None for decisions
 
     @property
     def order(self):
@@ -271,7 +272,7 @@ class GameTree:
 
     @property
     def infosets(self):
-        return range(sum(1 << d for d, p in enumerate(self.p_true) if p is None))
+        return range(sum(1 << d for d, c in enumerate(self.chance) if c is None))
 
     @property
     def sequences(self):
@@ -307,13 +308,15 @@ def build_game_tree(diagram):
     order = expansion_order(diagram)
     table = dg.WorldTable(dataclasses.replace(diagram, variables=order))
     n = len(order)
-    # a copy, so that a level keeps 2^d entries alive rather than 2^n
-    p_true = tuple(
-        table.gather(diagram.cpt[v], diagram.parents.get(v, ()))[:: 1 << (n - d)].copy()
-        if diagram.kinds[v] == CHANCE else None
-        for d, v in enumerate(order)
-    )
-    return GameTree(table=table, p_true=p_true)
+    chance = []
+    for d, v in enumerate(order):
+        if diagram.kinds[v] == CHANCE:
+            p_rows, code = table.rows(diagram.cpt[v], diagram.parents.get(v, ()))
+            # a copy, so that a level keeps 2^d entries alive rather than 2^n
+            chance.append((p_rows, code[:: 1 << (n - d)].copy()))
+        else:
+            chance.append(None)
+    return GameTree(table=table, chance=tuple(chance))
 
 
 def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
@@ -383,16 +386,30 @@ def export_game_tree_dot(tree):
     leaves as cost-labeled diamonds; chance edges carry probabilities.
 
     Nodes are numbered in preorder, and the edge to a child follows the
-    lines of the child's subtree.
+    lines of the child's subtree.  Labels are formatted once per CPT row
+    and once per cost row, and each node takes the labels of its row.
     """
-    p_true = [None if p is None else p.tolist() for p in tree.p_true]
+    shapes, edges = [], []  # per level: the node shape, each node's edge labels
+    for d, (v, chance) in enumerate(zip(tree.order, tree.chance)):
+        if chance is None:
+            shapes.append(f'[shape=box label="{v}"];')
+            edges.append([(f"{v}=0", f"{v}=1")] * (1 << d))
+        else:
+            p_rows, rows = chance
+            shapes.append(f'[shape=circle label="{v}"];')
+            pairs = [(f"{v}=0 p={fmt(1.0 - p)}", f"{v}=1 p={fmt(p)}") for p in p_rows.tolist()]
+            edges.append([pairs[r] for r in rows.tolist()])
+    diagram = tree.table.diagram
+    costs, rows = tree.table.rows(diagram.cost_table, diagram.cost_parents)
+    texts = [fmt(c) for c in costs.tolist()]
+    leaves = [texts[r] for r in rows.tolist()]
     lines = ["digraph game_tree {"]
-    _dot_subtree(lines, tree.order, p_true, tree.table.cost.tolist(), 0, 0, 0)
+    _dot_subtree(lines, shapes, edges, leaves, 0, 0, 0)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _dot_subtree(lines, order, p_true, costs, depth, x, node):
+def _dot_subtree(lines, shapes, edges, leaves, depth, x, node):
     """Append the lines of node x on level depth, numbered node, then of
     each child's subtree followed by the edge to that child.
 
@@ -400,19 +417,13 @@ def _dot_subtree(lines, order, p_true, costs, depth, x, node):
     module function, not a closure that names itself, so no reference
     cycle keeps the lines alive after the export returns.
     """
-    n = len(order)
+    n = len(shapes)
     if depth == n:
-        lines.append(f'  n{node} [shape=diamond label="cost={fmt(costs[x])}"];')
+        lines.append(f'  n{node} [shape=diamond label="cost={leaves[x]}"];')
         return
-    v = order[depth]
-    if p_true[depth] is None:
-        lines.append(f'  n{node} [shape=box label="{v}"];')
-        labels = (f"{v}=0", f"{v}=1")
-    else:
-        p = p_true[depth][x]
-        lines.append(f'  n{node} [shape=circle label="{v}"];')
-        labels = (f"{v}=0 p={fmt(1.0 - p)}", f"{v}=1 p={fmt(p)}")
+    lines.append(f"  n{node} {shapes[depth]}")
+    labels = edges[depth][x]
     # the false child's subtree holds 2^(n - depth) - 1 nodes
     for value, child in enumerate((node + 1, node + (1 << (n - depth)))):
-        _dot_subtree(lines, order, p_true, costs, depth + 1, 2 * x + value, child)
+        _dot_subtree(lines, shapes, edges, leaves, depth + 1, 2 * x + value, child)
         lines.append(f'  n{node} -> n{child} [label="{labels[value]}"];')

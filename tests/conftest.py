@@ -35,6 +35,23 @@ def idelium_model():
     return load_fixture_model()
 
 
+# Cost rows 0.0 and -0.0, equal as floats but printed "0" and "-0", and
+# one CPT row 1.0, whose edges print p=0 and p=1.
+SIGNED_ZERO_KB = """\
+variables: [A, D]
+nodes:
+  A: {kind: chance, parents: [], cpt: {"": 1.0}}
+  D: {kind: decision, parents: [A]}
+cost:
+  parents: [A, D]
+  table: {"00": 0.0, "01": -0.0, "10": -0.0, "11": 0.0}
+tbox: []
+strategies:
+  take_if_a:
+    D: {"0": 0, "1": 1}
+"""
+
+
 def bench_specs(seeds):
     """The benchmark's generated KB specs of every workload at the seeds."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))

@@ -23,6 +23,7 @@ from cider.fixtures import fixture_bytes, fixture_names
 from cider.kbfile import KBLoadError, load_kb_text, load_model_text
 
 import sequence_form as sf
+from conftest import SIGNED_ZERO_KB
 
 
 @pytest.fixture(autouse=True)
@@ -705,6 +706,20 @@ def test_worlds_listing(kb_path, capsys):
     assert code == 0
     assert stdout.count("probability=") == 16
     assert "- 0011 probability=0.252 cost=2" in stdout
+
+
+def test_worlds_print_each_cost_row_with_its_sign(tmp_path, capsys):
+    path = tmp_path / "zero.kb"
+    path.write_text(SIGNED_ZERO_KB)
+    code, stdout, _ = run(capsys, "query", str(path), "worlds", "--strategy", "take_if_a")
+    assert code == 0
+    assert stdout.endswith(
+        "  worlds:\n"
+        "    - 00 probability=0 cost=0\n"
+        "    - 01 probability=0 cost=-0\n"
+        "    - 10 probability=0 cost=-0\n"
+        "    - 11 probability=1 cost=0\n"
+    )
 
 
 def test_export_game_tree_is_plain_dot(kb_path, capsys):

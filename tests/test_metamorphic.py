@@ -26,7 +26,7 @@ from cider import el
 from cider import evidence as ev
 from cider import optimizer as opt
 from cider.cli import PROB_TOL
-from cider.contextual import FALSE, VGCI, prob_subsumption
+from cider.contextual import FALSE, VGCI, And, Not, Or, Var, prob_subsumption
 from cider.kbfile import load_kb_text
 
 from conftest import bench_specs, random_concept
@@ -181,6 +181,57 @@ def with_idle_root(case, name="Idle", p_true=0.3):
     return _with(case, diagram=diagram)
 
 
+def renamed_concept(c, new):
+    if isinstance(c, el.ConceptName):
+        return el.ConceptName(new(c.name))
+    if isinstance(c, el.Conjunction):
+        return el.Conjunction(renamed_concept(c.left, new), renamed_concept(c.right, new))
+    if isinstance(c, el.Existential):
+        return el.Existential(new(c.role), renamed_concept(c.filler, new))
+    return c  # top
+
+
+def renamed_formula(f, new):
+    if isinstance(f, Var):
+        return Var(new(f.name))
+    if isinstance(f, Not):
+        return Not(renamed_formula(f.arg, new))
+    if isinstance(f, (And, Or)):
+        return type(f)(renamed_formula(f.left, new), renamed_formula(f.right, new))
+    return f  # true or false
+
+
+def renamed(case, new):
+    """The case with every concept, role and variable name n written
+    new(n), in the same declaration order; row keys stay as they are."""
+    diagram = case.kb.diagram
+    diagram = dataclasses.replace(
+        diagram,
+        variables=tuple(map(new, diagram.variables)),
+        kinds={new(v): kind for v, kind in diagram.kinds.items()},
+        parents={new(v): tuple(map(new, ps)) for v, ps in diagram.parents.items()},
+        cpt={new(v): rows for v, rows in diagram.cpt.items()},
+        cost_parents=tuple(map(new, diagram.cost_parents)),
+    )
+    vtbox = tuple(
+        VGCI(
+            gci=el.GCI(renamed_concept(a.gci.lhs, new), renamed_concept(a.gci.rhs, new)),
+            context=renamed_formula(a.context, new),
+        )
+        for a in case.kb.vtbox
+    )
+    strategies = {
+        name: dg.GlobalStrategy({
+            new(d): dg.LocalStrategy(new(d), tuple(map(new, local.scope)), local.table)
+            for d, local in s.locals.items()
+        })
+        for name, s in case.strategies.items()
+    }
+    pairs = tuple((renamed_concept(c, new), renamed_concept(d, new)) for c, d in case.pairs)
+    kb = dataclasses.replace(case.kb, diagram=diagram, vtbox=vtbox)
+    return dataclasses.replace(case, kb=kb, strategies=strategies, pairs=pairs)
+
+
 def with_costs(case, k, b):
     """The case with every cost c replaced by k * c + b."""
     diagram = case.kb.diagram
@@ -219,6 +270,29 @@ def test_a_childless_chance_root_declared_last_changes_nothing(originals):
                     expected[key][world] = (p * (1.0 - p_true), cost)
                     expected[key][world | {"Idle"}] = (p * p_true, cost)
         assert_same(answers(with_idle_root(case, p_true=p_true)), expected, case.name)
+
+
+def test_renaming_every_name_changes_no_answer(originals):
+    """Names are reversed behind a prefix, so their sorted order changes
+    too; the query concepts and the worlds' variables are renamed in the
+    expected answers."""
+    def new(name):
+        return "Q" + name[::-1]
+
+    def renamed_key(key):
+        if isinstance(key, str):
+            return key
+        return tuple(renamed_concept(x, new) if isinstance(x, el.Concept) else x for x in key)
+
+    for case, want in originals:
+        expected = {}
+        for key, value in want.items():
+            if key[0] == "worlds":
+                value = {frozenset(map(new, w)): pc for w, pc in value.items()}
+            expected[renamed_key(key)] = value
+        got = answers(renamed(case, new))
+        assert got.keys() == expected.keys(), case.name
+        assert_same(got, expected, case.name)
 
 
 def affine_answers(want, k, b):

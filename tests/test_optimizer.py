@@ -31,7 +31,13 @@ from cider.evidence import EvidenceQuery, optimistic_expected_cost
 from cider.kbfile import load_kb_text
 
 import sequence_form as sf
-from conftest import bench_specs, random_diagram, random_strategy, with_scopes
+from conftest import (
+    SIGNED_ZERO_KB,
+    bench_specs,
+    random_diagram,
+    random_strategy,
+    with_scopes,
+)
 
 
 # --- the recursive reference ------------------------------------------------
@@ -120,7 +126,9 @@ def assert_tree_matches_reference(diagram):
     assert (len(tree.leaves), len(tree.sequences), len(tree.infosets)) == (
         len(ref.leaves), len(ref.sequences), len(ref.infosets)
     )
-    assert [None if p is None else p.tolist() for p in tree.p_true] == _p_true_by_level(ref)
+    # a chance node's probability is its CPT's value at the node's row
+    p_true = [None if c is None else c[0][c[1]].tolist() for c in tree.chance]
+    assert p_true == _p_true_by_level(ref)
     assert opt.export_game_tree_dot(tree) == ref_export_dot(ref)
 
 
@@ -527,7 +535,7 @@ def test_tree_structure_fixture(idelium):
     tree = opt.build_game_tree(idelium.kb.diagram)
     assert len(tree.leaves) == 16
     # one singleton information set per (D, S) history, on the third level
-    assert [p is None for p in tree.p_true] == [False, False, True, False]
+    assert [c is None for c in tree.chance] == [False, False, True, False]
     assert len(tree.infosets) == 4
     assert len(tree.sequences) == 1 + 2 * len(tree.infosets)
 
@@ -925,3 +933,46 @@ def test_dot_export_shapes(idelium):
     assert "p=0.3" in dot
     # deterministic output
     assert dot == opt.export_game_tree_dot(opt.build_game_tree(idelium.kb.diagram))
+
+
+def test_dot_labels_come_from_rows_and_keep_a_zero_cost_sign():
+    """The cost rows 0.0 and -0.0 are equal floats; each leaf still takes
+    the text of its own row."""
+    diagram = load_kb_text(SIGNED_ZERO_KB).kb.diagram
+    assert opt.export_game_tree_dot(opt.build_game_tree(diagram)) == (
+        "digraph game_tree {\n"
+        '  n0 [shape=circle label="A"];\n'
+        '  n1 [shape=box label="D"];\n'
+        '  n2 [shape=diamond label="cost=0"];\n'
+        '  n1 -> n2 [label="D=0"];\n'
+        '  n3 [shape=diamond label="cost=-0"];\n'
+        '  n1 -> n3 [label="D=1"];\n'
+        '  n0 -> n1 [label="A=0 p=0"];\n'
+        '  n4 [shape=box label="D"];\n'
+        '  n5 [shape=diamond label="cost=-0"];\n'
+        '  n4 -> n5 [label="D=0"];\n'
+        '  n6 [shape=diamond label="cost=0"];\n'
+        '  n4 -> n6 [label="D=1"];\n'
+        '  n0 -> n4 [label="A=1 p=1"];\n'
+        "}\n"
+    )
+    assert_tree_matches_reference(diagram)
+
+
+def test_dot_export_formats_each_row_once(random_kb_corpus, monkeypatch):
+    """The export formats two labels per CPT row and one per cost row,
+    not one per node: fewer calls than nodes on a corpus diagram."""
+    for kb, _ in random_kb_corpus:
+        diagram = kb.diagram
+        tree = opt.build_game_tree(diagram)
+        per_node = 2 * sum(c[1].size for c in tree.chance if c is not None) + tree.table.size
+        per_row = sum(2 << len(diagram.parents[v]) for v in diagram.chance_nodes)
+        per_row += 1 << len(diagram.cost_parents)
+        if per_row < per_node:
+            break
+    else:
+        pytest.fail("every corpus diagram has at least as many rows as nodes")
+    real, calls = opt.fmt, []
+    monkeypatch.setattr(opt, "fmt", lambda x: calls.append(x) or real(x))
+    opt.export_game_tree_dot(tree)
+    assert len(calls) <= per_row

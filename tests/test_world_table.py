@@ -278,8 +278,9 @@ def test_entailment_decided_once_per_truth_vector(idelium, monkeypatch):
 
 
 def test_a_written_strategy_table_reads_back_per_world(random_kb_corpus):
-    """``local_strategy`` writes a column over scope rows and ``gather``
-    reads every world's row of it back: random scopes in random order,
+    """``local_strategy`` writes a column over scope rows, ``rows`` reads
+    it back per row with every world's row, and ``gather`` reads every
+    world's row of it back: random scopes in random order,
     the empty scope, and a diagram with no variables."""
     rng = random.Random(61)
     empty = dg.InfluenceDiagram(
@@ -300,6 +301,9 @@ def test_a_written_strategy_table_reads_back_per_world(random_kb_corpus):
                 assert (local.decision, local.scope) == ("D", scope)
                 assert list(local.table) == dg.row_keys(k)
                 assert {type(p) for p in local.table.values()} == {float}
+                values, code = table.rows(local.table, scope)
+                assert values.tolist() == column.astype(float).tolist()
+                assert np.array_equal(code, table.code(scope))
                 got = table.gather(local.table, scope).tolist()
                 assert got == column[table.code(scope)].tolist()
 
