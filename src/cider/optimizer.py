@@ -253,14 +253,10 @@ class GameTree:
     redeclared in expansion order, so world i is leaf i.  Level d holds
     the 2^d valuations of the first d variables in binary counting
     order: node x of level d has the children 2x and 2x + 1 on level
-    d + 1, and its leftmost leaf is x << (n - d).  A chance level d
-    keeps  chance[d] = (p_rows, rows):  P(order[d] true) per row of its
-    CPT, and each node's row, the row of its leftmost leaf, so node x
-    has probability  p_rows[rows[x]].  Every decision node is its own
-    information set, with one sequence per move."""
+    d + 1, and its leftmost leaf is x << (n - d).  Every decision node
+    is its own information set, with one sequence per move."""
 
     table: dg.WorldTable
-    chance: tuple  # per level: (p_rows, rows), None for decisions
 
     @property
     def order(self):
@@ -272,7 +268,8 @@ class GameTree:
 
     @property
     def infosets(self):
-        return range(sum(1 << d for d, c in enumerate(self.chance) if c is None))
+        kinds = self.table.diagram.kinds
+        return range(sum(1 << d for d, v in enumerate(self.order) if kinds[v] != CHANCE))
 
     @property
     def sequences(self):
@@ -306,17 +303,7 @@ def build_game_tree(diagram):
         raise ValueError("a forgetful diagram has no perfect-information game tree")
     dg.check_world_count(diagram)  # before ordering a document of any size
     order = expansion_order(diagram)
-    table = dg.WorldTable(dataclasses.replace(diagram, variables=order))
-    n = len(order)
-    chance = []
-    for d, v in enumerate(order):
-        if diagram.kinds[v] == CHANCE:
-            p_rows, code = table.rows(diagram.cpt[v], diagram.parents.get(v, ()))
-            # a copy, so that a level keeps 2^d entries alive rather than 2^n
-            chance.append((p_rows, code[:: 1 << (n - d)].copy()))
-        else:
-            chance.append(None)
-    return GameTree(table=table, chance=tuple(chance))
+    return GameTree(table=dg.WorldTable(dataclasses.replace(diagram, variables=order)))
 
 
 def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
@@ -386,21 +373,26 @@ def export_game_tree_dot(tree):
     leaves as cost-labeled diamonds; chance edges carry probabilities.
 
     Nodes are numbered in preorder, and the edge to a child follows the
-    lines of the child's subtree.  Labels are formatted once per CPT row
-    and once per cost row, and each node takes the labels of its row.
+    lines of the child's subtree.  Each chance level d reads its CPT's
+    rows from the tree's table, with every world's row strided at
+    2^(n - d) to give each node the row of its leftmost leaf.  Labels
+    are formatted once per CPT row and once per cost row, and each node
+    takes the labels of its row.
     """
+    table = tree.table
+    diagram = table.diagram
+    n = len(tree.order)
     shapes, edges = [], []  # per level: the node shape, each node's edge labels
-    for d, (v, chance) in enumerate(zip(tree.order, tree.chance)):
-        if chance is None:
+    for d, v in enumerate(tree.order):
+        if diagram.kinds[v] != CHANCE:
             shapes.append(f'[shape=box label="{v}"];')
             edges.append([(f"{v}=0", f"{v}=1")] * (1 << d))
         else:
-            p_rows, rows = chance
+            p_rows, rows = table.rows(diagram.cpt[v], diagram.parents.get(v, ()))
             shapes.append(f'[shape=circle label="{v}"];')
             pairs = [(f"{v}=0 p={fmt(1.0 - p)}", f"{v}=1 p={fmt(p)}") for p in p_rows.tolist()]
-            edges.append([pairs[r] for r in rows.tolist()])
-    diagram = tree.table.diagram
-    costs, rows = tree.table.rows(diagram.cost_table, diagram.cost_parents)
+            edges.append([pairs[r] for r in rows[:: 1 << (n - d)].tolist()])
+    costs, rows = table.rows(diagram.cost_table, diagram.cost_parents)
     texts = [fmt(c) for c in costs.tolist()]
     leaves = [texts[r] for r in rows.tolist()]
     lines = ["digraph game_tree {"]

@@ -3,23 +3,30 @@
 Each example draws a KB from ``random_kb``, possibly breaks it, writes it
 as YAML and runs every command line below on it.  Every run must end in
 exit code 0 to 3 without a traceback, and exit 1 only from ``validate``
-reporting violations.
+reporting violations.  Every pure strategy that ``optimize --pure``
+prints, read back from the report, is a valid strategy whose value
+prints as the report's.
 """
 
 import contextlib
 import io
 import itertools
+import json
 import random
 
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cider import diagram as dg
+from cider import evidence as ev
+from cider._format import format_float as fmt
 from cider.cli import main
 from cider.contextual import print_formula
-from cider.el import print_concept
+from cider.el import parse_concept, print_concept
+from cider.kbfile import load_kb_text
 
-from conftest import random_concept, random_formula, random_kb, random_strategy
+from conftest import bench_specs, random_concept, random_formula, random_kb, random_strategy
 
 PROPERTY = settings(
     max_examples=25,
@@ -178,3 +185,58 @@ def test_every_command_line_exits_zero_to_three(tmp_path_factory):
 
     check()
     assert seen == {0, 1, 2, 3}
+
+
+def _printed_strategy(stdout):
+    """The report's value text and its strategy block read back as a
+    GlobalStrategy."""
+    lines = stdout.split("result:\n")[1].splitlines()
+    value = lines[0].removeprefix("  value: ")
+    locals_, start = {}, lines.index("  strategy:") + 1
+    for line in lines[start:]:
+        if not line.startswith("      "):  # a decision, then its rows
+            d, scope = line.strip().removesuffix("):").split(" (scope ")
+            table = {}
+            scope = () if scope == "-" else tuple(scope.split(","))
+            locals_[d] = dg.LocalStrategy(d, scope, table)
+        else:
+            key, number = line.strip().split(": ")
+            table[json.loads(key)] = float(number)
+    return value, dg.GlobalStrategy(locals=locals_)
+
+
+def test_every_printed_pure_strategy_reevaluates_to_its_printed_value(
+    tmp_path, random_kb_corpus
+):
+    """optimize --pure in both directions, and with evidence under both
+    bounds, on the benchmark KBs at seed 1 and part of the random corpus:
+    the printed strategy is a valid strategy of the KB, and its expected
+    cost or its bound prints as the report's value."""
+    rng = random.Random(29)
+    documents = [(spec.to_yaml(), spec.concept_pairs[0]) for spec in bench_specs((1,))]
+    documents += [
+        (kb_document(kb, s, None), (print_concept(random_concept(rng)),
+                                    print_concept(random_concept(rng))))
+        for kb, s in random_kb_corpus[:60]
+    ]
+    path = tmp_path / "kb.yaml"
+    for text, (c, d) in documents:
+        path.write_text(text)
+        kb = load_kb_text(text).kb
+        query = ev.EvidenceQuery(parse_concept(c), parse_concept(d))
+        runs = [
+            (["--direction", direction], lambda s: dg.expected_cost(kb.diagram, s))
+            for direction in ("min", "max")
+        ]
+        runs += [
+            (["--evidence", c, d, "--mode", mode], lambda s, bound=bound: bound(kb, s, query).value)
+            for mode, bound in (("opt", ev.optimistic_expected_cost),
+                                ("pes", ev.pessimistic_expected_cost))
+        ]
+        for flags, evaluate in runs:
+            argv = ["query", str(path), "optimize", "--pure", *flags]
+            code, stdout, err = run(argv)
+            assert code == 0, (argv, err)
+            value, strategy = _printed_strategy(stdout)
+            assert not dg.validate_strategy(kb.diagram, strategy), argv
+            assert fmt(evaluate(strategy)) == value, argv

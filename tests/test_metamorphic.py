@@ -74,8 +74,9 @@ def _guard(fn):
 
 
 def answers(case, lp=True):
-    """Every answer of the case, keyed by query; worlds are keyed by the
-    set of variables true in them, so the key does not follow the order."""
+    """Every answer of the case, keyed by a tuple whose first entry names
+    the query; worlds are keyed by the set of variables true in them, so
+    the key does not follow the order."""
     kb = case.kb
     table = dg.WorldTable(kb.diagram)
     out = {}
@@ -103,7 +104,7 @@ def answers(case, lp=True):
                 ).value
             )
     if lp:
-        out["lp"] = opt.optimal_mixed_strategy(kb).value
+        out["lp",] = opt.optimal_mixed_strategy(kb).value
         out["lp", EPSILON] = _guard(
             lambda: opt.optimal_mixed_strategy(kb, fully_mixed=EPSILON).value
         )
@@ -127,9 +128,10 @@ def assert_close(got, want, where, tol=TOL):
 
 
 def assert_same(got, want, name):
-    """Every answer in got is the one in want."""
+    """Every answer in got is the one in want; the fully-mixed LP value
+    within LP_TOL, every other one within the report's tolerance."""
     for key in got:
-        assert_close(got[key], want[key], (name, key), LP_TOL if key[0] == "lp" else TOL)
+        assert_close(got[key], want[key], (name, key), LP_TOL if key == ("lp", EPSILON) else TOL)
 
 
 # --- rewrites ------------------------------------------------------------------
@@ -280,8 +282,6 @@ def test_renaming_every_name_changes_no_answer(originals):
         return "Q" + name[::-1]
 
     def renamed_key(key):
-        if isinstance(key, str):
-            return key
         return tuple(renamed_concept(x, new) if isinstance(x, el.Concept) else x for x in key)
 
     for case, want in originals:

@@ -126,8 +126,13 @@ def assert_tree_matches_reference(diagram):
     assert (len(tree.leaves), len(tree.sequences), len(tree.infosets)) == (
         len(ref.leaves), len(ref.sequences), len(ref.infosets)
     )
-    # a chance node's probability is its CPT's value at the node's row
-    p_true = [None if c is None else c[0][c[1]].tolist() for c in tree.chance]
+    # a chance node's probability is its CPT's value at the row of its
+    # leftmost leaf, every world's row strided at the level's 2^(n - d)
+    p_true = [
+        None if diagram.kinds[v] != dg.CHANCE
+        else tree.table.gather(diagram.cpt[v], diagram.parents.get(v, ()))[:: 1 << (n - d)].tolist()
+        for d, v in enumerate(tree.order)
+    ]
     assert p_true == _p_true_by_level(ref)
     assert opt.export_game_tree_dot(tree) == ref_export_dot(ref)
 
@@ -535,9 +540,37 @@ def test_tree_structure_fixture(idelium):
     tree = opt.build_game_tree(idelium.kb.diagram)
     assert len(tree.leaves) == 16
     # one singleton information set per (D, S) history, on the third level
-    assert [c is None for c in tree.chance] == [False, False, True, False]
+    kinds = tree.table.diagram.kinds
+    assert [kinds[v] != dg.CHANCE for v in tree.order] == [False, False, True, False]
     assert len(tree.infosets) == 4
     assert len(tree.sequences) == 1 + 2 * len(tree.infosets)
+
+
+def test_game_tree_reads_each_cpt_once_per_use(idelium, random_kb_corpus, monkeypatch):
+    """The tree is its world table alone: building it reads only the cost
+    table, the LP optimum reads each CPT once more through ``joint``, and
+    the DOT export reads each CPT once itself."""
+    real, calls = dg.WorldTable.rows, []
+
+    def counted(self, table, scope):
+        calls.append(scope)
+        return real(self, table, scope)
+
+    monkeypatch.setattr(dg.WorldTable, "rows", counted)
+
+    def reads(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    diagrams = [idelium.kb.diagram] + [kb.diagram for kb, _ in random_kb_corpus[:20]]
+    assert {len(d.chance_nodes) for d in diagrams} >= {1, 2, 3}
+    for diagram in diagrams:
+        c = len(diagram.chance_nodes)
+        assert reads(lambda: opt.optimal_mixed_strategy(diagram)) == c + 1
+        assert reads(lambda: opt.build_game_tree(diagram)) == 1
+        assert reads(lambda: opt.export_game_tree_dot(opt.build_game_tree(diagram))) == c + 2
+    assert reads(lambda: opt.optimal_mixed_strategy(idelium.kb.diagram)) == 4
 
 
 def test_tree_without_decisions():
@@ -965,7 +998,8 @@ def test_dot_export_formats_each_row_once(random_kb_corpus, monkeypatch):
     for kb, _ in random_kb_corpus:
         diagram = kb.diagram
         tree = opt.build_game_tree(diagram)
-        per_node = 2 * sum(c[1].size for c in tree.chance if c is not None) + tree.table.size
+        chance_nodes = sum(1 << d for d, v in enumerate(tree.order) if diagram.kinds[v] == dg.CHANCE)
+        per_node = 2 * chance_nodes + tree.table.size
         per_row = sum(2 << len(diagram.parents[v]) for v in diagram.chance_nodes)
         per_row += 1 << len(diagram.cost_parents)
         if per_row < per_node:
