@@ -4,8 +4,8 @@ Pairs a lightweight description-logic ontology whose axioms hold only
 in stated contexts with an influence diagram over the same Boolean
 variables.  Answers contextual subsumption queries, computes expected
 and conditional expected costs under strategies, and finds optimal pure
-strategies and the optimal arbitrary strategy over the game tree, both
-by backward induction over decisions whose scopes nest.
+and fully-mixed strategies over the KB's own strategy scopes, both by
+backward induction over decisions whose scopes nest.
 """
 
 # numpy is bound inside functions: every layer stays imported, for the library and the benchmark's layers

@@ -232,8 +232,6 @@ def _cmd_query(args, argv):
         if args.mode and not args.evidence:
             raise _InputError("--mode applies to --evidence only")
         if args.lp:
-            if args.forgetful:
-                raise _InputError("--forgetful does not apply to optimize --lp")
             if args.evidence:
                 raise _Unsupported(
                     "evidence-conditioned optimization is only supported for "

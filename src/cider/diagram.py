@@ -457,7 +457,11 @@ class WorldTable:
         return float(np.add.accumulate(chosen)[-1]) if chosen.size else 0.0
 
     def cost_distribution(self, strategy):
-        """Probability of paying each cost value under the strategy.
+        """Probability of paying each cost value under the strategy."""
+        return self.distribution(self.joint(strategy))
+
+    def distribution(self, probability):
+        """Probability of paying each cost value, given every world's.
 
         One ``np.bincount`` over the worlds' cost-value indices adds each
         value's worlds in world order, as ``mass`` adds them; a value no
@@ -466,8 +470,12 @@ class WorldTable:
         import numpy as np
         values = self.diagram.cost_values
         index = np.searchsorted(values, self.cost)
-        p = np.bincount(index, weights=self.joint(strategy), minlength=len(values))
+        p = np.bincount(index, weights=probability, minlength=len(values))
         return dict(zip(values, p.tolist()))
+
+    def mean(self, probability):
+        """The sum of r * p over ``distribution(probability)``."""
+        return sum(r * p for r, p in self.distribution(probability).items())
 
     def index(self, world):
         return int(self.diagram.bits(world) or "0", 2)
@@ -484,4 +492,5 @@ def cost_distribution(diagram, strategy):
 
 def expected_cost(diagram, strategy):
     """Expected cost under the strategy; ``diagram`` may be a ``WorldTable``."""
-    return sum(r * p for r, p in cost_distribution(diagram, strategy).items())
+    table = diagram if isinstance(diagram, WorldTable) else WorldTable(diagram)
+    return table.mean(table.joint(strategy))

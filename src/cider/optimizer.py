@@ -1,11 +1,11 @@
-"""Strategy optimization: the best pure strategy and the game-tree optimum.
+"""Strategy optimization: the best pure strategy, and the fully-mixed one.
 
 Both are solved row-wise by backward induction (Shachter 1986; Jensen,
 Jensen and Dittmer 1994) over a chain of decisions whose scopes nest:
-each one and its scope lie inside the scope of every larger one.  One
-pass per chain decision, largest scope first, sums the cost per (scope
-row, move) over the world table and takes true only where that sum is
-strictly smaller, so exact ties take false.
+each one and its scope lie inside the scope of every larger one, or
+share its scope and do not see it.  One pass per scope in the chain,
+largest first, sums the cost per (scope row, joint move) over the world
+table and takes the least sum, so exact ties take false.
 
 The best pure strategy for expected cost uses the KB's strategy scopes.
 Only the strategies of the other decisions, the rest, are enumerated;
@@ -14,13 +14,11 @@ split over rows, so the same search runs them with an empty chain.
 Pure strategies number doubly exponentially, so a cap guards every
 enumeration.
 
-Arbitrary strategies are optimized over the game tree: the diagram
-expanded in topological order and played against an indifferent chance
-player.  The optimizer has perfect information there, so each decision
-sees every variable expanded before it.  Those scopes nest, and the
-same pass over the tree's table, with an empty rest, solves the
-sequence form of Koller, Megiddo and von Stengel, minimize  a.mu  s.t.
-R mu = r, mu >= E, for every lower bound E in closed form.
+Expected cost is multilinear in the strategy tables, so the best
+arbitrary strategy is a pure one.  Under perfect recall the same pass
+solves the sequence form of Koller, Megiddo and von Stengel keyed by
+(decision, scope row), minimize  a.mu  s.t.  R mu = r, mu >= E, for
+every lower bound E in closed form.  The game tree is only drawn.
 """
 
 import dataclasses
@@ -29,8 +27,8 @@ from dataclasses import dataclass
 
 from . import diagram as dg
 from ._format import format_float as fmt
-from .contextual import entailment_column
-from .diagram import CHANCE, GlobalStrategy, expected_cost, strategy_scope
+from .contextual import KnowledgeBase, entailment_column
+from .diagram import CHANCE, GlobalStrategy, strategy_scope
 from .evidence import greedy_bound
 
 __all__ = [
@@ -102,15 +100,15 @@ def split_decisions(diagram):
     """The decisions whose scopes nest (the chain) and the rest.
 
     Walking from the largest strategy scope to the smallest, ties in
-    declared order, a decision joins the chain when it and its scope lie
-    inside the scope of every decision already there.  The chain comes
-    largest scope first, the rest in declared order.  Perfect recall is
-    an empty rest.
+    declared order, a decision joins the chain when, for each decision
+    already there, it and its scope lie inside that one's scope or the
+    scopes are equal.  The chain comes largest scope first, the rest in
+    declared order.  Perfect recall is an empty rest of unequal scopes.
     """
     scopes = {d: set(strategy_scope(diagram, d)) for d in diagram.decision_nodes}
     chain = []
     for d in sorted(scopes, key=lambda d: -len(scopes[d])):
-        if all(scopes[d] | {d} <= scopes[e] for e in chain):
+        if all(scopes[d] | {d} <= scopes[e] or scopes[d] == scopes[e] for e in chain):
             chain.append(d)
     return tuple(chain), tuple(d for d in scopes if d not in chain)
 
@@ -167,18 +165,17 @@ def optimal_pure_strategy(
         def score(w):
             return sign * greedy_bound(table, forced, w, bound_sign).value
 
-    best, pure = _row_wise_optimum(table, signed_cost, chain, score, cap)
-    strategy = pure.to_strategy()
+    best, pure, w = _row_wise_optimum(table, signed_cost, chain, score, cap)
     return OptimizationResult(
-        value=expected_cost(table, strategy) if objective == "expected" else sign * best,
-        strategy=strategy,
+        value=table.mean(w) if objective == "expected" else sign * best,
+        strategy=pure.to_strategy(),
         kind="pure",
         certificate=pure,
     )
 
 
 def _row_wise_optimum(table, signed_cost, chain, score, cap):
-    """(score, PureStrategy) minimizing score(w) over the joint column w,
+    """(score, PureStrategy, w) minimizing score(w) over the joint column w,
     by backward induction over the chain (``split_decisions``' chain, or
     empty) for each pure strategy of the rest, the other decisions.
 
@@ -202,36 +199,38 @@ def _row_wise_optimum(table, signed_cost, chain, score, cap):
         w = chance
         for d in rest:
             w = w * (fixed.takes[d][rows[d]] == table.column(d))
-        takes, w = _chain_pass(table, chain, rows, w, signed_cost)
+        takes, w = _chain_pass(table, chain, scopes, rows, w, signed_cost)
         for d in chain:
             reach = np.bincount(rows[d], weights=w, minlength=1 << len(scopes[d]))
             takes[d] &= reach > 0.0
         total = score(w)
         if best is None or total < best[0]:
-            best = (total, {**fixed.takes, **takes})
-    total, takes = best
-    return total, PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes)
+            best = (total, {**fixed.takes, **takes}, w)
+    total, takes, w = best
+    return total, PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes), w
 
 
-def _chain_pass(table, chain, rows, w, signed_cost):
+def _chain_pass(table, chain, scopes, rows, w, signed_cost):
     """Backward induction over nested scopes: (takes, w).
 
-    Each chain decision d, largest scope first, sums  w * signed_cost
-    per (scope row, value), with rows[d] every world's scope row, and
-    takes true only where that sum is strictly smaller; then it
-    multiplies its indicator into w.  A smaller chain decision and its
-    scope lie inside every larger one's scope, so its factor is constant
-    on each of their rows and cannot change their choice.  Every scope
-    row occurs in the table with both values, so the sums cover every
-    row.
+    Each run of k chain decisions with one scope, largest scope first,
+    sums  w * signed_cost  per (scope row, joint value), with rows[d]
+    every world's scope row, and takes the joint value of least sum, the
+    lowest on a tie (for k = 1, true only where that sum is strictly
+    smaller); then it multiplies its indicator into w.  A smaller chain
+    decision and its scope lie inside every larger one's scope, so its
+    factor is constant on each of their rows.  Every scope row occurs
+    with every joint value, so the sums cover every row.
     """
     import numpy as np
     takes = {}
-    for d in chain:
-        column = table.column(d)
-        q = np.bincount(2 * rows[d] + column, weights=w * signed_cost)
-        takes[d] = q[1::2] < q[0::2]
-        w = w * (takes[d][rows[d]] == column)
+    for _, group in itertools.groupby(chain, key=lambda d: scopes[d]):
+        group = tuple(group)
+        k, row, code = len(group), rows[group[0]], table.code(group)
+        q = np.bincount((row << k) | code, weights=w * signed_cost)
+        move = q.reshape(-1, 1 << k).argmin(axis=1)
+        takes.update((d, move >> (k - 1 - j) & 1 == 1) for j, d in enumerate(group))
+        w = w * (move[row] == code)
     return takes, w
 
 
@@ -244,12 +243,81 @@ def decide_threshold(result, bound, problem):
     raise ValueError(f"unknown problem {problem!r}")
 
 
+def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
+    """Optimal arbitrary strategy over the KB's own strategy scopes.
+
+    Expected cost is multilinear in the strategies' table entries, so a
+    pure strategy is optimal: without fully_mixed this is the answer of
+    ``optimal_pure_strategy``.
+
+    fully_mixed E bounds every entry of the realization plan of the
+    sequence form keyed by (decision, scope row), which needs perfect
+    recall: of two decisions, one and its scope lie inside the other's
+    scope, or InfeasibleEpsilonError names two that do not.
+    ``_chain_pass`` picks the moves from the unperturbed values.  Going
+    down the K decisions, the move not taken at the j-th gets
+    E * 2^(K-1-j), the least weight that leaves every sequence below it
+    its bound, and the move taken gets the rest of the row's incoming
+    weight.  A row's optimal cost is affine in its incoming weight, with
+    the unperturbed value as slope, so the plan is optimal.  It exists
+    iff E * 2^K <= 1, which floats decide exactly; otherwise
+    InfeasibleEpsilonError.  Each row plays true with the true move's
+    share of its incoming weight, or uniformly if that weight is 0.  The
+    value adds  chance * cost * weight  left to right in world order,
+    where weight is the plan entry of the world's last move.  The
+    result is mixed when E > 0 and there is a decision.
+    """
+    import numpy as np
+    diagram = getattr(kb_or_diagram, "diagram", kb_or_diagram)
+    if fully_mixed is None:
+        return optimal_pure_strategy(KnowledgeBase(diagram=diagram, vtbox=()))
+    epsilon = float(fully_mixed)
+    if not (np.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError("the fully-mixed lower bound must be finite and nonnegative")
+    chain, rest = split_decisions(diagram)
+    scopes = {d: strategy_scope(diagram, d) for d in reversed(chain + rest)}
+    for e, d in itertools.combinations(chain + rest, 2):
+        if not ({d, *scopes[d]} <= {*scopes[e]} or {e, *scopes[e]} <= {*scopes[d]}):
+            raise InfeasibleEpsilonError(
+                f"no fully-mixed plan: the scopes of decisions {e} and {d} do not nest")
+    k = len(scopes)
+    if epsilon * 2.0**k > 1.0:
+        raise InfeasibleEpsilonError(
+            f"no realization plan has every entry >= {epsilon}: every world meets "
+            f"all K = {k} decision variables, so the bound must be at most 2^-K = {2.0**-k}"
+        )
+    table = dg.WorldTable(diagram)
+    rows = {d: table.code(scope) for d, scope in scopes.items()}
+    chance = table.joint()
+    takes, _ = _chain_pass(table, chain, scopes, rows, chance, table.cost)
+    weight = np.ones(table.size)  # plan entry of each world's last move so far
+    locals_ = {}
+    for j, (d, scope) in enumerate(scopes.items()):
+        incoming = np.empty(takes[d].size)
+        incoming[rows[d]] = weight  # the scopes nest, so one value per row
+        lb = epsilon * 2.0 ** (k - 1 - j)
+        true = np.where(takes[d], incoming - lb, lb)
+        false = np.where(takes[d], lb, incoming - lb)
+        weight = np.where(table.column(d), true[rows[d]], false[rows[d]])
+        reached = incoming > 0.0
+        p = np.full(incoming.size, 0.5)
+        p[reached] = true[reached] / incoming[reached]
+        locals_[d] = dg.local_strategy(d, scope, p)
+    return OptimizationResult(
+        value=float(np.add.accumulate(chance * table.cost * weight)[-1]),
+        strategy=GlobalStrategy(locals=locals_),
+        kind="mixed" if epsilon > 0.0 and scopes else "pure",
+        certificate=PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes),
+        epsilon=epsilon,
+    )
+
+
 # --- game tree -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class GameTree:
-    """The tree level by level over the world table of the diagram
+    """The drawn tree level by level over the world table of the diagram
     redeclared in expansion order, so world i is leaf i.  Level d holds
     the 2^d valuations of the first d variables in binary counting
     order: node x of level d has the children 2x and 2x + 1 on level
@@ -295,7 +363,8 @@ def expansion_order(diagram):
 
 
 def build_game_tree(diagram):
-    """Expand the diagram into a perfect-information tree against chance.
+    """Expand the diagram into a perfect-information tree against chance,
+    the tree that ``export_game_tree_dot`` draws.
 
     A forgetful diagram's decisions see only their parents, which no
     perfect-information tree models, so it raises ValueError."""
@@ -304,68 +373,6 @@ def build_game_tree(diagram):
     dg.check_world_count(diagram)  # before ordering a document of any size
     order = expansion_order(diagram)
     return GameTree(table=dg.WorldTable(dataclasses.replace(diagram, variables=order)))
-
-
-def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
-    """Optimal arbitrary strategy over the game tree.
-
-    Each decision's scope is every variable expanded before it, so the
-    scopes nest and ``_chain_pass`` runs over the tree's table with every
-    decision in the chain, latest first.  No rest is enumerated and no
-    row is reset: a row's move follows its chance-weighted subtree sums,
-    and an exact tie takes false.
-
-    fully_mixed E, when given, is the lower bound on every realization
-    plan entry.  Going down the K decisions, the move not taken at the
-    j-th gets E * 2^(K-1-j), the least weight that leaves every sequence
-    below it its bound, and the move taken gets the rest of the row's
-    incoming weight.  A node's optimal cost is affine in its incoming
-    weight, with the unperturbed value as slope, so the plan is optimal.
-    It exists iff E * 2^K <= 1, which floats decide exactly; otherwise
-    InfeasibleEpsilonError.  Each row plays true with the true move's
-    share of its incoming weight, or uniformly if that weight is 0.  The
-    value adds  chance * cost * weight  left to right in world order,
-    where weight is the plan entry of the world's last move.  The result
-    is mixed when E > 0 and there is a decision.  A forgetful diagram
-    raises ValueError, as ``build_game_tree`` does.
-    """
-    import numpy as np
-    diagram = getattr(kb_or_diagram, "diagram", kb_or_diagram)
-    epsilon = 0.0 if fully_mixed is None else float(fully_mixed)
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError("the fully-mixed lower bound must be finite and nonnegative")
-    table = build_game_tree(diagram).table
-    order = table.diagram.variables
-    scopes = {v: order[:i] for i, v in enumerate(order) if diagram.kinds[v] != CHANCE}
-    k = len(scopes)
-    if epsilon * 2.0**k > 1.0:
-        raise InfeasibleEpsilonError(
-            f"no realization plan has every entry >= {epsilon}: every tree path meets "
-            f"all K = {k} decision variables, so the bound must be at most 2^-K = {2.0**-k}"
-        )
-    rows = {d: table.code(scope) for d, scope in scopes.items()}
-    chance = table.joint()
-    takes, _ = _chain_pass(table, tuple(reversed(scopes)), rows, chance, table.cost)
-    weight = np.ones(table.size)  # plan entry of each world's last move so far
-    locals_ = {}
-    for j, (d, scope) in enumerate(scopes.items()):
-        incoming = np.empty(takes[d].size)
-        incoming[rows[d]] = weight  # the scopes nest, so one value per row
-        lb = epsilon * 2.0 ** (k - 1 - j)
-        true = np.where(takes[d], incoming - lb, lb)
-        false = np.where(takes[d], lb, incoming - lb)
-        weight = np.where(table.column(d), true[rows[d]], false[rows[d]])
-        reached = incoming > 0.0
-        p = np.full(incoming.size, 0.5)
-        p[reached] = true[reached] / incoming[reached]
-        locals_[d] = dg.local_strategy(d, scope, p)
-    return OptimizationResult(
-        value=float(np.add.accumulate(chance * table.cost * weight)[-1]),
-        strategy=GlobalStrategy(locals=locals_),
-        kind="mixed" if epsilon > 0.0 and scopes else "pure",
-        certificate=PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes),
-        epsilon=epsilon,
-    )
 
 
 def export_game_tree_dot(tree):

@@ -52,6 +52,22 @@ strategies:
 """
 
 
+# D2 pays unless it guesses X.  Its influence set holds D1, which can
+# copy X; loaded forgetful, D2 sees only Y, a noisy copy of D1.
+LIMID_KB = (
+    "variables: [X, D1, Y, D2]\n"
+    "nodes:\n"
+    "  X: {kind: chance, parents: [], cpt: {'': 0.5}}\n"
+    "  D1: {kind: decision, parents: [X]}\n"
+    "  Y: {kind: chance, parents: [D1], cpt: {'0': 0.2, '1': 0.8}}\n"
+    "  D2: {kind: decision, parents: [Y]}\n"
+    "cost: {parents: [X, D2], table: {'00': 0, '01': 1, '10': 1, '11': 0}}\n"
+    "strategies:\n"
+    "  copy: {D1: {'0': 0, '1': 1}, D2: {'0': 0, '1': 1}}\n"
+    "  never: {D1: {'0': 0, '1': 0}, D2: {'0': 0, '1': 0}}\n"
+)
+
+
 def bench_specs(seeds):
     """The benchmark's generated KB specs of every workload at the seeds."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))

@@ -1,11 +1,14 @@
-"""The sequence form of a game tree, built node by node, and its LP.
+"""Sequence forms, built object by object, and their LP.
 
-``optimizer.optimal_mixed_strategy`` answers the tree's sequence-form
-program in closed form over the world table, for every lower bound on
-the plan entries.  The recursive tree of node and information-set
-objects, the realization plans and the program itself, built as a dense
-matrix and solved by ``simplex.minimize``, are kept here as the oracle
-it must agree with.
+``optimizer.optimal_mixed_strategy`` answers the sequence-form program
+keyed by the KB's own strategy scopes in closed form over the world
+table, for every lower bound on the plan entries.  That form, assembled
+row by row (``ref_kb_sequence_form``), the realization plans and the
+program itself, built as a dense matrix and solved by
+``simplex.minimize``, are kept here as the oracle it must agree with.
+The recursive game tree of node and information-set objects
+(``ref_build_game_tree``) is the reference for the drawn tree, and its
+sequence form feeds the same program.
 """
 
 from dataclasses import dataclass
@@ -19,11 +22,13 @@ from cider import simplex
 
 @dataclass(frozen=True)
 class Infoset:
-    """A singleton information set: one tree node owned by the optimizer."""
+    """One information set of the optimizer: a tree node, or a decision's
+    scope row."""
 
     id: int
     variable: str
-    history: str  # values of the variables expanded earlier, as a row key
+    scope: tuple  # the variables the decision sees here
+    history: str  # their values, as a row key
     seq_in: int
     seq_false: int
     seq_true: int
@@ -98,6 +103,7 @@ def ref_build_game_tree(diagram):
             Infoset(
                 id=h,
                 variable=v,
+                scope=order[:depth],
                 history=dg.rowkey(world, order[:depth]),
                 seq_in=seq_index[seq1],
                 seq_false=seq_index[extensions[0]],
@@ -115,6 +121,81 @@ def ref_build_game_tree(diagram):
     return RefTree(
         order=order,
         root=root,
+        leaves=tuple(leaves),
+        sequences=tuple(sequences),
+        infosets=tuple(infosets),
+    )
+
+
+@dataclass(frozen=True)
+class KBSequenceForm:
+    leaves: tuple  # one per world, in binary counting order
+    sequences: tuple
+    infosets: tuple  # earliest decision first, so every incoming sequence comes first
+
+
+def ref_kb_sequence_form(diagram):
+    """The sequence form keyed by the KB's strategy scopes, row by row.
+
+    Each decision has one information set per row of its scope, with one
+    sequence per move.  The parent sequence of (d, row) is the move, in
+    that row, of the last earlier decision: the one in d's scope whose
+    own scope is largest.  A leaf per world carries its chance weight,
+    multiplied in declared order, and the sequence of the last decision.
+    This is the sequence form of the KB's strategies under perfect
+    recall, where each decision and its scope lie inside the scope of
+    every later one; other diagrams raise ValueError.
+    """
+    scopes = {d: dg.strategy_scope(diagram, d) for d in diagram.decision_nodes}
+    order = sorted(scopes, key=lambda d: len(scopes[d]))
+    for e, d in zip(order, order[1:]):
+        if not set(scopes[e]) | {e} <= set(scopes[d]):
+            raise ValueError(f"decisions {e} and {d} do not nest")
+    sequences = [()]
+    seq_index = {(): 0}
+    infosets = []
+
+    def last_move(world, seen):
+        earlier = [e for e in order if e in seen]
+        if not earlier:
+            return 0
+        e = earlier[-1]
+        return seq_index[(e, dg.rowkey(world, scopes[e]), world[e])]
+
+    for d in order:
+        for key in dg.row_keys(len(scopes[d])):
+            world = dg.world_from_bits(key, scopes[d])
+            seq_in = last_move(world, scopes[d])
+            for value in (False, True):
+                seq_index[(d, key, value)] = len(sequences)
+                sequences.append((d, key, value))
+            infosets.append(
+                Infoset(
+                    id=len(infosets),
+                    variable=d,
+                    scope=scopes[d],
+                    history=key,
+                    seq_in=seq_in,
+                    seq_false=seq_index[(d, key, False)],
+                    seq_true=seq_index[(d, key, True)],
+                )
+            )
+    leaves = []
+    for key in dg.row_keys(len(diagram.variables)):
+        world = dg.world_from_bits(key, diagram.variables)
+        weight = 1.0
+        for v in diagram.chance_nodes:
+            p = diagram.cpt[v][dg.rowkey(world, diagram.parents.get(v, ()))]
+            weight *= p if world[v] else 1.0 - p
+        leaves.append(
+            Leaf(
+                world=world,
+                cost=dg.cost_of_valuation(diagram, world),
+                chance_weight=weight,
+                seq1=last_move(world, diagram.variables),
+            )
+        )
+    return KBSequenceForm(
         leaves=tuple(leaves),
         sequences=tuple(sequences),
         infosets=tuple(infosets),
@@ -145,7 +226,7 @@ def pure_plan(tree, strategy):
     entries[0] = 1.0
     for h in tree.infosets:
         local = strategy.locals[h.variable]
-        world = {v: bit == "1" for v, bit in zip(tree.order, h.history)}
+        world = dg.world_from_bits(h.history, h.scope)
         p = local.table[dg.rowkey(world, local.scope)]
         entries[h.seq_true] = entries[h.seq_in] * p
         entries[h.seq_false] = entries[h.seq_in] * (1.0 - p)
@@ -156,16 +237,14 @@ def plan_to_strategy(tree, plan):
     """Behaviour strategy: per node, the true move's share of the node's
     incoming weight, conditioned on the node's history.  Nodes the plan
     never reaches get the uniform row."""
-    tables = {}
+    tables, scopes = {}, {}
     for h in tree.infosets:
         incoming = plan.entries[h.seq_in]
         p = plan.entries[h.seq_true] / incoming if incoming > 0.0 else 0.5
         tables.setdefault(h.variable, {})[h.history] = float(p)
+        scopes[h.variable] = h.scope
     return dg.GlobalStrategy(
-        locals={
-            v: dg.LocalStrategy(v, tree.order[: tree.order.index(v)], table)
-            for v, table in tables.items()
-        }
+        locals={v: dg.LocalStrategy(v, scopes[v], table) for v, table in tables.items()}
     )
 
 

@@ -182,7 +182,7 @@ def test_criterion_7_lp_consistency(idelium):
             d = random_diagram(rng, strategy_cap_log2=8)
             pure = opt.optimal_pure_strategy(KnowledgeBase(diagram=d, vtbox=()))
             mixed = opt.optimal_mixed_strategy(d)
-            assert mixed.value <= pure.value + 1e-7
+            assert (mixed.value, mixed.strategy) == (pure.value, pure.strategy)
         for _ in range(25):
             d = random_diagram(rng, full_observation=True)
             pure = opt.optimal_pure_strategy(KnowledgeBase(diagram=d, vtbox=()))

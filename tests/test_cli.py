@@ -23,7 +23,7 @@ from cider.fixtures import fixture_bytes, fixture_names
 from cider.kbfile import KBLoadError, load_kb_text, load_model_text
 
 import sequence_form as sf
-from conftest import SIGNED_ZERO_KB
+from conftest import LIMID_KB, SIGNED_ZERO_KB
 
 
 @pytest.fixture(autouse=True)
@@ -566,14 +566,15 @@ def test_optimize_lp_infeasible_epsilon(kb_path, capsys):
 @pytest.mark.parametrize("epsilon", ["1e-9", "1e-12"])
 def test_fully_mixed_is_mixed_below_the_printed_precision(kb_path, capsys, epsilon):
     """Every plan entry is at least E > 0, so the strategy is mixed even
-    where its rows print as 0.999999999 or 1."""
+    where its rows print as 0.999999999 or 1; TA has one row per value
+    of its scope S."""
     code, stdout, err = run(
         capsys, "query", kb_path, "optimize", "--lp", "--fully-mixed", epsilon
     )
     assert code == 0 and err == ""
     assert "  kind: mixed\n" in stdout
     rows = [line.split(": ")[1] for line in stdout.splitlines() if line.startswith('      "')]
-    assert len(rows) == 4 and set(rows) <= {"0.999999999", "1"}
+    assert len(rows) == 2 and set(rows) <= {"0.999999999", "1"}
 
 
 def test_decide_threshold_false_still_exit_zero(kb_path, capsys):
@@ -649,12 +650,28 @@ def test_optimize_mode_without_evidence_exit_two(kb_path, capsys, kind, mode):
     assert err.count("\n") == 1 and "--mode" in err
 
 
-@pytest.mark.parametrize("command", [["optimize", "--lp"], ["export-game-tree"]])
-def test_forgetful_without_a_meaning_exit_two(kb_path, capsys, command):
-    code, stdout, err = run(capsys, "--forgetful", "query", kb_path, *command)
+def test_forgetful_without_a_meaning_exit_two(kb_path, capsys):
+    code, stdout, err = run(capsys, "--forgetful", "query", kb_path, "export-game-tree")
     assert code == 2
     assert stdout == ""
     assert err.count("\n") == 1 and "--forgetful" in err
+
+
+def test_forgetful_lp_follows_the_forgetful_scopes(tmp_path, capsys):
+    """D2 pays unless it guesses X.  Loaded forgetful it sees only Y, a
+    noisy copy of D1: the LP prints the pure optimum 0.2 over the parent
+    scopes, and, since D2 forgets D1, no fully-mixed plan exists."""
+    path = tmp_path / "limid.kb"
+    path.write_text(LIMID_KB)
+    query = ["--forgetful", "query", str(path), "optimize"]
+    code, lp, err = run(capsys, *query, "--lp")
+    assert (code, err) == (0, "")
+    assert "  value: 0.2\n  kind: pure\n" in lp and "    D2 (scope Y):\n" in lp
+    code, pure, _ = run(capsys, *query, "--pure")
+    assert lp.split("result:\n")[1] == pure.split("result:\n")[1]
+    code, stdout, err = run(capsys, *query, "--lp", "--fully-mixed", "0.1")
+    assert (code, stdout) == (3, "")
+    assert err == "error: no fully-mixed plan: the scopes of decisions D1 and D2 do not nest\n"
 
 
 @pytest.mark.parametrize("problem", ["d-opt", "d-pes"])
@@ -954,20 +971,32 @@ def test_two_to_the_64_pure_strategies_answer_without_enumeration(tmp_path, caps
     assert err == "error: 2^64 pure strategies exceed the cap 1048576\n"
 
 
-def test_fully_mixed_on_14336_information_sets_answers(tmp_path, capsys, monkeypatch):
-    """Decisions on levels 11 to 13 of a 14-variable KB give 14336
-    information sets: the fully-mixed query is answered without an LP."""
+def _late_decisions_kb(path, recall):
+    """11 chance roots, then D0, D1 and D2, with the cost on C00 and D2.
+    With recall each decision sees every chance root and every earlier
+    decision, so the scopes hold 2^11 + 2^12 + 2^13 = 14336 rows, the
+    information sets of the KB-keyed sequence form; without it the
+    decisions see nothing and their scopes do not nest."""
     names = [f"C{i:02d}" for i in range(11)]
     nodes = "".join(
         f"  {v}: {{kind: chance, parents: [], cpt: {{'': 0.5}}}}\n" for v in names
     )
-    nodes += "".join(f"  {v}: {{kind: decision, parents: []}}\n" for v in ("D0", "D1", "D2"))
-    path = tmp_path / "late.kb"
+    for i, d in enumerate(("D0", "D1", "D2")):
+        seen = names + ["D0", "D1"][:i] if recall else []
+        nodes += f"  {d}: {{kind: decision, parents: [{', '.join(seen)}]}}\n"
     path.write_text(
         f"variables: [{', '.join(names)}, D0, D1, D2]\n"
         "nodes:\n" + nodes +
         "cost: {parents: [C00, D2], table: {'00': 0, '01': 1, '10': 5, '11': 2}}\n"
     )
+    return str(path)
+
+
+def test_fully_mixed_on_14336_information_sets_answers(tmp_path, capsys, monkeypatch):
+    """A perfect-recall KB whose scopes hold 14336 rows: the fully-mixed
+    query is answered without an LP.  The same decisions seeing nothing
+    exit 3 with one line naming two of them."""
+    path = _late_decisions_kb(tmp_path / "late.kb", recall=True)
 
     def fail(*args, **kwargs):
         raise AssertionError("the sequence-form LP was built")
@@ -976,17 +1005,27 @@ def test_fully_mixed_on_14336_information_sets_answers(tmp_path, capsys, monkeyp
     monkeypatch.setattr(simplex, "minimize", fail)
     epsilon = 1e-6
     code, stdout, err = run(
-        capsys, "query", str(path), "optimize", "--lp", "--fully-mixed", str(epsilon)
+        capsys, "query", path, "optimize", "--lp", "--fully-mixed", str(epsilon)
     )
     assert code == 0 and err == ""
-    result = opt.optimal_mixed_strategy(load_kb_text(path.read_text()).kb, fully_mixed=epsilon)
+    kb = load_kb_text(Path(path).read_text()).kb
+    result = opt.optimal_mixed_strategy(kb, fully_mixed=epsilon)
+    assert sum(1 << len(local.scope) for local in result.strategy.locals.values()) == 14336
     assert f"  value: {fmt(result.value)}\n  kind: mixed\n  epsilon: 1e-06\n" in stdout
-    code, stdout, _ = run(capsys, "query", str(path), "optimize", "--lp")
+    code, stdout, _ = run(capsys, "query", path, "optimize", "--lp")
     assert code == 0 and "value: 1\n  kind: pure\n" in stdout
+    path = _late_decisions_kb(tmp_path / "forgetting.kb", recall=False)
+    code, stdout, err = run(
+        capsys, "query", path, "optimize", "--lp", "--fully-mixed", str(epsilon)
+    )
+    assert (code, stdout) == (3, "")
+    assert err == "error: no fully-mixed plan: the scopes of decisions D0 and D1 do not nest\n"
+    code, stdout, _ = run(capsys, "query", path, "optimize", "--lp")
+    assert code == 0 and "value: 1.5\n  kind: pure\n" in stdout
 
 
 def test_fully_mixed_one_float_above_the_boundary_exits_three(tmp_path, capsys):
-    """Every path meets K = 2 decisions: at E = 2^-2 every move gets half
+    """Every world meets K = 2 decisions: at E = 2^-2 every move gets half
     of its incoming weight, and one float above E exits 3."""
     path = tmp_path / "chain.kb"
     path.write_text(
@@ -1006,7 +1045,7 @@ def test_fully_mixed_one_float_above_the_boundary_exits_three(tmp_path, capsys):
     code, stdout, err = run(capsys, *query, above)
     assert code == 3 and stdout == ""
     assert err == (
-        f"error: no realization plan has every entry >= {above}: every tree path "
+        f"error: no realization plan has every entry >= {above}: every world "
         "meets all K = 2 decision variables, so the bound must be at most 2^-K = 0.25\n"
     )
 

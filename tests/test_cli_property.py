@@ -3,9 +3,9 @@
 Each example draws a KB from ``random_kb``, possibly breaks it, writes it
 as YAML and runs every command line below on it.  Every run must end in
 exit code 0 to 3 without a traceback, and exit 1 only from ``validate``
-reporting violations.  Every pure strategy that ``optimize --pure``
-prints, read back from the report, is a valid strategy whose value
-prints as the report's.
+reporting violations.  Every pure strategy that ``optimize`` prints,
+read back from the report, is a valid strategy whose value prints as
+the report's.
 """
 
 import contextlib
@@ -208,10 +208,11 @@ def _printed_strategy(stdout):
 def test_every_printed_pure_strategy_reevaluates_to_its_printed_value(
     tmp_path, random_kb_corpus
 ):
-    """optimize --pure in both directions, and with evidence under both
-    bounds, on the benchmark KBs at seed 1 and part of the random corpus:
-    the printed strategy is a valid strategy of the KB, and its expected
-    cost or its bound prints as the report's value."""
+    """optimize --pure in both directions, with evidence under both
+    bounds, and optimize --lp, on the benchmark KBs at seed 1 and part of
+    the random corpus: the printed strategy is a valid strategy of the
+    KB, and its expected cost or its bound prints as the report's value.
+    Plain --lp prints the value, kind and strategy lines of --pure."""
     rng = random.Random(29)
     documents = [(spec.to_yaml(), spec.concept_pairs[0]) for spec in bench_specs((1,))]
     documents += [
@@ -224,19 +225,24 @@ def test_every_printed_pure_strategy_reevaluates_to_its_printed_value(
         path.write_text(text)
         kb = load_kb_text(text).kb
         query = ev.EvidenceQuery(parse_concept(c), parse_concept(d))
-        runs = [
-            (["--direction", direction], lambda s: dg.expected_cost(kb.diagram, s))
-            for direction in ("min", "max")
-        ]
+        def expected(s):
+            return dg.expected_cost(kb.diagram, s)
+
+        runs = [(["--pure", "--direction", direction], expected) for direction in ("min", "max")]
         runs += [
-            (["--evidence", c, d, "--mode", mode], lambda s, bound=bound: bound(kb, s, query).value)
+            (["--pure", "--evidence", c, d, "--mode", mode],
+             lambda s, bound=bound: bound(kb, s, query).value)
             for mode, bound in (("opt", ev.optimistic_expected_cost),
                                 ("pes", ev.pessimistic_expected_cost))
         ]
+        runs.append((["--lp"], expected))
+        results = {}
         for flags, evaluate in runs:
-            argv = ["query", str(path), "optimize", "--pure", *flags]
+            argv = ["query", str(path), "optimize", *flags]
             code, stdout, err = run(argv)
             assert code == 0, (argv, err)
             value, strategy = _printed_strategy(stdout)
             assert not dg.validate_strategy(kb.diagram, strategy), argv
             assert fmt(evaluate(strategy)) == value, argv
+            results[flags[0], flags[-1]] = stdout.split("result:\n")[1]
+        assert results["--lp", "--lp"] == results["--pure", "min"]

@@ -244,14 +244,17 @@ def with_costs(case, k, b):
 # --- relations -----------------------------------------------------------------
 
 
-def test_permuting_variables_changes_no_answer_but_the_lp(originals):
-    """The LP's game tree breaks ties between ready variables by the
-    declared order, so its value may move and is left out here."""
+def test_permuting_variables_changes_no_answer(originals):
+    """The LP values too: the plain one is the pure optimum, and the
+    fully-mixed one is compared where the decisions have perfect recall;
+    elsewhere both orders give the same InfeasibleEpsilonError."""
     rng = random.Random(73)
+    outcomes = {type(want["lp", EPSILON]) for _, want in originals}
+    assert outcomes == {float, str}
     for case, want in originals:
         order = list(case.kb.diagram.variables)
         rng.shuffle(order)
-        assert_same(answers(permuted(case, order), lp=False), want, case.name)
+        assert_same(answers(permuted(case, order)), want, case.name)
 
 
 def test_an_axiom_under_false_changes_nothing(originals):

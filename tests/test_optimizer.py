@@ -3,12 +3,13 @@
 Enumerating every pure strategy is the oracle for the row-wise pure
 optimum (``enumerated_optimum``).
 
-The game tree is built as columns over the world table; the recursive
-builder in ``sequence_form``, with its node and information-set classes,
-and the DOT emitter here are the reference it must equal bit for bit.
-The game-tree optimum answers the tree's sequence-form LP, perturbed or
-not; the LP itself, solved by the dense simplex in ``sequence_form``, is
-its oracle.
+The drawn game tree is built as columns over the world table; the
+recursive builder in ``sequence_form``, with its node and
+information-set classes, and the DOT emitter here are the reference it
+must equal bit for bit.  The LP optimum answers the sequence-form LP
+keyed by the KB's strategy scopes, perturbed or not; that LP, assembled
+row by row and solved by the dense simplex in ``sequence_form``, is its
+oracle.
 """
 
 import collections
@@ -32,6 +33,7 @@ from cider.kbfile import load_kb_text
 
 import sequence_form as sf
 from conftest import (
+    LIMID_KB,
     SIGNED_ZERO_KB,
     bench_specs,
     random_diagram,
@@ -374,6 +376,11 @@ def test_row_wise_optimum_matches_enumeration(random_kb_corpus):
     assert any(rest for _, rest in splits)
     assert any(len(chain) >= 2 for chain, _ in splits)
     assert any(len(chain) >= 2 and rest for chain, rest in splits)
+    # some chain solves two or more decisions of one scope as one joint move
+    assert any(
+        len(chain) > len({dg.strategy_scope(kb.diagram, d) for d in chain})
+        for kb, (chain, _) in zip(cases, splits)
+    )
     unique = 0
     for kb in cases:
         scored = enumerated_optimum(kb.diagram)
@@ -406,25 +413,62 @@ def test_split_decisions_of_the_strategy_search_shape():
         opt.optimal_pure_strategy(kb, cap=3)
 
 
-_LIMID = (
-    "variables: [X, D1, Y, D2]\n"
-    "nodes:\n"
-    "  X: {kind: chance, parents: [], cpt: {'': 0.5}}\n"
-    "  D1: {kind: decision, parents: [X]}\n"
-    "  Y: {kind: chance, parents: [D1], cpt: {'0': 0.2, '1': 0.8}}\n"
-    "  D2: {kind: decision, parents: [Y]}\n"
-    "cost: {parents: [X, D2], table: {'00': 0, '01': 1, '10': 1, '11': 0}}\n"
-    "strategies:\n"
-    "  copy: {D1: {'0': 0, '1': 1}, D2: {'0': 0, '1': 1}}\n"
-    "  never: {D1: {'0': 0, '1': 0}, D2: {'0': 0, '1': 0}}\n"
-)
+def test_decisions_of_one_scope_join_the_chain_as_one_move():
+    """The shape of the benchmark's LP KBs: five parentless decisions,
+    all of the empty scope, among ten variables.  Neither of two sees the
+    other, so they form one chain with an empty rest, solved as one 5-bit
+    move per (empty) row with nothing enumerated, and the lowest joint
+    move wins a tie, as enumeration's first strategy does."""
+    rng = random.Random(5)
+    variables = tuple(f"V{i:02d}" for i in range(10))
+    decisions = ("V02", "V03", "V05", "V07", "V08")
+    parents = {v: () if v in decisions else variables[max(0, i - 2):i]
+               for i, v in enumerate(variables)}
+    d = dg.InfluenceDiagram(
+        variables=variables,
+        kinds={v: dg.DECISION if v in decisions else dg.CHANCE for v in variables},
+        parents=parents,
+        cpt={v: {key: rng.random() for key in dg.row_keys(len(parents[v]))}
+             for v in variables if v not in decisions},
+        cost_parents=("V02", "V03", "V05", "V07", "V08", "V09"),
+        cost_table={key: float(rng.choice((0, 1, 2, 5, 10, 20, 50, 90)))
+                    for key in dg.row_keys(6)},
+    )
+    assert opt.split_decisions(d) == (decisions, ())
+    kb = KnowledgeBase(diagram=d, vtbox=())
+    scored = enumerated_optimum(d)
+    assert len(scored) == 32
+    for direction in ("min", "max"):
+        assert assert_matches_enumeration(kb, scored, direction)
+        opt.optimal_pure_strategy(kb, direction=direction, cap=1)
+    flat = dataclasses.replace(d, cost_table={key: 0.0 for key in d.cost_table})
+    tie = opt.optimal_pure_strategy(KnowledgeBase(diagram=flat, vtbox=()))
+    assert all(local.table == {"": 0.0} for local in tie.strategy.locals.values())
+
+
+def test_the_pure_value_reuses_the_winners_joint(random_kb_corpus, monkeypatch):
+    """The winner's joint column is the strategy's joint bit for bit, so
+    the value sums it and the table computes one joint per search."""
+    real, calls = dg.WorldTable.joint, []
+
+    def counted(self, strategy=None):
+        calls.append(strategy)
+        return real(self, strategy)
+
+    monkeypatch.setattr(dg.WorldTable, "joint", counted)
+    for kb, _ in random_kb_corpus[:40]:
+        for direction in ("min", "max"):
+            calls.clear()
+            result = opt.optimal_pure_strategy(kb, direction=direction)
+            assert calls == [None]
+            assert result.value == dg.expected_cost(kb.diagram, result.strategy)
 
 
 def test_a_forgetful_kb_is_optimized_and_validated_over_parent_scopes():
     """D2 pays unless it guesses X.  Its influence set holds D1, which
     can copy X; loaded forgetful, it sees only Y, a noisy copy of D1, so
     the best pure strategy errs with probability 0.2."""
-    doc = load_kb_text(_LIMID, forgetful=True)
+    doc = load_kb_text(LIMID_KB, forgetful=True)
     result = opt.optimal_pure_strategy(doc.kb)
     assert result.certificate.scopes == {"D1": ("X",), "D2": ("Y",)}
     best = min(v for v, _ in enumerated_optimum(doc.kb.diagram))
@@ -433,22 +477,26 @@ def test_a_forgetful_kb_is_optimized_and_validated_over_parent_scopes():
     for name in doc.strategies:
         assert dg.validate_strategy(doc.kb.diagram, doc.strategy(name)) == []
     assert dg.expected_cost(doc.kb.diagram, doc.strategy("copy")) == result.value
-    recall = opt.optimal_pure_strategy(load_kb_text(_LIMID).kb)
+    recall = opt.optimal_pure_strategy(load_kb_text(LIMID_KB).kb)
     assert recall.certificate.scopes["D2"] == ("D1", "Y")
     assert recall.value == 0.0
 
 
 def test_the_game_tree_refuses_a_forgetful_diagram():
     """A perfect-information tree would let D2 see X, for a value of 0.0
-    where the forgetful KB's best strategy costs 0.2."""
-    forgetful = load_kb_text(_LIMID, forgetful=True).kb
-    for call in (opt.build_game_tree, opt.optimal_mixed_strategy):
-        with pytest.raises(ValueError, match="forgetful") as info:
-            call(forgetful.diagram)
-        assert "\n" not in str(info.value)
-    with pytest.raises(ValueError, match="forgetful"):
+    where the forgetful KB's best strategy costs 0.2.  The LP answers
+    over the KB's scopes instead: 0.2, and no fully-mixed plan, since D2
+    forgets D1."""
+    forgetful = load_kb_text(LIMID_KB, forgetful=True).kb
+    with pytest.raises(ValueError, match="forgetful") as info:
+        opt.build_game_tree(forgetful.diagram)
+    assert "\n" not in str(info.value)
+    result = opt.optimal_mixed_strategy(forgetful)
+    assert result.value == pytest.approx(0.2, rel=1e-12)
+    assert dg.validate_strategy(forgetful.diagram, result.strategy) == []
+    with pytest.raises(opt.InfeasibleEpsilonError, match="^no fully-mixed plan: .* D1 and D2 "):
         opt.optimal_mixed_strategy(forgetful, fully_mixed=0.1)
-    assert opt.optimal_mixed_strategy(load_kb_text(_LIMID).kb).value == 0.0
+    assert opt.optimal_mixed_strategy(load_kb_text(LIMID_KB).kb).value == 0.0
 
 
 def test_perfect_recall_enumerates_nothing():
@@ -710,7 +758,7 @@ def test_fully_mixed_perturbation(idelium):
     assert perturbed.kind == "mixed"
     assert perturbed.value >= exact.value - 1e-12
     assert perturbed.value == pytest.approx(exact.value, abs=1e-3)
-    plan = sf.pure_plan(sf.ref_build_game_tree(idelium.kb.diagram), perturbed.strategy)
+    plan = sf.pure_plan(sf.ref_kb_sequence_form(idelium.kb.diagram), perturbed.strategy)
     assert np.all(plan.entries >= eps - 1e-9)
 
 
@@ -723,22 +771,34 @@ def test_fully_mixed_infeasible(idelium):
 
 
 def test_lp_matches_backward_induction_randomized():
+    """Backward induction over the sequence form keyed by the KB's scopes
+    gives the LP value under perfect recall.  On every diagram the
+    perfect-information tree, where each decision sees every variable
+    expanded before it, bounds the LP value from below."""
     rng = random.Random(2025)
+    recall = 0
     for _ in range(40):
         d = random_diagram(rng)
-        value, _ = backward_induction(sf.ref_build_game_tree(d))
         result = opt.optimal_mixed_strategy(d)
-        assert result.value == pytest.approx(value, abs=1e-7)
+        value, _ = backward_induction(sf.ref_build_game_tree(d))
+        assert value <= result.value + 1e-7
+        if _perfect_recall(d):
+            value = _sequence_values(sf.ref_kb_sequence_form(d))[0]
+            assert result.value == pytest.approx(value, abs=1e-7)
+            recall += 1
+    assert recall >= 30
 
 
 def test_lp_below_pure_minimum_randomized():
+    """A pure strategy attains the LP optimum: the LP answers with the
+    pure optimum itself."""
     rng = random.Random(31337)
     for _ in range(40):
         d = random_diagram(rng)
         kb = KnowledgeBase(diagram=d, vtbox=())
         pure = opt.optimal_pure_strategy(kb)
         mixed = opt.optimal_mixed_strategy(d)
-        assert mixed.value <= pure.value + 1e-7
+        assert (mixed.value, mixed.strategy, mixed.kind) == (pure.value, pure.strategy, "pure")
 
 
 def test_lp_equals_pure_on_fully_observed_family():
@@ -753,7 +813,9 @@ def test_lp_equals_pure_on_fully_observed_family():
 
 def test_lp_strictly_beats_hidden_information_strategy():
     """The tree lets the optimizer see a chance value its influence set
-    hides, so the LP optimum can undercut every plain strategy."""
+    hides, for a value of 0.0.  The LP answers over the KB's scopes, so
+    it no longer undercuts the best plain strategy, and its strategy is
+    one of the KB's."""
     d = dg.InfluenceDiagram(
         variables=("C0", "D0"),
         kinds={"C0": dg.CHANCE, "D0": dg.DECISION},
@@ -766,7 +828,9 @@ def test_lp_strictly_beats_hidden_information_strategy():
     pure = opt.optimal_pure_strategy(kb)
     mixed = opt.optimal_mixed_strategy(d)
     assert pure.value == pytest.approx(5.0, abs=1e-9)
-    assert mixed.value == pytest.approx(0.0, abs=1e-9)
+    assert backward_induction(sf.ref_build_game_tree(d))[0] == pytest.approx(0.0, abs=1e-9)
+    assert mixed.value == pure.value
+    assert dg.validate_strategy(d, mixed.strategy) == []
 
 
 def test_pure_plans_feasible_and_consistent_randomized():
@@ -823,14 +887,34 @@ def test_mixed_result_reproduces_value_randomized():
 # --- backward induction -----------------------------------------------------
 
 
-def _below_a_tie(tree):
-    """Per sequence, whether its path passes a decision node whose two
+def _perfect_recall(diagram):
+    """Of every two decisions, one and its scope lie inside the other's
+    scope."""
+    scopes = {d: set(dg.strategy_scope(diagram, d)) for d in diagram.decision_nodes}
+    return all(
+        scopes[a] | {a} <= scopes[b] or scopes[b] | {b} <= scopes[a]
+        for a, b in itertools.combinations(scopes, 2)
+    )
+
+
+def _sequence_values(form):
+    """Per sequence, its reduced cost plus, for each information set it
+    leads to, the lesser of the two moves' values: backward induction
+    over the sequence form, whose optimum is the empty sequence's."""
+    value = sf.reduced_objective(form)
+    for h in reversed(form.infosets):
+        value[h.seq_in] += min(value[h.seq_false], value[h.seq_true])
+    return value
+
+
+def _below_a_tie(form):
+    """Per sequence, whether its path passes an information set whose two
     moves' values agree within 1e-12 relative, where the two sides may
     split the weight differently."""
-    _, children = backward_induction(tree)
-    below = np.zeros(len(tree.sequences), dtype=bool)
-    for h in tree.infosets:
-        false, true = children[h.id]
+    value = _sequence_values(form)
+    below = np.zeros(len(form.sequences), dtype=bool)
+    for h in form.infosets:
+        false, true = value[h.seq_false], value[h.seq_true]
         tie = abs(false - true) <= 1e-12 * max(abs(false), abs(true))
         below[h.seq_false] = below[h.seq_true] = below[h.seq_in] | tie
     return below
@@ -844,44 +928,70 @@ def _simplex_corpus(random_kb_corpus, idelium):
 
 
 def test_backward_induction_matches_the_simplex(random_kb_corpus, idelium):
-    """The simplex is the oracle: the same value to 1e-12 relative, and,
-    read back through the returned strategy, the same plan to 1e-12
-    except below decision nodes whose two moves' values agree to 1e-12
-    relative.  The value adds  chance * cost * plan entry  over the
-    reference's leaves left to right, bit for bit."""
-    differences = 0
+    """On the perfect-recall diagrams the simplex over the sequence form
+    keyed by the KB's scopes is the oracle.  The plain LP optimum and the
+    closed form at E = 0 have its value to 1e-12 relative, and, read back
+    through the returned strategy, its plan to 1e-12 except below
+    information sets whose two moves' values agree to 1e-12 relative.
+    The closed form's value adds  chance * cost * plan entry  over the
+    leaves left to right, bit for bit."""
+    differences = checked = 0
     for diagram in _simplex_corpus(random_kb_corpus, idelium):
-        tree = sf.ref_build_game_tree(diagram)
-        result = opt.optimal_mixed_strategy(diagram)
-        lp_plan, lp_value = sf.solve_lp(sf.assemble_lp(tree))
-        assert abs(result.value - lp_value) <= 1e-12 * max(1.0, abs(lp_value))
-        plan = sf.pure_plan(tree, result.strategy)
-        assert set(plan.entries.tolist()) <= {0.0, 1.0}
+        if not _perfect_recall(diagram):
+            continue
+        form = sf.ref_kb_sequence_form(diagram)
+        lp_plan, lp_value = sf.solve_lp(sf.assemble_lp(form))
+        below = _below_a_tie(form)
+        for result in (opt.optimal_mixed_strategy(diagram),
+                       opt.optimal_mixed_strategy(diagram, 0.0)):
+            assert abs(result.value - lp_value) <= 1e-12 * max(1.0, abs(lp_value))
+            plan = sf.pure_plan(form, result.strategy)
+            assert set(plan.entries.tolist()) <= {0.0, 1.0}
+            gap = np.abs(plan.entries - lp_plan.entries)
+            assert np.all(gap[~below] <= 1e-12)
+            differences += int(np.count_nonzero(gap > 1e-12))
         terms = [
             leaf.chance_weight * leaf.cost * float(plan.entries[leaf.seq1])
-            for leaf in tree.leaves
+            for leaf in form.leaves
         ]
         assert result.value.hex() == functools.reduce(operator.add, terms).hex()
-        gap = np.abs(plan.entries - lp_plan.entries)
-        assert np.all(gap[~_below_a_tie(tree)] <= 1e-12)
-        differences += int(np.count_nonzero(gap > 1e-12))
+        checked += 1
+    assert checked >= 500
     assert differences > 0  # the corpus does reach ties the two break differently
 
 
+def _named_pair(message):
+    """The two decisions that an InfeasibleEpsilonError names."""
+    return message.split("decisions ", 1)[1].split(" do not nest")[0].split(" and ")
+
+
 def test_fully_mixed_matches_the_simplex(random_kb_corpus, idelium):
-    """Under a lower bound E on every entry the simplex is the oracle:
+    """Under a lower bound E on every entry the simplex over the
+    KB-keyed sequence form is the oracle on the perfect-recall diagrams:
     the same feasibility, the same value to 1e-12 relative, and, read
     back through the returned strategy, the same plan to 1e-12, except
-    below decision nodes whose two moves' values agree to 1e-12
-    relative.  Every entry of that plan is at least E, to 1e-15."""
+    below information sets whose two moves' values agree to 1e-12
+    relative.  Every entry of that plan is at least E, to 1e-15.  Without
+    perfect recall every E exits with two decisions that do not nest."""
     seen = collections.Counter()
     for diagram in _simplex_corpus(random_kb_corpus, idelium):
-        tree = sf.ref_build_game_tree(diagram)
-        k = sum(diagram.kinds[v] != dg.CHANCE for v in tree.order)
-        below = _below_a_tie(tree)
-        for epsilon in (1e-6, 1e-3, 0.01, 0.1, 0.3, 2.0**-k):
+        k = len(diagram.decision_nodes)
+        epsilons = (1e-6, 1e-3, 0.01, 0.1, 0.3, 2.0**-k)
+        if not _perfect_recall(diagram):
+            for epsilon in epsilons:
+                with pytest.raises(opt.InfeasibleEpsilonError, match="do not nest") as info:
+                    opt.optimal_mixed_strategy(diagram, epsilon)
+                assert "\n" not in str(info.value)
+                e, d = _named_pair(str(info.value))
+                scope = {x: set(dg.strategy_scope(diagram, x)) for x in (e, d)}
+                assert not (scope[e] | {e} <= scope[d] or scope[d] | {d} <= scope[e])
+            seen["no perfect recall"] += 1
+            continue
+        form = sf.ref_kb_sequence_form(diagram)
+        below = _below_a_tie(form)
+        for epsilon in epsilons:
             try:
-                lp_plan, lp_value = sf.solve_lp(sf.assemble_lp(tree, epsilon))
+                lp_plan, lp_value = sf.solve_lp(sf.assemble_lp(form, epsilon))
             except simplex.Infeasible:
                 with pytest.raises(opt.InfeasibleEpsilonError, match=f"K = {k} "):
                     opt.optimal_mixed_strategy(diagram, epsilon)
@@ -889,18 +999,19 @@ def test_fully_mixed_matches_the_simplex(random_kb_corpus, idelium):
                 continue
             result = opt.optimal_mixed_strategy(diagram, epsilon)
             assert abs(result.value - lp_value) <= 1e-12 * max(1.0, abs(lp_value))
-            plan = sf.pure_plan(tree, result.strategy)
+            plan = sf.pure_plan(form, result.strategy)
             assert np.all(plan.entries >= epsilon - 1e-15)
             assert np.all(np.abs(plan.entries - lp_plan.entries)[~below] <= 1e-12)
             seen["feasible"] += 1
             seen["below a tie"] += bool(below.any())
-    assert len(seen) == 3
+    assert len(seen) == 4
 
 
 def test_lp_exact_tie_takes_false():
     """D1 is no ancestor of the cost, so its two moves tie exactly: the
-    rows the plan reaches take false, and the rows it never reaches (after
-    D0 = 0) get the uniform row."""
+    rows the plan reaches take false.  The closed form at E = 0 gives
+    the rows it never reaches (after D0 = 0) the uniform row; the plain
+    LP is the pure optimum, which sets them to false."""
     d = dg.InfluenceDiagram(
         variables=("D0", "C", "D1"),
         kinds={"D0": dg.DECISION, "C": dg.CHANCE, "D1": dg.DECISION},
@@ -909,31 +1020,49 @@ def test_lp_exact_tie_takes_false():
         cost_parents=("D0", "C"),
         cost_table={"00": 4.0, "01": 4.0, "10": 0.0, "11": 2.0},
     )
-    result = opt.optimal_mixed_strategy(d)
+    result = opt.optimal_mixed_strategy(d, fully_mixed=0.0)
     assert result.value == 0.5
     assert result.strategy.locals["D0"].table == {"": 1.0}
     assert result.strategy.locals["D1"].table == {
         "00": 0.5, "01": 0.5, "10": 0.0, "11": 0.0
     }
     assert result.kind == "pure"  # the uniform rows are never reached
+    plain = opt.optimal_mixed_strategy(d)
+    assert plain.value == 0.5
+    assert plain.strategy.locals["D1"].table == {"00": 0.0, "01": 0.0, "10": 0.0, "11": 0.0}
 
 
-def test_fully_mixed_lp_on_14336_information_sets_needs_no_simplex(monkeypatch):
-    """14 variables whose decisions sit on levels 11 to 13 give the tree
-    2^11 + 2^12 + 2^13 = 14336 information sets: the program's dense
-    simplex tableau would have 14338 x 43011 cells, and backward
-    induction answers it without building any."""
+def _late_decisions(recall):
+    """11 chance roots, then D0, D1 and D2, with the cost on C00 and D2.
+
+    With recall, each decision sees every chance root and every earlier
+    decision, so the KB's scopes hold 2^11 + 2^12 + 2^13 = 14336 rows,
+    the information sets of the KB-keyed sequence form.  Without it the
+    decisions see nothing and their scopes do not nest.
+    """
     chance = tuple(f"C{i:02d}" for i in range(11))
     decisions = ("D0", "D1", "D2")
-    d = dg.InfluenceDiagram(
+    return dg.InfluenceDiagram(
         variables=chance + decisions,
         kinds={**{v: dg.CHANCE for v in chance}, **{v: dg.DECISION for v in decisions}},
-        parents={v: () for v in chance + decisions},
+        parents={
+            **{v: () for v in chance},
+            **{d: chance + decisions[:i] if recall else () for i, d in enumerate(decisions)},
+        },
         cpt={v: {"": 0.5} for v in chance},
         cost_parents=("C00", "D2"),
         cost_table={"00": 0.0, "01": 1.0, "10": 5.0, "11": 2.0},
     )
-    assert len(opt.build_game_tree(d).infosets) == 14336
+
+
+def test_fully_mixed_lp_on_14336_information_sets_needs_no_simplex(monkeypatch):
+    """The KB-keyed sequence form of 14336 information sets would give a
+    dense simplex tableau of 14338 x 43011 cells; the closed form answers
+    it without building any.  The same decisions seeing nothing have no
+    perfect recall, and no fully-mixed plan."""
+    d = _late_decisions(recall=True)
+    assert sum(1 << len(dg.strategy_scope(d, v)) for v in d.decision_nodes) == 14336
+    assert opt.split_decisions(d) == (("D2", "D1", "D0"), ())
 
     def fail(*args, **kwargs):
         raise AssertionError("the sequence-form LP was built")
@@ -944,11 +1073,17 @@ def test_fully_mixed_lp_on_14336_information_sets_needs_no_simplex(monkeypatch):
     epsilon = 1e-6
     result = opt.optimal_mixed_strategy(d, fully_mixed=epsilon)
     assert result.kind == "mixed" and result.epsilon == epsilon
-    plan = sf.pure_plan(sf.ref_build_game_tree(d), result.strategy)
+    form = sf.ref_kb_sequence_form(d)
+    assert len(form.infosets) == 14336
+    plan = sf.pure_plan(form, result.strategy)
     assert np.all(plan.entries >= epsilon - 1e-15)
     assert abs(result.value - dg.expected_cost(d, result.strategy)) <= 1e-12
     plain = opt.optimal_mixed_strategy(d)
     assert plain.value == 1.0 and plain.kind == "pure"
+    forgetting = _late_decisions(recall=False)
+    with pytest.raises(opt.InfeasibleEpsilonError, match="decisions D0 and D1 do not nest$"):
+        opt.optimal_mixed_strategy(forgetting, fully_mixed=epsilon)
+    assert opt.optimal_mixed_strategy(forgetting).value == 1.5  # D2 does not see C00
 
 
 # --- DOT export -------------------------------------------------------------
