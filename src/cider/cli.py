@@ -32,6 +32,14 @@ from .kbfile import KBLoadError, load_kb_text
 
 PROB_TOL = "1e-09"
 
+# decide --problem as optimize --pure's --mode and --direction
+_PROBLEMS = {
+    "d-opt": (None, "min"),
+    "d-pes": (None, "max"),
+    "d-dom-opt": ("opt", "min"),
+    "d-dom-pes": ("pes", "min"),
+}
+
 
 class _InputError(Exception):
     pass
@@ -114,6 +122,18 @@ def _strategy(doc, name):
     return strategy
 
 
+def _pure_optimum(kb, evidence, mode, direction):
+    """The best pure strategy for optimize --pure's --evidence, --mode
+    and --direction; evidence alone bounds optimistically."""
+    objective, query = "expected", None
+    if evidence:
+        objective = "dominant-pessimistic" if mode == "pes" else "dominant-optimistic"
+        query = _evidence(*evidence)
+    return opt.optimal_pure_strategy(
+        kb, objective=objective, evidence=query, direction=direction
+    )
+
+
 def _strategy_lines(strategy):
     lines = ["strategy:"]
     for d in sorted(strategy.locals):
@@ -191,7 +211,7 @@ def _cmd_query(args, argv):
     if sub == "expected-cost":
         strategy = _strategy(doc, args.strategy)
         table = dg.WorldTable(kb.diagram)
-        dist = table.cost_distribution(strategy)
+        dist = dg.cost_distribution(table, strategy)
         lines = [f"expected_cost: {fmt(dg.expected_cost(table, strategy))}"]
         lines.append("distribution:")
         lines.extend(f"  {fmt(r)}: {fmt(p)}" for r, p in sorted(dist.items()))
@@ -247,50 +267,31 @@ def _cmd_query(args, argv):
                     f"--fully-mixed must be a finite nonnegative number, got {epsilon}"
                 )
             result = opt.optimal_mixed_strategy(kb, fully_mixed=epsilon)
-            lines = [f"value: {fmt(result.value)}", f"kind: {result.kind}"]
-            if result.epsilon:
-                lines.append(f"epsilon: {fmt(result.epsilon)}")
-            lines.extend(_strategy_lines(result.strategy))
-            _report(argv, source, lines, tolerance="1e-07")
-            return 0
-        if args.fully_mixed is not None:
-            raise _InputError("--fully-mixed applies to --lp only")
-        objective = "expected"
-        query = None
-        if args.evidence:
-            objective = (
-                "dominant-pessimistic" if args.mode == "pes" else "dominant-optimistic"
-            )
-            query = _evidence(*args.evidence)
-        result = opt.optimal_pure_strategy(
-            kb, objective=objective, evidence=query, direction=args.direction
-        )
+            tolerance = "1e-07"
+        else:
+            if args.fully_mixed is not None:
+                raise _InputError("--fully-mixed applies to --lp only")
+            result = _pure_optimum(kb, args.evidence, args.mode, args.direction)
+            tolerance = PROB_TOL
         lines = [f"value: {fmt(result.value)}", f"kind: {result.kind}"]
+        if result.epsilon:
+            lines.append(f"epsilon: {fmt(result.epsilon)}")
         lines.extend(_strategy_lines(result.strategy))
-        _report(argv, source, lines, tolerance=PROB_TOL)
+        _report(argv, source, lines, tolerance=tolerance)
         return 0
 
     if sub == "decide":
         if not math.isfinite(args.bound):
             raise _InputError(f"--bound must be a finite number, got {args.bound}")
-        if args.problem in ("d-dom-opt", "d-dom-pes"):
-            if not args.evidence:
-                raise _InputError(f"--problem {args.problem} needs --evidence C D")
-            query = _evidence(*args.evidence)
-            objective = (
-                "dominant-optimistic"
-                if args.problem == "d-dom-opt"
-                else "dominant-pessimistic"
+        mode, direction = _PROBLEMS[args.problem]
+        if mode and not args.evidence:
+            raise _InputError(f"--problem {args.problem} needs --evidence C D")
+        if args.evidence and not mode:
+            raise _InputError(
+                f"--problem {args.problem} takes no --evidence; "
+                "only d-dom-opt and d-dom-pes do"
             )
-            result = opt.optimal_pure_strategy(kb, objective=objective, evidence=query)
-        else:
-            if args.evidence:
-                raise _InputError(
-                    f"--problem {args.problem} takes no --evidence; "
-                    "only d-dom-opt and d-dom-pes do"
-                )
-            direction = "min" if args.problem == "d-opt" else "max"
-            result = opt.optimal_pure_strategy(kb, direction=direction)
+        result = _pure_optimum(kb, args.evidence, mode, direction)
         answer = opt.decide_threshold(result, args.bound, args.problem)
         _report(
             argv,
@@ -372,7 +373,7 @@ def _build_parser():
     p = subs.add_parser("decide", help="threshold decision problems")
     p.add_argument(
         "--problem",
-        choices=("d-opt", "d-pes", "d-dom-opt", "d-dom-pes"),
+        choices=tuple(_PROBLEMS),
         required=True,
     )
     p.add_argument("--bound", type=float, required=True)

@@ -456,10 +456,6 @@ class WorldTable:
         chosen = probability[where]
         return float(np.add.accumulate(chosen)[-1]) if chosen.size else 0.0
 
-    def cost_distribution(self, strategy):
-        """Probability of paying each cost value under the strategy."""
-        return self.distribution(self.joint(strategy))
-
     def distribution(self, probability):
         """Probability of paying each cost value, given every world's.
 
@@ -487,7 +483,7 @@ def cost_distribution(diagram, strategy):
     ``diagram`` may also be a ``WorldTable`` already built for the query.
     """
     table = diagram if isinstance(diagram, WorldTable) else WorldTable(diagram)
-    return table.cost_distribution(strategy)
+    return table.distribution(table.joint(strategy))
 
 
 def expected_cost(diagram, strategy):

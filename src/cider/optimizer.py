@@ -11,8 +11,9 @@ The best pure strategy for expected cost uses the KB's strategy scopes.
 Only the strategies of the other decisions, the rest, are enumerated;
 under perfect recall the rest is empty.  The evidence objectives do not
 split over rows, so the same search runs them with an empty chain.
-Pure strategies number doubly exponentially, so a cap guards every
-enumeration.
+Pure strategies number doubly exponentially, so the constant
+STRATEGY_CAP bounds every enumeration, as ``diagram.WORLD_CAP`` bounds
+the world table.
 
 Expected cost is multilinear in the strategy tables, so the best
 arbitrary strategy is a pure one.  Under perfect recall the same pass
@@ -47,7 +48,7 @@ __all__ = [
     "export_game_tree_dot",
 ]
 
-DEFAULT_CAP = 2**20
+STRATEGY_CAP = 2**20
 
 
 class EnumerationCapError(RuntimeError):
@@ -79,16 +80,17 @@ def _format_count(log2):
     return str(1 << log2) if log2 <= 62 else f"2^{log2}"
 
 
-def enumerate_pure_strategies(diagram, cap=DEFAULT_CAP, decisions=None):
+def enumerate_pure_strategies(diagram, decisions=None):
     """All pure strategies of some decisions (by default every one),
-    lexicographic over rows, false before true."""
+    lexicographic over rows, false before true; more than STRATEGY_CAP
+    of them raise EnumerationCapError."""
     import numpy as np
     decisions = diagram.decision_nodes if decisions is None else tuple(decisions)
     scopes = {d: strategy_scope(diagram, d) for d in decisions}
     log2 = sum(2 ** len(scope) for scope in scopes.values())
-    if log2 > 62 or (1 << log2) > cap:
+    if log2 > 62 or (1 << log2) > STRATEGY_CAP:
         raise EnumerationCapError(
-            f"{_format_count(log2)} pure strategies exceed the cap {cap}"
+            f"{_format_count(log2)} pure strategies exceed the cap {STRATEGY_CAP}"
         )
     cuts = list(itertools.accumulate(1 << len(scopes[d]) for d in decisions))[:-1]
     for bits in itertools.product((False, True), repeat=log2):
@@ -118,17 +120,10 @@ class OptimizationResult:
     value: float
     strategy: GlobalStrategy
     kind: str  # "pure" | "mixed"
-    certificate: PureStrategy  # the moves taken, on every scope row
     epsilon: float = 0.0
 
 
-def optimal_pure_strategy(
-    kb,
-    objective="expected",
-    evidence=None,
-    direction="min",
-    cap=DEFAULT_CAP,
-):
+def optimal_pure_strategy(kb, objective="expected", evidence=None, direction="min"):
     """Best pure strategy, from the one search ``_row_wise_optimum``.
 
     objective "expected" scores plain expected cost, solved row-wise
@@ -137,25 +132,27 @@ def optimal_pure_strategy(
     and "dominant-pessimistic" score the corresponding conditional bound
     given the evidence inclusion; that bound does not split over rows,
     so the search runs with an empty chain and enumerates every pure
-    strategy, ties kept in enumeration order.  The world table and the
-    evidence entailment do not depend on the strategy and are built
-    once.  cap bounds the number of strategies enumerated.
+    strategy, ties kept in enumeration order.  Evidence is required by
+    those two and refused by "expected".  The value is the winning
+    score itself, so the rest's strategies are ranked by the number the
+    report prints.  The world table and the evidence entailment do not
+    depend on the strategy and are built once.
     """
-    import numpy as np
     if objective not in ("expected", "dominant-optimistic", "dominant-pessimistic"):
         raise ValueError(f"unknown objective {objective!r}")
     if objective != "expected" and evidence is None:
         raise ValueError(f"objective {objective!r} needs an evidence query")
+    if objective == "expected" and evidence is not None:
+        raise ValueError("objective 'expected' takes no evidence query")
     if direction not in ("min", "max"):
         raise ValueError(f"unknown direction {direction!r}")
     sign = 1.0 if direction == "min" else -1.0
     table = dg.WorldTable(kb.diagram)
-    signed_cost = sign * table.cost
     if objective == "expected":
         chain = split_decisions(kb.diagram)[0]
 
         def score(w):
-            return np.add.accumulate(w * signed_cost)[-1]
+            return sign * table.mean(w)
 
     else:
         forced = entailment_column(kb, table, evidence.lhs, evidence.rhs)
@@ -165,17 +162,12 @@ def optimal_pure_strategy(
         def score(w):
             return sign * greedy_bound(table, forced, w, bound_sign).value
 
-    best, pure, w = _row_wise_optimum(table, signed_cost, chain, score, cap)
-    return OptimizationResult(
-        value=table.mean(w) if objective == "expected" else sign * best,
-        strategy=pure.to_strategy(),
-        kind="pure",
-        certificate=pure,
-    )
+    best, pure = _row_wise_optimum(table, sign * table.cost, chain, score)
+    return OptimizationResult(value=sign * best, strategy=pure.to_strategy(), kind="pure")
 
 
-def _row_wise_optimum(table, signed_cost, chain, score, cap):
-    """(score, PureStrategy, w) minimizing score(w) over the joint column w,
+def _row_wise_optimum(table, signed_cost, chain, score):
+    """(score, PureStrategy) minimizing score(w) over the joint column w,
     by backward induction over the chain (``split_decisions``' chain, or
     empty) for each pure strategy of the rest, the other decisions.
 
@@ -184,9 +176,7 @@ def _row_wise_optimum(table, signed_cost, chain, score, cap):
     ``_chain_pass`` decides the chain.  Rows that w never reaches are
     set to false, as enumeration leaves them.  Of the rest's strategies,
     enumerated in order, the first with the strictly smallest score
-    wins.  Expected cost scores  sum(w * signed_cost)  in world order;
-    the evidence objectives pass an empty chain and score the greedy
-    bound.
+    wins.
     """
     import numpy as np
     diagram = table.diagram
@@ -195,7 +185,7 @@ def _row_wise_optimum(table, signed_cost, chain, score, cap):
     rows = {d: table.code(scopes[d]) for d in scopes}
     chance = table.joint()
     best = None
-    for fixed in enumerate_pure_strategies(diagram, cap=cap, decisions=rest):
+    for fixed in enumerate_pure_strategies(diagram, decisions=rest):
         w = chance
         for d in rest:
             w = w * (fixed.takes[d][rows[d]] == table.column(d))
@@ -205,9 +195,9 @@ def _row_wise_optimum(table, signed_cost, chain, score, cap):
             takes[d] &= reach > 0.0
         total = score(w)
         if best is None or total < best[0]:
-            best = (total, {**fixed.takes, **takes}, w)
-    total, takes, w = best
-    return total, PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes), w
+            best = (total, {**fixed.takes, **takes})
+    total, takes = best
+    return total, PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes)
 
 
 def _chain_pass(table, chain, scopes, rows, w, signed_cost):
@@ -307,7 +297,6 @@ def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
         value=float(np.add.accumulate(chance * table.cost * weight)[-1]),
         strategy=GlobalStrategy(locals=locals_),
         kind="mixed" if epsilon > 0.0 and scopes else "pure",
-        certificate=PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes),
         epsilon=epsilon,
     )
 

@@ -165,6 +165,15 @@ def test_validate_violations_exit_one(tmp_path, capsys):
     assert "cycle" in stdout
 
 
+@pytest.mark.parametrize("text", ["", "# a comment only\n"], ids=["empty", "comment-only"])
+def test_a_document_with_no_mapping_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "empty.kb"
+    path.write_text(text)
+    assert run(capsys, "validate", str(path)) == (
+        2, "", f"error: {path}: document must be a mapping, got NoneType\n"
+    )
+
+
 _ONE_CHANCE = "  A: {kind: chance, parents: [], cpt: {'': 0.5}}\n"
 _COST_A = "cost: {parents: [A], table: {'0': 0, '1': 1}}\n"
 

@@ -212,7 +212,10 @@ def test_every_printed_pure_strategy_reevaluates_to_its_printed_value(
     bounds, and optimize --lp, on the benchmark KBs at seed 1 and part of
     the random corpus: the printed strategy is a valid strategy of the
     KB, and its expected cost or its bound prints as the report's value.
-    Plain --lp prints the value, kind and strategy lines of --pure."""
+    Plain --lp prints the value, kind and strategy lines of --pure, and
+    each decide problem's optimum is the value of its optimize --pure:
+    d-opt and d-pes minimize and maximize, d-dom-opt and d-dom-pes take
+    the evidence under --mode opt and pes."""
     rng = random.Random(29)
     documents = [(spec.to_yaml(), spec.concept_pairs[0]) for spec in bench_specs((1,))]
     documents += [
@@ -246,3 +249,12 @@ def test_every_printed_pure_strategy_reevaluates_to_its_printed_value(
             assert fmt(evaluate(strategy)) == value, argv
             results[flags[0], flags[-1]] = stdout.split("result:\n")[1]
         assert results["--lp", "--lp"] == results["--pure", "min"]
+        for problem, key in (("d-opt", "min"), ("d-pes", "max"),
+                             ("d-dom-opt", "opt"), ("d-dom-pes", "pes")):
+            evidence = ["--evidence", c, d] if key in ("opt", "pes") else []
+            argv = ["query", str(path), "decide", "--problem", problem, "--bound", "0",
+                    *evidence]
+            code, stdout, err = run(argv)
+            assert code == 0, (argv, err)
+            optimum = stdout.split("  optimum: ")[1]
+            assert results["--pure", key].startswith(f"  value: {optimum}"), argv

@@ -120,6 +120,9 @@ def test_influence_set_fixture(idelium):
     assert influence_set(idelium.kb.diagram, "TA") == {"S"}
     with pytest.raises(ValueError):
         influence_set(idelium.kb.diagram, "S")
+    forgetful = dataclasses.replace(idelium.kb.diagram, forgetful=True)
+    with pytest.raises(ValueError, match="^'S' is not a decision node$"):
+        strategy_scope(forgetful, "S")
 
 
 def test_influence_set_through_chance_chain():

@@ -317,8 +317,10 @@ _MODEL = (
         ("{world: '01', weight: half}", "entries[1]: 'weight' is not a number"),
         ("{world: '011', weight: 0.5}", "entries[1]: world '011' does not match"),
         (f"{{world: '01', weight: {_HUGE}}}", "entries[1]: 'weight' is too large for a float"),
+        ("{world: '01', weight: 0.5, roles: {r: [d0]}}", "entries[1].roles.r[0] is not a pair"),
     ],
-    ids=["missing-world", "missing-weight", "non-numeric-weight", "mismatched-world", "huge-weight"],
+    ids=["missing-world", "missing-weight", "non-numeric-weight", "mismatched-world", "huge-weight",
+         "role-not-a-pair"],
 )
 def test_bad_model_entry_is_a_load_error(entry, message):
     with pytest.raises(KBLoadError) as caught:

@@ -82,7 +82,7 @@ def answers(case, lp=True):
     out = {}
     for name, s in case.strategies.items():
         out["expected", name] = dg.expected_cost(table, s)
-        out["distribution", name] = table.cost_distribution(s)
+        out["distribution", name] = dg.cost_distribution(table, s)
         worlds = (
             frozenset(v for v, bit in zip(kb.diagram.variables, key) if bit == "1")
             for key in dg.row_keys(len(kb.diagram.variables))

@@ -152,13 +152,6 @@ def test_tree_matches_the_recursive_reference(random_kb_corpus, idelium):
 # --- enumeration ------------------------------------------------------------
 
 
-def same_takes(a, b):
-    """Equal decisions, each with an equal Boolean array over its rows."""
-    return a.keys() == b.keys() and all(
-        a[d].dtype == b[d].dtype == bool and np.array_equal(a[d], b[d]) for d in a
-    )
-
-
 def test_enumeration_counts(idelium):
     strategies = list(opt.enumerate_pure_strategies(idelium.kb.diagram))
     assert len(strategies) == 4
@@ -234,9 +227,10 @@ def test_enumeration_two_decisions():
         assert digits.tolist() == [c == "1" for c in format(i, "04b")]
 
 
-def test_enumeration_cap(idelium):
+def test_enumeration_cap(idelium, monkeypatch):
+    monkeypatch.setattr(opt, "STRATEGY_CAP", 3)
     with pytest.raises(opt.EnumerationCapError, match="4"):
-        list(opt.enumerate_pure_strategies(idelium.kb.diagram, cap=3))
+        list(opt.enumerate_pure_strategies(idelium.kb.diagram))
 
 
 def test_enumeration_cap_reports_huge_counts():
@@ -305,6 +299,14 @@ def test_objective_validation(idelium):
         opt.optimal_pure_strategy(idelium.kb, direction="sideways")
 
 
+def test_the_expected_objective_refuses_evidence(idelium):
+    """Expected cost would ignore the evidence and answer 2.36, where the
+    pessimistic bound's optimum is 6."""
+    query = EvidenceQuery(N("Subject"), N("Infectious"))
+    with pytest.raises(ValueError, match="^objective 'expected' takes no evidence query$"):
+        opt.optimal_pure_strategy(idelium.kb, evidence=query)
+
+
 def test_decide_threshold(idelium):
     best = opt.optimal_pure_strategy(idelium.kb)
     worst = opt.optimal_pure_strategy(idelium.kb, direction="max")
@@ -315,6 +317,8 @@ def test_decide_threshold(idelium):
     # monotone in the bound
     answers = [opt.decide_threshold(best, b, "d-opt") for b in (1.0, 2.0, 3.0, 40.0)]
     assert answers == sorted(answers)
+    with pytest.raises(ValueError, match="^unknown problem 'd-best'$"):
+        opt.decide_threshold(best, 3.0, "d-best")
 
 
 # --- the pure optimum, row-wise -----------------------------------------------
@@ -351,7 +355,7 @@ def assert_matches_enumeration(kb, scored, direction):
         if abs(v - value) <= 1e-9 * scale
     )
     if unique:
-        assert same_takes(result.certificate.takes, pure.takes)
+        assert result.strategy == pure.to_strategy()
     return unique
 
 
@@ -389,7 +393,29 @@ def test_row_wise_optimum_matches_enumeration(random_kb_corpus):
     assert unique > len(cases)  # most optima are unique up to unreached rows
 
 
-def test_split_decisions_of_the_strategy_search_shape():
+def test_the_rest_is_ranked_by_the_printed_value():
+    """Under max, rest strategies with V1 = (0, 1) and with V1 = (1, 0)
+    both sum to 20.0 in world order, but the first prints
+    19.999999999999996.  Ranked by the printed value, the search answers
+    exactly 20.0, enumeration's largest expected cost."""
+    d = dg.InfluenceDiagram(
+        variables=("V0", "V1", "V2", "V3", "V4", "V5"),
+        kinds={"V0": dg.CHANCE, "V1": dg.DECISION, "V2": dg.CHANCE,
+               "V3": dg.DECISION, "V4": dg.DECISION, "V5": dg.CHANCE},
+        parents={"V0": (), "V1": ("V0",), "V2": ("V1",), "V3": ("V2",),
+                 "V4": ("V3",), "V5": ()},
+        cpt={"V0": {"": 0.43114924486958084},
+             "V2": {"0": 0.9827728983795448, "1": 0.037282282007210066},
+             "V5": {"": 0.8434906742201728}},
+        cost_parents=("V0", "V3"),
+        cost_table={"00": 20.0, "01": 2.0, "10": 2.0, "11": 20.0},
+    )
+    assert opt.split_decisions(d) == (("V3",), ("V1", "V4"))
+    result = opt.optimal_pure_strategy(KnowledgeBase(diagram=d, vtbox=()), direction="max")
+    assert result.value == max(v for v, _ in enumerated_optimum(d)) == 20.0
+
+
+def test_split_decisions_of_the_strategy_search_shape(monkeypatch):
     """V02 sees V01 and V05 sees V03, a child of V02: V05's scope
     (V02, V03) lacks V01, so V02 is enumerated and V05 solved row-wise."""
     variables = ("V01", "V02", "V03", "V04", "V05")
@@ -405,15 +431,17 @@ def test_split_decisions_of_the_strategy_search_shape():
     )
     assert opt.split_decisions(d) == (("V05",), ("V02",))
     kb = KnowledgeBase(diagram=d, vtbox=())
-    result = opt.optimal_pure_strategy(kb, cap=4)
     best = min(v for v, _ in enumerated_optimum(d))
+    monkeypatch.setattr(opt, "STRATEGY_CAP", 4)
+    result = opt.optimal_pure_strategy(kb)
     assert result.value == pytest.approx(best, rel=1e-12)
+    monkeypatch.setattr(opt, "STRATEGY_CAP", 3)
     message = "^4 pure strategies exceed the cap 3$"
     with pytest.raises(opt.EnumerationCapError, match=message):
-        opt.optimal_pure_strategy(kb, cap=3)
+        opt.optimal_pure_strategy(kb)
 
 
-def test_decisions_of_one_scope_join_the_chain_as_one_move():
+def test_decisions_of_one_scope_join_the_chain_as_one_move(monkeypatch):
     """The shape of the benchmark's LP KBs: five parentless decisions,
     all of the empty scope, among ten variables.  Neither of two sees the
     other, so they form one chain with an empty rest, solved as one 5-bit
@@ -438,9 +466,9 @@ def test_decisions_of_one_scope_join_the_chain_as_one_move():
     kb = KnowledgeBase(diagram=d, vtbox=())
     scored = enumerated_optimum(d)
     assert len(scored) == 32
+    monkeypatch.setattr(opt, "STRATEGY_CAP", 1)
     for direction in ("min", "max"):
         assert assert_matches_enumeration(kb, scored, direction)
-        opt.optimal_pure_strategy(kb, direction=direction, cap=1)
     flat = dataclasses.replace(d, cost_table={key: 0.0 for key in d.cost_table})
     tie = opt.optimal_pure_strategy(KnowledgeBase(diagram=flat, vtbox=()))
     assert all(local.table == {"": 0.0} for local in tie.strategy.locals.values())
@@ -470,7 +498,8 @@ def test_a_forgetful_kb_is_optimized_and_validated_over_parent_scopes():
     the best pure strategy errs with probability 0.2."""
     doc = load_kb_text(LIMID_KB, forgetful=True)
     result = opt.optimal_pure_strategy(doc.kb)
-    assert result.certificate.scopes == {"D1": ("X",), "D2": ("Y",)}
+    assert {d: local.scope for d, local in result.strategy.locals.items()} == {
+        "D1": ("X",), "D2": ("Y",)}
     best = min(v for v, _ in enumerated_optimum(doc.kb.diagram))
     assert result.value == pytest.approx(best, rel=1e-12)
     assert result.value == pytest.approx(0.2, rel=1e-12)
@@ -478,7 +507,7 @@ def test_a_forgetful_kb_is_optimized_and_validated_over_parent_scopes():
         assert dg.validate_strategy(doc.kb.diagram, doc.strategy(name)) == []
     assert dg.expected_cost(doc.kb.diagram, doc.strategy("copy")) == result.value
     recall = opt.optimal_pure_strategy(load_kb_text(LIMID_KB).kb)
-    assert recall.certificate.scopes["D2"] == ("D1", "Y")
+    assert recall.strategy.locals["D2"].scope == ("D1", "Y")
     assert recall.value == 0.0
 
 
@@ -499,7 +528,7 @@ def test_the_game_tree_refuses_a_forgetful_diagram():
     assert opt.optimal_mixed_strategy(load_kb_text(LIMID_KB).kb).value == 0.0
 
 
-def test_perfect_recall_enumerates_nothing():
+def test_perfect_recall_enumerates_nothing(monkeypatch):
     """One decision seeing six variables has 2^64 pure strategies; it is
     a chain by itself, so the optimum needs no enumeration."""
     d = dg.InfluenceDiagram(
@@ -515,10 +544,11 @@ def test_perfect_recall_enumerates_nothing():
     )
     assert opt.split_decisions(d) == (("D0",), ())
     kb = KnowledgeBase(diagram=d, vtbox=())
-    best = opt.optimal_pure_strategy(kb, cap=1)
+    monkeypatch.setattr(opt, "STRATEGY_CAP", 1)
+    best = opt.optimal_pure_strategy(kb)
     assert best.value == pytest.approx(0.5)
     assert set(best.strategy.locals["D0"].table.values()) == {0.0, 1.0}
-    worst = opt.optimal_pure_strategy(kb, direction="max", cap=1)
+    worst = opt.optimal_pure_strategy(kb, direction="max")
     assert worst.value == pytest.approx(3.0)
 
 
@@ -554,7 +584,7 @@ def test_exact_ties_take_false():
     for direction in ("min", "max"):
         result = opt.optimal_pure_strategy(kb, direction=direction)
         assert result.strategy.locals["D"].table == {"0": 0.0, "1": 0.0}
-        assert same_takes(result.certificate.takes, enumerated_optimum(d)[0][1].takes)
+        assert result.strategy == enumerated_optimum(d)[0][1].to_strategy()
 
 
 def test_unreached_rows_take_false():
