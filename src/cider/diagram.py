@@ -370,6 +370,26 @@ def check_world_count(diagram):
         raise WorldCapError(f"2^{n} worlds exceed the world cap {WORLD_CAP}")
 
 
+def flat_index(index, width):
+    """Column indices into each row of a matrix width columns wide, as
+    indices into the matrix raveled: row i's move up by i * width."""
+    import numpy as np
+    if len(index) == 1:
+        return index
+    return index + np.arange(0, len(index) * width, width)[:, None]
+
+
+def bincount_rows(keys, weights, size):
+    """``np.bincount(keys[i], weights[i], minlength=size)`` for each row
+    i of two matrices of one shape, as a matrix.  Each bin adds its
+    row's weights in column order from +0.0, so a sum never ends at
+    -0.0 and a weight of 0 changes none."""
+    import numpy as np
+    counts = np.bincount(flat_index(keys, size).ravel(), weights=weights.ravel(),
+                         minlength=len(keys) * size)
+    return counts.reshape(len(keys), size)
+
+
 class WorldTable:
     """Every world of a diagram as columns over the world index.
 
@@ -469,9 +489,23 @@ class WorldTable:
         p = np.bincount(index, weights=probability, minlength=len(values))
         return dict(zip(values, p.tolist()))
 
-    def mean(self, probability):
-        """The sum of r * p over ``distribution(probability)``."""
-        return sum(r * p for r, p in self.distribution(probability).items())
+    def mean(self, probability, worlds=None):
+        """The sum of r * p over ``distribution(probability)``, added by
+        Python's ``sum`` in ascending r.
+
+        With worlds, an index that picks a matrix of world-table columns
+        (``np.s_[None, :]`` picks every world as one row), probability
+        is a matrix over the worlds picked, and the result is the list
+        of its rows' means.  A row's worlds are in world order; those it
+        leaves out have probability 0, which changes no sum.
+        """
+        if worlds is None:
+            return sum(r * p for r, p in self.distribution(probability).items())
+        import numpy as np
+        values = self.diagram.cost_values
+        masses = bincount_rows(np.searchsorted(values, self.cost[worlds]), probability,
+                               len(values))
+        return [sum(row) for row in (np.array(values, dtype=float) * masses).tolist()]
 
     def index(self, world):
         return int(self.diagram.bits(world) or "0", 2)

@@ -102,40 +102,64 @@ def greedy_bound(table, forced, probability, sign):
     when minimizing, below when maximizing), so the included worlds and
     the evidence probability can follow rounding where the value does
     not.  Running sums add left to right, as a per-world loop adds.
+    This is ``_greedy_pass`` run on one row over every world.
     """
     import numpy as np
-    forced, optional = _split(forced, probability)
-    cost = table.cost
-    if not forced.any():
-        if not optional.any():
-            raise UndefinedConditionalError("no world has positive probability")
-        # all satisfying mass can be concentrated on the extreme-cost worlds
-        costs = cost[optional]
-        chosen = optional & (cost == (costs.min() if sign > 0 else costs.max()))
-        return ConditionalCostResult(
-            value=float(cost[chosen][0]),  # the first tied cost: -0.0 ties 0.0
-            evidence_probability=table.mass(probability, chosen),
-            included=chosen,
-        )
-    order = np.flatnonzero(optional)
-    order = order[np.argsort(sign * cost[order], kind="stable")]
-    # Running sums for every prefix of the order, the forced totals first.
-    # Like Python floats they overflow to inf quietly; prefixes past the
-    # stopping point are never used.
-    with np.errstate(over="ignore"):
-        weight = probability * cost
-        mass = np.add.accumulate(
-            np.append(table.mass(probability, forced), probability[order])
-        )
-        weighted = np.add.accumulate(np.append(table.mass(weight, forced), weight[order]))
-        below = sign * cost[order] < sign * (weighted[:-1] / mass[:-1])
-    stop = below.size if below.all() else int(below.argmin())
-    forced[order[:stop]] = True
+    value, mass, order, stop = _greedy_pass(
+        table.cost[None], forced[None], probability[None], sign)
+    included = np.zeros(table.size, dtype=bool)
+    included[order[0, : stop[0]]] = True
     return ConditionalCostResult(
-        value=float(weighted[stop] / mass[stop]),
-        evidence_probability=float(mass[stop]),
-        included=forced,
+        value=float(value[0]), evidence_probability=float(mass[0]), included=included
     )
+
+
+def _greedy_pass(cost, forced, probability, sign):
+    """The greedy pass on each row of some world matrices: (value,
+    evidence probability, order, stop) per row, the included worlds of
+    row i being its columns order[i, :stop[i]].
+
+    Each row's order puts its forced worlds first in column order, then
+    its optional worlds by a stable argsort of sign * cost, then the
+    worlds of probability 0.  One running sum in that order gives the
+    forced totals, added in column order, and every prefix after them.
+    A row with no forced world concentrates its mass on the optional
+    worlds of the extreme cost: its value is the first such cost (-0.0
+    ties 0.0) and its stop their number.  A row with no world of
+    positive probability raises UndefinedConditionalError.
+    """
+    import numpy as np
+    positive = probability > 0.0
+    key = np.where(positive, sign * cost, np.inf)  # costs are finite
+    key[forced & positive] = -np.inf
+    order = np.argsort(key, axis=1, kind="stable")
+    at = dg.flat_index(order, order.shape[1])
+    key, cost, probability = key.ravel()[at], cost.ravel()[at], probability.ravel()[at]
+    first = key[:, 0].tolist()
+    if np.inf in first:
+        raise UndefinedConditionalError("no world has positive probability")
+    # Column j is in while it is forced or its cost beats the average of
+    # the columns before it, as inside[:, j - 1] says; after the first
+    # column out none is, and the last entry, past every column, is out.
+    inside = np.zeros(key.shape, dtype=bool)
+    # Like Python floats the running sums overflow to inf quietly; sums
+    # past the stopping point are never used.
+    with np.errstate(over="ignore"):
+        mass = np.add.accumulate(probability, axis=1)
+        weighted = np.add.accumulate(probability * cost, axis=1)
+        np.less(key[:, 1:], sign * (weighted[:, :-1] / mass[:, :-1]), out=inside[:, :-1])
+        inside[:, :-1] |= key[:, 1:] == -np.inf
+        stop = inside.argmin(axis=1) + 1
+        unforced = max(first) > -np.inf  # some row has no forced world
+        if unforced:
+            # all satisfying mass can be concentrated on the extreme-cost worlds
+            stop = np.where(key[:, 0] > -np.inf, (key == key[:, :1]).sum(axis=1), stop)
+        last = dg.flat_index(stop[:, None] - 1, key.shape[1])[:, 0]
+        mass = mass.ravel()[last]
+        value = weighted.ravel()[last] / mass
+    if unforced:
+        value = np.where(key[:, 0] > -np.inf, cost[:, 0], value)
+    return value, mass, order, stop
 
 
 def optimistic_expected_cost(kb, strategy, query):

@@ -30,7 +30,7 @@ from . import diagram as dg
 from ._format import format_float as fmt
 from .contextual import KnowledgeBase, entailment_column
 from .diagram import CHANCE, GlobalStrategy, strategy_scope
-from .evidence import greedy_bound
+from .evidence import _greedy_pass
 
 __all__ = [
     "EnumerationCapError",
@@ -92,10 +92,11 @@ def enumerate_pure_strategies(diagram, decisions=None):
         raise EnumerationCapError(
             f"{_format_count(log2)} pure strategies exceed the cap {STRATEGY_CAP}"
         )
-    cuts = list(itertools.accumulate(1 << len(scopes[d]) for d in decisions))[:-1]
+    cuts = list(itertools.accumulate((1 << len(scopes[d]) for d in decisions), initial=0))
     for bits in itertools.product((False, True), repeat=log2):
-        takes = np.split(np.array(bits, dtype=bool), cuts)
-        yield PureStrategy(takes=dict(zip(decisions, takes)), scopes=scopes)
+        row = np.array(bits, dtype=bool)
+        takes = {d: row[a:b] for d, a, b in zip(decisions, cuts, cuts[1:])}
+        yield PureStrategy(takes=takes, scopes=scopes)
 
 
 def split_decisions(diagram):
@@ -146,82 +147,170 @@ def optimal_pure_strategy(kb, objective="expected", evidence=None, direction="mi
         raise ValueError("objective 'expected' takes no evidence query")
     if direction not in ("min", "max"):
         raise ValueError(f"unknown direction {direction!r}")
+    import numpy as np
     sign = 1.0 if direction == "min" else -1.0
     table = dg.WorldTable(kb.diagram)
     if objective == "expected":
         chain = split_decisions(kb.diagram)[0]
 
-        def score(w):
-            return sign * table.mean(w)
+        def score(w, worlds):
+            return sign * np.array(table.mean(w, worlds))
 
     else:
         forced = entailment_column(kb, table, evidence.lhs, evidence.rhs)
         bound_sign = +1 if objective == "dominant-optimistic" else -1
         chain = ()
 
-        def score(w):
-            return sign * greedy_bound(table, forced, w, bound_sign).value
+        def score(w, worlds):
+            return sign * _greedy_pass(table.cost[worlds], forced[worlds], w, bound_sign)[0]
 
     best, pure = _row_wise_optimum(table, sign * table.cost, chain, score)
     return OptimizationResult(value=sign * best, strategy=pure.to_strategy(), kind="pure")
 
 
 def _row_wise_optimum(table, signed_cost, chain, score):
-    """(score, PureStrategy) minimizing score(w) over the joint column w,
+    """(score, PureStrategy) minimizing score over the joint columns w,
     by backward induction over the chain (``split_decisions``' chain, or
     empty) for each pure strategy of the rest, the other decisions.
 
-    For a fixed rest, w starts as the chance column times the rest's
-    0/1 indicators: a pure strategy's joint, bit for bit.  Then
-    ``_chain_pass`` decides the chain.  Rows that w never reaches are
-    set to false, as enumeration leaves them.  Of the rest's strategies,
-    enumerated in order, the first with the strictly smallest score
-    wins.
+    The rest's strategies come from ``enumerate_pure_strategies`` a
+    block at a time.  A pure strategy fixes each rest decision given its
+    scope, so its joint is 0 outside one world per valuation of the
+    other variables: each strategy's row of w holds its joint over only
+    those 2^(n - |rest|) worlds, in world order (``_reached_worlds``).
+    A block holds at most WORLD_CAP // 2^(n - |rest|) strategies, fewer
+    when a chain run has more keys or the table more cost values than
+    that.  w starts as the chance column there, a pure strategy's joint
+    bit for bit, since the rest's factors are all 1.0.  Then ``_chain_pass``
+    decides the chain in every row.  Rows that w never reaches are set
+    to false, as enumeration leaves them.  score(w, worlds) gives each
+    row's score, and of the rest's strategies, enumerated in order, the
+    first with the strictly smallest score wins (costs are finite, so no
+    score is nan).
     """
     import numpy as np
     diagram = table.diagram
     scopes = {d: strategy_scope(diagram, d) for d in diagram.decision_nodes}
     rest = tuple(d for d in scopes if d not in chain)
-    rows = {d: table.code(scopes[d]) for d in scopes}
+    groups = _chain_groups(table, chain, scopes)
     chance = table.joint()
+    count, reached = _reached_worlds(table, rest, scopes)
+    # no block matrix, the sums per chain key and per cost value included,
+    # is larger than a world-table column at the cap
+    widths = [count, len(diagram.cost_values)] + [width for _, _, width in groups]
+    size = max(1, dg.WORLD_CAP // max(widths))
+    strategies = enumerate_pure_strategies(diagram, decisions=rest)
     best = None
-    for fixed in enumerate_pure_strategies(diagram, decisions=rest):
-        w = chance
-        for d in rest:
-            w = w * (fixed.takes[d][rows[d]] == table.column(d))
-        takes, w = _chain_pass(table, chain, scopes, rows, w, signed_cost)
-        for d in chain:
-            reach = np.bincount(rows[d], weights=w, minlength=1 << len(scopes[d]))
-            takes[d] &= reach > 0.0
-        total = score(w)
-        if best is None or total < best[0]:
-            best = (total, {**fixed.takes, **takes})
-    total, takes = best
+    while block := list(itertools.islice(strategies, size)):
+        worlds = reached(block)
+        keys = [dg.flat_index(key[worlds], width) for _, key, width in groups]
+        moves, w = _chain_pass(groups, keys, chance[worlds], signed_cost[worlds])
+        # key >> k is the scope row, moved up by width >> k per row of w
+        reach = [
+            np.bincount((at >> len(group)).ravel(), weights=w.ravel(),
+                        minlength=len(w) * (width >> len(group))).reshape(len(w), -1) > 0.0
+            for (group, _, width), at in zip(groups, keys)
+        ]
+        totals = score(w, worlds)
+        i = int(totals.argmin())
+        if best is None or totals[i] < best[0]:
+            best = (float(totals[i]), block[i], [m[i] for m in moves], [r[i] for r in reach])
+    total, fixed, moves, reach = best
+    takes = {**fixed.takes, **_chain_takes(groups, moves, reach)}
     return total, PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes)
 
 
-def _chain_pass(table, chain, scopes, rows, w, signed_cost):
-    """Backward induction over nested scopes: (takes, w).
+def _reached_worlds(table, rest, scopes):
+    """(count, reached): how many worlds each of the rest's pure
+    strategies reaches, and reached(block), an index that picks each
+    strategy's worlds as one row in world order.
 
-    Each run of k chain decisions with one scope, largest scope first,
-    sums  w * signed_cost  per (scope row, joint value), with rows[d]
-    every world's scope row, and takes the joint value of least sum, the
-    lowest on a tie (for k = 1, true only where that sum is strictly
-    smaller); then it multiplies its indicator into w.  A smaller chain
-    decision and its scope lie inside every larger one's scope, so its
-    factor is constant on each of their rows.  Every scope row occurs
-    with every joint value, so the sums cover every row.
+    A strategy reaches one world per valuation of the variables outside
+    the rest, the base world where every rest decision is false, with
+    each rest decision set to its table at its scope row.  Scopes hold
+    only ancestors, so each rest decision is set after those in its
+    scope.  With every scope declared before its decision, the worlds
+    come in the order of their base worlds; otherwise each row is
+    sorted.  With the rest empty the one strategy reaches every world,
+    as ``np.s_[None, :]``.
     """
     import numpy as np
-    takes = {}
-    for _, group in itertools.groupby(chain, key=lambda d: scopes[d]):
+    if not rest:
+        return table.size, lambda block: np.s_[None, :]
+    position = table.position
+    shift = {d: len(position) - 1 - position[d] for d in rest}
+    world = np.arange(table.size)
+    base = world[world & sum(1 << s for s in shift.values()) == 0]
+    rows = {d: table.code(scopes[d])[base] for d in rest}  # with every rest bit 0
+    order = []
+    while len(order) < len(rest):
+        order += [d for d in rest if d not in order
+                  and all(v in order or v not in rest for v in scopes[d])]
+    in_order = all(position[v] < position[d] for d in rest for v in scopes[d])
+
+    def reached(block):
+        value, index = {}, base
+        for d in order:
+            takes = np.array([s.takes[d] for s in block], dtype=np.int64)
+            row = rows[d]
+            for j, v in enumerate(scopes[d]):
+                if v in value:
+                    row = row | value[v] << (len(scopes[d]) - 1 - j)
+            if row.ndim == 1:
+                value[d] = takes[:, row]
+            else:
+                value[d] = takes.ravel()[dg.flat_index(row, takes.shape[1])]
+            index = index | value[d] << shift[d]
+        return index if in_order else np.sort(index, axis=1)
+
+    return len(base), reached
+
+
+def _chain_groups(table, chain, scopes):
+    """Each run of chain decisions with one scope, largest scope first,
+    as (decisions, key, width): every world's key is its scope row << k
+    | the joint value of the run's k decisions, one of width keys."""
+    groups = []
+    for scope, group in itertools.groupby(chain, key=lambda d: scopes[d]):
         group = tuple(group)
-        k, row, code = len(group), rows[group[0]], table.code(group)
-        q = np.bincount((row << k) | code, weights=w * signed_cost)
-        move = q.reshape(-1, 1 << k).argmin(axis=1)
-        takes.update((d, move >> (k - 1 - j) & 1 == 1) for j, d in enumerate(group))
-        w = w * (move[row] == code)
-    return takes, w
+        key = table.code(scope) << len(group) | table.code(group)
+        groups.append((group, key, 1 << (len(scope) + len(group))))
+    return groups
+
+
+def _chain_pass(groups, keys, w, signed_cost):
+    """Backward induction over nested scopes in each row of w: (moves, w).
+
+    w and signed_cost are matrices over some worlds, and keys[i] holds
+    the key of run groups[i] (``_chain_groups``) of each of those worlds,
+    moved up by width per row (``diagram.flat_index``).  Each run of k
+    chain decisions with one scope, largest scope first, sums
+    w * signed_cost  per key in each row and takes per scope row the
+    joint move of least sum, the lowest on a tie (for k = 1, true only
+    where that sum is strictly smaller); then it multiplies its
+    indicator into w.  A smaller chain decision and its scope lie inside
+    every larger one's scope, so its factor is constant on each of their
+    rows.  A key that no world of a row holds sums to 0.0, as every key
+    does over every world with w = 0 there.
+    """
+    import numpy as np
+    moves = []
+    for (group, _, width), at in zip(groups, keys):
+        q = np.bincount(at.ravel(), weights=(w * signed_cost).ravel(), minlength=len(w) * width)
+        move = q.reshape(len(w), -1, 1 << len(group)).argmin(axis=2)
+        w = w * (move[:, :, None] == np.arange(1 << len(group))).ravel()[at]
+        moves.append(move)
+    return moves, w
+
+
+def _chain_takes(groups, moves, reach):
+    """Each chain decision's column over its scope rows: bit k - 1 - j of
+    its run's move for the j-th of k decisions, where reach holds."""
+    return {
+        d: (move >> (len(group) - 1 - j) & 1 == 1) & r
+        for (group, _, _), move, r in zip(groups, moves, reach)
+        for j, d in enumerate(group)
+    }
 
 
 def decide_threshold(result, bound, problem):
@@ -279,7 +368,10 @@ def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
     table = dg.WorldTable(diagram)
     rows = {d: table.code(scope) for d, scope in scopes.items()}
     chance = table.joint()
-    takes, _ = _chain_pass(table, chain, scopes, rows, chance, table.cost)
+    groups = _chain_groups(table, chain, scopes)
+    keys = [key[None] for _, key, _ in groups]
+    moves, _ = _chain_pass(groups, keys, chance[None], table.cost[None])
+    takes = _chain_takes(groups, [m[0] for m in moves], [True] * len(groups))
     weight = np.ones(table.size)  # plan entry of each world's last move so far
     locals_ = {}
     for j, (d, scope) in enumerate(scopes.items()):
