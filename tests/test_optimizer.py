@@ -26,9 +26,14 @@ from cider import diagram as dg
 from cider import optimizer as opt
 from cider import simplex
 from cider._format import format_float as fmt
-from cider.contextual import KnowledgeBase
-from cider.el import ConceptName as N
-from cider.evidence import EvidenceQuery, optimistic_expected_cost
+from cider.contextual import KnowledgeBase, entailment_column
+from cider.el import ConceptName as N, parse_concept
+from cider.evidence import (
+    EvidenceQuery,
+    UndefinedConditionalError,
+    greedy_bound,
+    optimistic_expected_cost,
+)
 from cider.kbfile import load_kb_text
 
 import sequence_form as sf
@@ -36,6 +41,7 @@ from conftest import (
     LIMID_KB,
     SIGNED_ZERO_KB,
     bench_specs,
+    random_concept,
     random_diagram,
     random_strategy,
     with_scopes,
@@ -359,9 +365,18 @@ def assert_matches_enumeration(kb, scored, direction):
     return unique
 
 
+def _bench_docs():
+    """The benchmark's generated KBs of every workload at five seeds,
+    each with its query pairs as evidence queries."""
+    return [
+        (load_kb_text(spec.to_yaml()).kb,
+         [EvidenceQuery(parse_concept(c), parse_concept(d)) for c, d in spec.concept_pairs])
+        for spec in bench_specs((1, 3, 5, 11, 29))
+    ]
+
+
 def _bench_kbs():
-    """The benchmark's generated KBs of every workload at five seeds."""
-    return [load_kb_text(spec.to_yaml()).kb for spec in bench_specs((1, 3, 5, 11, 29))]
+    return [kb for kb, _ in _bench_docs()]
 
 
 def test_row_wise_optimum_matches_enumeration(random_kb_corpus):
@@ -391,6 +406,108 @@ def test_row_wise_optimum_matches_enumeration(random_kb_corpus):
         for direction in ("min", "max"):
             unique += assert_matches_enumeration(kb, scored, direction)
     assert unique > len(cases)  # most optima are unique up to unreached rows
+
+
+EVIDENCE_OBJECTIVES = ("dominant-optimistic", "dominant-pessimistic")
+
+
+def enumerated_bound(kb, query, objective, direction):
+    """(value, strategy, every value): the first strictly best
+    ``greedy_bound`` over ``enumerate_pure_strategies``, each strategy's
+    joint over every world."""
+    table = dg.WorldTable(kb.diagram)
+    forced = entailment_column(kb, table, query.lhs, query.rhs)
+    sign = +1 if objective == "dominant-optimistic" else -1
+    better = 1.0 if direction == "min" else -1.0
+    values, best = [], None
+    for pure in opt.enumerate_pure_strategies(kb.diagram):
+        strategy = pure.to_strategy()
+        values.append(greedy_bound(table, forced, table.joint(strategy), sign).value)
+        if best is None or better * values[-1] < better * best[0]:
+            best = (values[-1], strategy)
+    return (*best, values)
+
+
+def assert_evidence_search_is_enumeration(kb, query):
+    for objective, direction in itertools.product(EVIDENCE_OBJECTIVES, ("min", "max")):
+        value, strategy, _ = enumerated_bound(kb, query, objective, direction)
+        result = opt.optimal_pure_strategy(kb, objective, query, direction)
+        assert repr(result.value) == repr(value)
+        assert result.strategy == strategy
+
+
+def test_the_evidence_search_is_enumeration_bit_for_bit(random_kb_corpus):
+    """Scored a block at a time over the worlds each strategy reaches,
+    every evidence optimum is enumeration's: the same float and the same
+    strategy, in both modes and both directions."""
+    rng = random.Random(83)
+    for kb, _ in random_kb_corpus:
+        assert_evidence_search_is_enumeration(
+            kb, EvidenceQuery(random_concept(rng), random_concept(rng)))
+    for kb, queries in _bench_docs():
+        for query in queries:
+            assert_evidence_search_is_enumeration(kb, query)
+
+
+def _ss():
+    spec = next(spec for spec in bench_specs((1,)) if spec.name == "ss")
+    query = EvidenceQuery(*map(parse_concept, spec.concept_pairs[0]))
+    return load_kb_text(spec.to_yaml()).kb, query
+
+
+def test_the_evidence_search_in_many_blocks_keeps_the_earliest_tie(monkeypatch):
+    """At a world cap of 2^7, the table of ss, each of its 64 pure
+    strategies reaches 2^5 worlds, so a block holds 4 of them: 16
+    blocks.  Its query is entailed in no world, so each bound is an
+    extreme cost a strategy reaches, and under --mode opt the least one
+    ties across three blocks; the earliest strategy wins."""
+    kb, query = _ss()
+    value, strategy, values = enumerated_bound(kb, query, "dominant-optimistic", "min")
+    ties = [i for i, v in enumerate(values) if v == value]
+    assert len(values) == 64 and ties[0] // 4 < ties[-1] // 4
+    assert strategy == list(opt.enumerate_pure_strategies(kb.diagram))[ties[0]].to_strategy()
+    rows, real = [], opt._greedy_pass
+
+    def counted(cost, forced, probability, sign):
+        rows.append(len(probability))
+        return real(cost, forced, probability, sign)
+
+    monkeypatch.setattr(dg, "WORLD_CAP", 2**7)
+    monkeypatch.setattr(opt, "_greedy_pass", counted)
+    for objective, direction in itertools.product(EVIDENCE_OBJECTIVES, ("min", "max")):
+        rows.clear()
+        value, strategy, _ = enumerated_bound(kb, query, objective, direction)
+        result = opt.optimal_pure_strategy(kb, objective, query, direction)
+        assert rows == [4] * 16
+        assert (repr(result.value), result.strategy) == (repr(value), strategy)
+
+
+def test_a_strategy_with_no_positive_world_still_raises(monkeypatch):
+    """With the chance column patched to 0 wherever V02 holds, the last
+    16 strategies of ss, which set V02 in both its rows, reach no world
+    of positive probability: the search raises as enumeration does,
+    in the 13th of 16 blocks."""
+    kb, query = _ss()
+    joint, greedy, blocks = dg.WorldTable.joint, opt._greedy_pass, []
+
+    def without_v02(self, strategy=None):
+        return joint(self, strategy) * ~self.column("V02")
+
+    def counted(*args):
+        blocks.append(args)
+        return greedy(*args)
+
+    monkeypatch.setattr(dg.WorldTable, "joint", without_v02)
+    monkeypatch.setattr(opt, "_greedy_pass", counted)
+    for objective in EVIDENCE_OBJECTIVES:
+        with pytest.raises(UndefinedConditionalError, match="no world has positive"):
+            enumerated_bound(kb, query, objective, "min")
+        for cap, n_blocks in ((2**7, 13), (2**20, 1)):
+            monkeypatch.setattr(dg, "WORLD_CAP", cap)
+            blocks.clear()
+            with pytest.raises(UndefinedConditionalError, match="no world has positive"):
+                opt.optimal_pure_strategy(kb, objective, query)
+            assert len(blocks) == n_blocks
 
 
 def test_the_rest_is_ranked_by_the_printed_value():
