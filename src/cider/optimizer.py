@@ -9,8 +9,11 @@ table and takes the least sum, so exact ties take false.
 
 The best pure strategy for expected cost uses the KB's strategy scopes.
 Only the strategies of the other decisions, the rest, are enumerated;
-under perfect recall the rest is empty.  The evidence objectives do not
-split over rows, so the same search runs them with an empty chain.
+under perfect recall the rest is empty.  They are scored a block at a
+time with array operations, each over only the worlds it reaches: one
+per valuation of the variables outside the rest.  The evidence
+objectives do not split over rows, so the same search runs them with an
+empty chain, and its value and strategy are exactly enumeration's.
 Pure strategies number doubly exponentially, so the constant
 STRATEGY_CAP bounds every enumeration, as ``diagram.WORLD_CAP`` bounds
 the world table.
@@ -133,7 +136,8 @@ def optimal_pure_strategy(kb, objective="expected", evidence=None, direction="mi
     and "dominant-pessimistic" score the corresponding conditional bound
     given the evidence inclusion; that bound does not split over rows,
     so the search runs with an empty chain and enumerates every pure
-    strategy, ties kept in enumeration order.  Evidence is required by
+    strategy, ties kept in enumeration order: value and strategy are
+    exactly enumeration's.  Evidence is required by
     those two and refused by "expected".  The value is the winning
     score itself, so the rest's strategies are ranked by the number the
     report prints.  The world table and the evidence entailment do not

@@ -10,8 +10,9 @@ import pytest
 from cider import diagram as dg
 from cider.cli import _conditional_json
 from cider.contextual import VGCI, KnowledgeBase, Var
-from cider.el import GCI, ConceptName as N
+from cider.el import GCI, ConceptName as N, parse_concept
 from cider.evidence import (
+    ORACLE_LIMIT,
     EvidenceQuery,
     UndefinedConditionalError,
     brute_force_conditional_bounds,
@@ -21,7 +22,10 @@ from cider.evidence import (
     pessimistic_expected_cost,
 )
 
-from conftest import random_concept
+from cider.kbfile import load_kb_text
+
+from conftest import bench_specs, random_concept
+from exact import certify_bound
 
 SUB_INF = EvidenceQuery(N("Subject"), N("Infectious"))
 TAUTOLOGY = EvidenceQuery(N("Anything"), N("Anything"))
@@ -220,3 +224,28 @@ def test_greedy_included_worlds_cover_forced(idelium):
     for bound in (optimistic_expected_cost, pessimistic_expected_cost):
         result = bound(kb, s, SUB_INF)
         assert forced_bits <= result.included_worlds
+
+
+def test_every_bound_meets_its_optimality_condition(random_kb_corpus):
+    """Both bounds of every strategy and query pair of the benchmark KBs
+    at seeds 1, 3 and 5, and of the random corpus, checked exactly by
+    ``certify_bound``: many have more optional worlds than the subset
+    oracle takes, and some have an optional world costing the bound
+    within the report's tolerance."""
+    rng = random.Random(89)
+    cases = [(kb, s, EvidenceQuery(random_concept(rng), random_concept(rng)))
+             for kb, s in random_kb_corpus]
+    for spec in bench_specs((1, 3, 5)):
+        doc = load_kb_text(spec.to_yaml())
+        cases += [(doc.kb, doc.strategy(name), EvidenceQuery(parse_concept(c), parse_concept(d)))
+                  for name in sorted(spec.strategies) for c, d in spec.concept_pairs]
+    beyond = ties = 0
+    for kb, s, query in cases:
+        table, forced, probability = classify_worlds(kb, s, query)
+        optional = ~forced & (probability > 0.0)
+        beyond += int(optional.sum()) > ORACLE_LIMIT
+        for sign, bound in ((+1, optimistic_expected_cost), (-1, pessimistic_expected_cost)):
+            result = bound(kb, s, query)
+            certify_bound(table, forced, probability, sign, result)
+            ties += bool(forced.any() and (abs(table.cost[optional] - result.value) <= 1e-9).any())
+    assert beyond >= 25 and ties >= 1

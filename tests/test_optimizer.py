@@ -37,6 +37,7 @@ from cider.evidence import (
 from cider.kbfile import load_kb_text
 
 import sequence_form as sf
+from exact import certify_bound
 from conftest import (
     LIMID_KB,
     SIGNED_ZERO_KB,
@@ -429,11 +430,18 @@ def enumerated_bound(kb, query, objective, direction):
 
 
 def assert_evidence_search_is_enumeration(kb, query):
+    """The search's optimum is enumeration's, and the winner's bound
+    meets its optimality condition exactly."""
+    table = dg.WorldTable(kb.diagram)
+    forced = entailment_column(kb, table, query.lhs, query.rhs)
     for objective, direction in itertools.product(EVIDENCE_OBJECTIVES, ("min", "max")):
         value, strategy, _ = enumerated_bound(kb, query, objective, direction)
         result = opt.optimal_pure_strategy(kb, objective, query, direction)
         assert repr(result.value) == repr(value)
         assert result.strategy == strategy
+        sign = +1 if objective == "dominant-optimistic" else -1
+        joint = table.joint(result.strategy)
+        certify_bound(table, forced, joint, sign, greedy_bound(table, forced, joint, sign))
 
 
 def test_the_evidence_search_is_enumeration_bit_for_bit(random_kb_corpus):
