@@ -495,7 +495,7 @@ class WorldTable:
 
         With worlds, an index that picks a matrix of world-table columns
         (``np.s_[None, :]`` picks every world as one row), probability
-        is a matrix over the worlds picked, and the result is the list
+        is a matrix over the worlds picked, and the result is the array
         of its rows' means.  A row's worlds are in world order; those it
         leaves out have probability 0, which changes no sum.
         """
@@ -503,9 +503,9 @@ class WorldTable:
             return sum(r * p for r, p in self.distribution(probability).items())
         import numpy as np
         values = self.diagram.cost_values
-        masses = bincount_rows(np.searchsorted(values, self.cost[worlds]), probability,
-                               len(values))
-        return [sum(row) for row in (np.array(values, dtype=float) * masses).tolist()]
+        index = np.searchsorted(values, self.cost[worlds])
+        terms = np.array(values, dtype=float) * bincount_rows(index, probability, len(values))
+        return np.array([sum(row) for row in terms.tolist()])
 
     def index(self, world):
         return int(self.diagram.bits(world) or "0", 2)

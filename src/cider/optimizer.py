@@ -151,14 +151,13 @@ def optimal_pure_strategy(kb, objective="expected", evidence=None, direction="mi
         raise ValueError("objective 'expected' takes no evidence query")
     if direction not in ("min", "max"):
         raise ValueError(f"unknown direction {direction!r}")
-    import numpy as np
     sign = 1.0 if direction == "min" else -1.0
     table = dg.WorldTable(kb.diagram)
     if objective == "expected":
         chain = split_decisions(kb.diagram)[0]
 
         def score(w, worlds):
-            return sign * np.array(table.mean(w, worlds))
+            return sign * table.mean(w, worlds)
 
     else:
         forced = entailment_column(kb, table, evidence.lhs, evidence.rhs)
