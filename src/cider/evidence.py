@@ -123,43 +123,44 @@ def _greedy_pass(cost, forced, probability, sign):
     its optional worlds by a stable argsort of sign * cost, then the
     worlds of probability 0.  One running sum in that order gives the
     forced totals, added in column order, and every prefix after them.
-    A row with no forced world concentrates its mass on the optional
-    worlds of the extreme cost: its value is the first such cost (-0.0
-    ties 0.0) and its stop their number.  A row with no world of
-    positive probability raises UndefinedConditionalError.
+    A row with no forced world takes in the optional worlds of the
+    extreme cost, and its value is the first such cost (-0.0 ties 0.0).
+    A row with no world of positive probability raises
+    UndefinedConditionalError.
     """
     import numpy as np
-    positive = probability > 0.0
-    key = np.where(positive, sign * cost, np.inf)  # costs are finite
-    key[forced & positive] = -np.inf
+    key = np.where(forced, -np.inf, sign * cost)  # costs are finite
+    key[probability <= 0.0] = np.inf
     order = np.argsort(key, axis=1, kind="stable")
     at = dg.flat_index(order, order.shape[1])
     key, cost, probability = key.ravel()[at], cost.ravel()[at], probability.ravel()[at]
-    first = key[:, 0].tolist()
-    if np.inf in first:
+    if (key[:, 0] == np.inf).any():
         raise UndefinedConditionalError("no world has positive probability")
-    # Column j is in while it is forced or its cost beats the average of
-    # the columns before it, as inside[:, j - 1] says; after the first
-    # column out none is, and the last entry, past every column, is out.
+    free = key[:, 0] > -np.inf  # the rows with no forced world
+    all_free = free.all()
+    # inside[:, j - 1] says whether column j is in; after the first column
+    # out none is, and the last entry, past every column, stays out
     inside = np.zeros(key.shape, dtype=bool)
     # Like Python floats the running sums overflow to inf quietly; sums
     # past the stopping point are never used.
     with np.errstate(over="ignore"):
         mass = np.add.accumulate(probability, axis=1)
-        weighted = np.add.accumulate(probability * cost, axis=1)
-        np.less(key[:, 1:], sign * (weighted[:, :-1] / mass[:, :-1]), out=inside[:, :-1])
-        inside[:, :-1] |= key[:, 1:] == -np.inf
+        if not all_free:
+            # a column is in while it is forced or its cost beats the
+            # average of the columns before it
+            weighted = np.add.accumulate(probability * cost, axis=1)
+            np.less(key[:, 1:], sign * (weighted[:, :-1] / mass[:, :-1]), out=inside[:, :-1])
+            inside[:, :-1] |= key[:, 1:] == -np.inf
+        if free.any():
+            # all satisfying mass can be concentrated on the extreme-cost
+            # worlds: the columns tied with the first are in
+            np.copyto(inside[:, :-1], key[:, 1:] == key[:, :1], where=free[:, None])
         stop = inside.argmin(axis=1) + 1
-        unforced = max(first) > -np.inf  # some row has no forced world
-        if unforced:
-            # all satisfying mass can be concentrated on the extreme-cost worlds
-            stop = np.where(key[:, 0] > -np.inf, (key == key[:, :1]).sum(axis=1), stop)
         last = dg.flat_index(stop[:, None] - 1, key.shape[1])[:, 0]
         mass = mass.ravel()[last]
-        value = weighted.ravel()[last] / mass
-    if unforced:
-        value = np.where(key[:, 0] > -np.inf, cost[:, 0], value)
-    return value, mass, order, stop
+        if not all_free:
+            value = np.where(free, cost[:, 0], weighted.ravel()[last] / mass)
+    return cost[:, 0] if all_free else value, mass, order, stop
 
 
 def optimistic_expected_cost(kb, strategy, query):
