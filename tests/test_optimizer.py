@@ -44,6 +44,7 @@ from conftest import (
     bench_specs,
     random_concept,
     random_diagram,
+    random_kb,
     random_strategy,
     with_scopes,
 )
@@ -444,12 +445,29 @@ def assert_evidence_search_is_enumeration(kb, query):
         certify_bound(table, forced, joint, sign, greedy_bound(table, forced, joint, sign))
 
 
+def _declared_after_a_decision(rng, count):
+    """KBs over 4 to 6 variables, redeclared in a shuffled order that puts
+    some variable of a decision's scope after the decision, so each
+    strategy's reached worlds must be sorted into world order."""
+    kbs = []
+    while len(kbs) < count:
+        diagram = random_diagram(rng, n_vars=rng.randint(4, 6), strategy_cap_log2=7)
+        kb = random_kb(rng, _redeclared(diagram, rng))
+        position = {v: i for i, v in enumerate(kb.diagram.variables)}
+        if any(position[v] > position[d] for d in kb.diagram.decision_nodes
+               for v in dg.strategy_scope(kb.diagram, d)):
+            kbs.append(kb)
+    return kbs
+
+
 def test_the_evidence_search_is_enumeration_bit_for_bit(random_kb_corpus):
     """Scored a block at a time over the worlds each strategy reaches,
     every evidence optimum is enumeration's: the same float and the same
-    strategy, in both modes and both directions."""
+    strategy, in both modes and both directions, also when a scope is
+    declared after its decision."""
     rng = random.Random(83)
-    for kb, _ in random_kb_corpus:
+    kbs = [kb for kb, _ in random_kb_corpus] + _declared_after_a_decision(rng, 60)
+    for kb in kbs:
         assert_evidence_search_is_enumeration(
             kb, EvidenceQuery(random_concept(rng), random_concept(rng)))
     for kb, queries in _bench_docs():
