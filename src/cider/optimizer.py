@@ -183,9 +183,9 @@ def _row_wise_optimum(table, signed_cost, chain, score):
     those 2^(n - |rest|) worlds, in world order (``_reached_worlds``).
     A block holds at most WORLD_CAP // 2^(n - |rest|) strategies, fewer
     when a chain run has more keys or the table more cost values than
-    that.  w starts as the chance column there, a pure strategy's joint
-    bit for bit, since the rest's factors are all 1.0.  Then ``_chain_pass``
-    decides the chain in every row.  Rows that w never reaches are set
+    that.  w starts as the chance column there, a pure strategy's
+    joint bit for bit, since the rest's factors are all 1.0.  Then
+    ``_chain_pass`` decides the chain in every row.  Rows that w never reaches are set
     to false, as enumeration leaves them.  score(w, worlds) gives each
     row's score, and of the rest's strategies, enumerated in order, the
     first with the strictly smallest score wins (costs are finite, so no
@@ -255,14 +255,11 @@ def _reached_worlds(table, rest, scopes):
         value, index = {}, base
         for d in order:
             takes = np.array([s.takes[d] for s in block], dtype=np.int64)
-            row = rows[d]
+            row = np.broadcast_to(rows[d], (len(block), len(base)))
             for j, v in enumerate(scopes[d]):
                 if v in value:
                     row = row | value[v] << (len(scopes[d]) - 1 - j)
-            if row.ndim == 1:
-                value[d] = takes[:, row]
-            else:
-                value[d] = takes.ravel()[dg.flat_index(row, takes.shape[1])]
+            value[d] = takes.ravel()[dg.flat_index(row, takes.shape[1])]
             index = index | value[d] << shift[d]
         return index if in_order else np.sort(index, axis=1)
 
