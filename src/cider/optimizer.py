@@ -182,7 +182,7 @@ def _row_wise_optimum(table, signed_cost, chain, score):
     other variables: each strategy's row of w holds its joint over only
     those 2^(n - |rest|) worlds, in world order (``_reached_worlds``).
     A block holds at most WORLD_CAP // 2^(n - |rest|) strategies, fewer
-    when a chain run has more keys or the table more cost values than
+    when a chain run has more keys or the cost table more rows than
     that.  w starts as the chance column there, a pure strategy's
     joint bit for bit, since the rest's factors are all 1.0.  Then
     ``_chain_pass`` decides the chain in every row.  Rows that w never reaches are set
@@ -200,7 +200,7 @@ def _row_wise_optimum(table, signed_cost, chain, score):
     count, reached = _reached_worlds(table, rest, scopes)
     # no block matrix, the sums per chain key and per cost value included,
     # is larger than a world-table column at the cap
-    widths = [count, len(diagram.cost_values)] + [width for _, _, width in groups]
+    widths = [count, len(diagram.cost_table)] + [width for _, _, width in groups]
     size = max(1, dg.WORLD_CAP // max(widths))
     strategies = enumerate_pure_strategies(diagram, decisions=rest)
     best = None
@@ -217,10 +217,10 @@ def _row_wise_optimum(table, signed_cost, chain, score):
         totals = score(w, worlds)
         i = int(totals.argmin())
         if best is None or totals[i] < best[0]:
-            best = (float(totals[i]), block[i], [m[i] for m in moves], [r[i] for r in reach])
-    total, fixed, moves, reach = best
-    takes = {**fixed.takes, **_chain_takes(groups, moves, reach)}
-    return total, PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes)
+            best = (totals[i], block[i], moves, reach, i)
+    total, fixed, moves, reach, i = best
+    takes = {**fixed.takes, **_chain_takes(groups, [m[i] for m in moves], [r[i] for r in reach])}
+    return float(total), PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes)
 
 
 def _reached_worlds(table, rest, scopes):
@@ -273,8 +273,7 @@ def _chain_groups(table, chain, scopes):
     groups = []
     for scope, group in itertools.groupby(chain, key=lambda d: scopes[d]):
         group = tuple(group)
-        key = table.code(scope) << len(group) | table.code(group)
-        groups.append((group, key, 1 << (len(scope) + len(group))))
+        groups.append((group, table.code(scope + group), 1 << (len(scope) + len(group))))
     return groups
 
 
