@@ -104,63 +104,71 @@ def greedy_bound(table, forced, probability, sign):
     not.  Running sums add left to right, as a per-world loop adds.
     This is ``_greedy_pass`` run on one row over every world.
     """
-    import numpy as np
-    value, mass, order, stop = _greedy_pass(
+    value, mass, included = _greedy_pass(
         table.cost[None], forced[None], probability[None], sign)
-    included = np.zeros(table.size, dtype=bool)
-    included[order[0, : stop[0]]] = True
     return ConditionalCostResult(
-        value=float(value[0]), evidence_probability=float(mass[0]), included=included
+        value=float(value[0]), evidence_probability=float(mass[0]), included=included[0]
     )
 
 
 def _greedy_pass(cost, forced, probability, sign):
     """The greedy pass on each row of some world matrices: (value,
-    evidence probability, order, stop) per row, the included worlds of
-    row i being its columns order[i, :stop[i]].
+    evidence probability, included) per row, included being a Boolean
+    matrix over the columns.
 
-    Each row's order puts its forced worlds first in column order, then
-    its optional worlds by a stable argsort of sign * cost, then the
-    worlds of probability 0.  One running sum in that order gives the
-    forced totals, added in column order, and every prefix after them.
-    A row with no forced world takes in the optional worlds of the
-    extreme cost, and its value is the first such cost (-0.0 ties 0.0).
-    A row with no world of positive probability raises
+    A row with a forced world orders its forced worlds first, in column
+    order, then its optional worlds by a stable argsort of sign * cost.
+    One running sum in that order gives the forced totals, added in
+    column order, and every prefix after them.  A row with no forced
+    world takes in the optional worlds of the extreme cost, and its
+    value is the first such cost (-0.0 ties 0.0); it needs no order.  A
+    row with no world of positive probability raises
     UndefinedConditionalError.
     """
     import numpy as np
-    key = np.where(forced, -np.inf, sign * cost)  # costs are finite
-    key[probability <= 0.0] = np.inf
+    positive = probability > 0.0
+    forced = forced & positive
+    free = ~np.logical_or.reduce(forced, axis=1)  # the rows with no forced world
+    n_free = np.count_nonzero(free)
+    key = np.where(positive, sign * cost, np.inf)  # costs are finite
+    if n_free:
+        # all satisfying mass can be concentrated on the extreme-cost worlds
+        extreme = np.minimum.reduce(key, axis=1)
+        if np.count_nonzero(extreme == np.inf):
+            raise UndefinedConditionalError("no world has positive probability")
+        ties = key == extreme[:, None]
+        first = dg.flat_index(ties.argmax(axis=1)[:, None], key.shape[1])[:, 0]
+        # in column order, the columns left out padded with -0.0, the
+        # additive identity
+        tied = np.add.accumulate(np.where(ties, probability, -0.0), axis=1)[:, -1]
+        if n_free == len(free):
+            return cost.ravel()[first], tied, ties
+        tied_cost = cost.ravel()[first]
+    key[forced] = -np.inf
     order = np.argsort(key, axis=1, kind="stable")
     at = dg.flat_index(order, order.shape[1])
     key, cost, probability = key.ravel()[at], cost.ravel()[at], probability.ravel()[at]
-    if (key[:, 0] == np.inf).any():
-        raise UndefinedConditionalError("no world has positive probability")
-    free = key[:, 0] > -np.inf  # the rows with no forced world
-    all_free = free.all()
-    # inside[:, j - 1] says whether column j is in; after the first column
-    # out none is, and the last entry, past every column, stays out
+    # Column j is in while it is forced or its cost beats the average of
+    # the columns before it, as inside[:, j - 1] says; after the first
+    # column out none is, and the last entry, past every column, is out.
     inside = np.zeros(key.shape, dtype=bool)
     # Like Python floats the running sums overflow to inf quietly; sums
     # past the stopping point are never used.
     with np.errstate(over="ignore"):
         mass = np.add.accumulate(probability, axis=1)
-        if not all_free:
-            # a column is in while it is forced or its cost beats the
-            # average of the columns before it
-            weighted = np.add.accumulate(probability * cost, axis=1)
-            np.less(key[:, 1:], sign * (weighted[:, :-1] / mass[:, :-1]), out=inside[:, :-1])
-            inside[:, :-1] |= key[:, 1:] == -np.inf
-        if free.any():
-            # all satisfying mass can be concentrated on the extreme-cost
-            # worlds: the columns tied with the first are in
-            np.copyto(inside[:, :-1], key[:, 1:] == key[:, :1], where=free[:, None])
+        weighted = np.add.accumulate(probability * cost, axis=1)
+        np.less(key[:, 1:], sign * (weighted[:, :-1] / mass[:, :-1]), out=inside[:, :-1])
+        inside[:, :-1] |= key[:, 1:] == -np.inf
         stop = inside.argmin(axis=1) + 1
         last = dg.flat_index(stop[:, None] - 1, key.shape[1])[:, 0]
         mass = mass.ravel()[last]
-        if not all_free:
-            value = np.where(free, cost[:, 0], weighted.ravel()[last] / mass)
-    return cost[:, 0] if all_free else value, mass, order, stop
+        value = weighted.ravel()[last] / mass
+    included = np.zeros(key.shape, dtype=bool)
+    included.ravel()[at[np.arange(key.shape[1]) < stop[:, None]]] = True
+    if n_free:
+        return (np.where(free, tied_cost, value), np.where(free, tied, mass),
+                np.where(free[:, None], ties, included))
+    return value, mass, included
 
 
 def optimistic_expected_cost(kb, strategy, query):
