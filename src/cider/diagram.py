@@ -20,6 +20,7 @@ all of them at once as numpy columns; the per-world functions
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -379,17 +380,6 @@ def flat_index(index, width):
     return index + np.arange(0, len(index) * width, width)[:, None]
 
 
-def bincount_rows(keys, weights, size):
-    """``np.bincount(keys[i], weights[i], minlength=size)`` for each row
-    i of two matrices of one shape, as a matrix.  Each bin adds its
-    row's weights in column order from +0.0, so a sum never ends at
-    -0.0 and a weight of 0 changes none."""
-    import numpy as np
-    counts = np.bincount(flat_index(keys, size).ravel(), weights=weights.ravel(),
-                         minlength=len(keys) * size)
-    return counts.reshape(len(keys), size)
-
-
 class WorldTable:
     """Every world of a diagram as columns over the world index.
 
@@ -489,23 +479,25 @@ class WorldTable:
         p = np.bincount(index, weights=probability, minlength=len(values))
         return dict(zip(values, p.tolist()))
 
-    def mean(self, probability, worlds=None):
-        """The sum of r * p over ``distribution(probability)``, added by
-        Python's ``sum`` in ascending r.
+    def mean(self, probability, worlds):
+        """The sum of r * p over each row's cost distribution, added by
+        Python's ``sum`` in ascending r, as an array of the rows' means.
 
-        With worlds, an index that picks a matrix of world-table columns
-        (``np.s_[None, :]`` picks every world as one row), probability
-        is a matrix over the worlds picked, and the result is the array
-        of its rows' means.  A row's worlds are in world order; those it
-        leaves out have probability 0, which changes no sum.
+        worlds is an index that picks a matrix of world-table columns
+        (``np.s_[None, :]`` picks every world as one row), and
+        probability is a matrix over the worlds picked.  A row's worlds
+        are in world order; those it leaves out have probability 0,
+        which changes no sum.  One ``np.bincount`` adds each row's
+        worlds per cost value in world order from +0.0, as
+        ``distribution`` adds them.
         """
-        if worlds is None:
-            return sum(r * p for r, p in self.distribution(probability).items())
         import numpy as np
         values = self.diagram.cost_values
-        index = np.searchsorted(values, self.cost[worlds])
-        terms = np.array(values, dtype=float) * bincount_rows(index, probability, len(values))
-        return np.array([sum(row) for row in terms.tolist()])
+        index = flat_index(np.searchsorted(values, self.cost[worlds]), len(values))
+        p = np.bincount(index.ravel(), weights=probability.ravel(),
+                        minlength=len(probability) * len(values))
+        rows = p.reshape(len(probability), -1).tolist()
+        return np.array([sum(map(operator.mul, values, row)) for row in rows])
 
     def index(self, world):
         return int(self.diagram.bits(world) or "0", 2)
@@ -522,5 +514,6 @@ def cost_distribution(diagram, strategy):
 
 def expected_cost(diagram, strategy):
     """Expected cost under the strategy; ``diagram`` may be a ``WorldTable``."""
+    import numpy as np
     table = diagram if isinstance(diagram, WorldTable) else WorldTable(diagram)
-    return table.mean(table.joint(strategy))
+    return float(table.mean(table.joint(strategy)[None], np.s_[None, :])[0])

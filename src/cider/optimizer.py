@@ -185,11 +185,12 @@ def _row_wise_optimum(table, signed_cost, chain, score):
     when a chain run has more keys or the cost table more rows than
     that.  w starts as the chance column there, a pure strategy's
     joint bit for bit, since the rest's factors are all 1.0.  Then
-    ``_chain_pass`` decides the chain in every row.  Rows that w never reaches are set
-    to false, as enumeration leaves them.  score(w, worlds) gives each
-    row's score, and of the rest's strategies, enumerated in order, the
-    first with the strictly smallest score wins (costs are finite, so no
-    score is nan).
+    ``_chain_pass`` decides the chain in every row.  score(w, worlds)
+    gives each row's score, and of the rest's strategies, enumerated in
+    order, the first with the strictly smallest score wins (costs are
+    finite, so no score is nan).  The chain's scope rows that the
+    winner's w never reaches are set to false, as enumeration leaves
+    them.
     """
     import numpy as np
     diagram = table.diagram
@@ -206,20 +207,18 @@ def _row_wise_optimum(table, signed_cost, chain, score):
     best = None
     while block := list(itertools.islice(strategies, size)):
         worlds = reached(block)
-        keys = [dg.flat_index(key[worlds], width) for _, key, width in groups]
+        keys = [key[worlds] for _, key, _ in groups]
         moves, w = _chain_pass(groups, keys, chance[worlds], signed_cost[worlds])
-        # key >> k is the scope row, moved up by width >> k per row of w
-        reach = [
-            np.bincount((at >> len(group)).ravel(), weights=w.ravel(),
-                        minlength=len(w) * (width >> len(group))).reshape(len(w), -1) > 0.0
-            for (group, _, width), at in zip(groups, keys)
-        ]
         totals = score(w, worlds)
         i = int(totals.argmin())
         if best is None or totals[i] < best[0]:
-            best = (totals[i], block[i], moves, reach, i)
-    total, fixed, moves, reach, i = best
-    takes = {**fixed.takes, **_chain_takes(groups, [m[i] for m in moves], [r[i] for r in reach])}
+            # key >> k is the scope row
+            reach = [np.bincount(at[i] >> len(group), weights=w[i],
+                                 minlength=width >> len(group)) > 0.0
+                     for (group, _, width), at in zip(groups, keys)]
+            best = (totals[i], block[i], [m[i] for m in moves], reach)
+    total, fixed, moves, reach = best
+    takes = {**fixed.takes, **_chain_takes(groups, moves, reach)}
     return float(total), PureStrategy(takes={d: takes[d] for d in scopes}, scopes=scopes)
 
 
@@ -232,36 +231,35 @@ def _reached_worlds(table, rest, scopes):
     the rest, the base world where every rest decision is false, with
     each rest decision set to its table at its scope row.  Scopes hold
     only ancestors, so each rest decision is set after those in its
-    scope.  With every scope declared before its decision, the worlds
-    come in the order of their base worlds; otherwise each row is
-    sorted.  With the rest empty the one strategy reaches every world,
-    as ``np.s_[None, :]``.
+    scope.  Each row is sorted into world order.  With the rest empty
+    the one strategy reaches every world, as ``np.s_[None, :]``.
     """
     import numpy as np
     if not rest:
         return table.size, lambda block: np.s_[None, :]
-    position = table.position
-    shift = {d: len(position) - 1 - position[d] for d in rest}
-    world = np.arange(table.size)
-    base = world[world & sum(1 << s for s in shift.values()) == 0]
+    shift = {d: len(table.position) - 1 - table.position[d] for d in rest}
+    base = np.flatnonzero(table.code(rest) == 0)
     rows = {d: table.code(scopes[d])[base] for d in rest}  # with every rest bit 0
     order = []
     while len(order) < len(rest):
         order += [d for d in rest if d not in order
                   and all(v in order or v not in rest for v in scopes[d])]
-    in_order = all(position[v] < position[d] for d in rest for v in scopes[d])
 
     def reached(block):
         value, index = {}, base
+        strategy = np.arange(len(block))[:, None]
         for d in order:
             takes = np.array([s.takes[d] for s in block], dtype=np.int64)
-            row = np.broadcast_to(rows[d], (len(block), len(base)))
+            row = rows[d]
             for j, v in enumerate(scopes[d]):
                 if v in value:
                     row = row | value[v] << (len(scopes[d]) - 1 - j)
-            value[d] = takes.ravel()[dg.flat_index(row, takes.shape[1])]
+            value[d] = takes[strategy, row]
             index = index | value[d] << shift[d]
-        return index if in_order else np.sort(index, axis=1)
+        # numpy's stable sort of integers this wide is a timsort: one linear
+        # pass over a row already in world order, as every row is when each
+        # scope is declared before its decision
+        return np.sort(index, axis=1, kind="stable")
 
     return len(base), reached
 
@@ -281,12 +279,11 @@ def _chain_pass(groups, keys, w, signed_cost):
     """Backward induction over nested scopes in each row of w: (moves, w).
 
     w and signed_cost are matrices over some worlds, and keys[i] holds
-    the key of run groups[i] (``_chain_groups``) of each of those worlds,
-    moved up by width per row (``diagram.flat_index``).  Each run of k
-    chain decisions with one scope, largest scope first, sums
-    w * signed_cost  per key in each row and takes per scope row the
-    joint move of least sum, the lowest on a tie (for k = 1, true only
-    where that sum is strictly smaller); then it multiplies its
+    the key of run groups[i] (``_chain_groups``) of each of those worlds.
+    Each run of k chain decisions with one scope, largest scope first,
+    sums  w * signed_cost  per key in each row and takes per scope row
+    the joint move of least sum, the lowest on a tie (for k = 1, true
+    only where that sum is strictly smaller); then it multiplies its
     indicator into w.  A smaller chain decision and its scope lie inside
     every larger one's scope, so its factor is constant on each of their
     rows.  A key that no world of a row holds sums to 0.0, as every key
@@ -294,7 +291,8 @@ def _chain_pass(groups, keys, w, signed_cost):
     """
     import numpy as np
     moves = []
-    for (group, _, width), at in zip(groups, keys):
+    for (group, _, width), key in zip(groups, keys):
+        at = dg.flat_index(key, width)  # moved up by width per row
         q = np.bincount(at.ravel(), weights=(w * signed_cost).ravel(), minlength=len(w) * width)
         move = q.reshape(len(w), -1, 1 << len(group)).argmin(axis=2)
         w = w * (move[:, :, None] == np.arange(1 << len(group))).ravel()[at]
