@@ -292,7 +292,8 @@ def _cmd_query(args, argv):
                 "only d-dom-opt and d-dom-pes do"
             )
         result = _pure_optimum(kb, args.evidence, mode, direction)
-        answer = opt.decide_threshold(result, args.bound, args.problem)
+        # strict in both directions
+        answer = result.value > args.bound if direction == "max" else result.value < args.bound
         _report(
             argv,
             source,

@@ -44,7 +44,6 @@ __all__ = [
     "enumerate_pure_strategies",
     "split_decisions",
     "optimal_pure_strategy",
-    "decide_threshold",
     "expansion_order",
     "build_game_tree",
     "optimal_mixed_strategy",
@@ -229,33 +228,27 @@ def _reached_worlds(table, rest, scopes):
 
     A strategy reaches one world per valuation of the variables outside
     the rest, the base world where every rest decision is false, with
-    each rest decision set to its table at its scope row.  Scopes hold
-    only ancestors, so each rest decision is set after those in its
-    scope.  Each row is sorted into world order.  With the rest empty
-    the one strategy reaches every world, as ``np.s_[None, :]``.
+    each rest decision set to its table at its scope row.  The rest
+    decisions are taken in expansion order, and each reads its scope
+    row from the world index built so far: scopes hold only ancestors,
+    so every rest decision in its scope is already set there.  Each row
+    is sorted into world order.  With the rest empty the one strategy
+    reaches every world, as ``np.s_[None, :]``.
     """
     import numpy as np
     if not rest:
         return table.size, lambda block: np.s_[None, :]
     shift = {d: len(table.position) - 1 - table.position[d] for d in rest}
     base = np.flatnonzero(table.code(rest) == 0)
-    rows = {d: table.code(scopes[d])[base] for d in rest}  # with every rest bit 0
-    order = []
-    while len(order) < len(rest):
-        order += [d for d in rest if d not in order
-                  and all(v in order or v not in rest for v in scopes[d])]
+    codes = {d: table.code(scopes[d]) for d in rest}
+    order = [d for d in expansion_order(table.diagram) if d in rest]
 
     def reached(block):
-        value, index = {}, base
+        index = base
         strategy = np.arange(len(block))[:, None]
         for d in order:
             takes = np.array([s.takes[d] for s in block], dtype=np.int64)
-            row = rows[d]
-            for j, v in enumerate(scopes[d]):
-                if v in value:
-                    row = row | value[v] << (len(scopes[d]) - 1 - j)
-            value[d] = takes[strategy, row]
-            index = index | value[d] << shift[d]
+            index = index | takes[strategy, codes[d][index]] << shift[d]
         # numpy's stable sort of integers this wide is a timsort: one linear
         # pass over a row already in world order, as every row is when each
         # scope is declared before its decision
@@ -308,15 +301,6 @@ def _chain_takes(groups, moves, reach):
         for (group, _, _), move, r in zip(groups, moves, reach)
         for j, d in enumerate(group)
     }
-
-
-def decide_threshold(result, bound, problem):
-    """Threshold comparisons are strict in both directions."""
-    if problem in ("d-opt", "d-dom-opt", "d-dom-pes"):
-        return result.value < bound
-    if problem == "d-pes":
-        return result.value > bound
-    raise ValueError(f"unknown problem {problem!r}")
 
 
 def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):

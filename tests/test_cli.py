@@ -18,6 +18,8 @@ from cider import optimizer as opt
 from cider import simplex
 from cider._format import format_float as fmt
 from cider._sexpr import MAX_DEPTH
+from cider.el import ConceptName as N
+from cider.evidence import EvidenceQuery
 from cider.cli import main
 from cider.fixtures import fixture_bytes, fixture_names
 from cider.kbfile import KBLoadError, load_kb_text, load_model_text
@@ -598,6 +600,43 @@ def test_decide_threshold_false_still_exit_zero(kb_path, capsys):
     assert "answer: true" in stdout
 
 
+EVIDENCE = ("--evidence", "Subject", "Infectious")
+
+
+@pytest.mark.parametrize(
+    "problem, extra, objective, direction",
+    [
+        ("d-opt", (), "expected", "min"),
+        ("d-pes", (), "expected", "max"),
+        ("d-dom-opt", EVIDENCE, "dominant-optimistic", "min"),
+        ("d-dom-pes", EVIDENCE, "dominant-pessimistic", "min"),
+    ],
+)
+def test_decide_is_strict_in_its_problems_direction(
+    kb_path, capsys, problem, extra, objective, direction
+):
+    """A bound equal to the printed optimum, or to the search's exact
+    value, answers false; a bound past the optimum on the answering side,
+    above it under min and below it under max, answers true."""
+
+    def answer(bound):
+        code, stdout, err = run(
+            capsys, "query", kb_path, "decide", "--problem", problem, "--bound", bound, *extra
+        )
+        assert code == 0 and err == ""
+        result = stdout.split("result:\n", 1)[1].splitlines()
+        return dict(line.strip().split(": ", 1) for line in result)
+
+    optimum = answer("0")["optimum"]
+    kb = load_kb_text(fixture_bytes("idelium").decode()).kb
+    query = EvidenceQuery(N(extra[1]), N(extra[2])) if extra else None
+    value = opt.optimal_pure_strategy(kb, objective, query, direction).value
+    assert fmt(value) == optimum
+    past = float(optimum) + (1.0 if direction == "min" else -1.0)
+    bounds = (optimum, repr(value), repr(past))
+    assert [answer(bound)["answer"] for bound in bounds] == ["false", "false", "true"]
+
+
 def test_decide_dominant_requires_evidence(kb_path, capsys):
     code, _, err = run(
         capsys, "query", kb_path, "decide", "--problem", "d-dom-opt", "--bound", "5"
@@ -773,6 +812,13 @@ def test_decide_nan_bound_exit_two(kb_path, capsys):
     assert code == 2
     assert stdout == ""
     assert err.count("\n") == 1 and "--bound" in err
+
+
+def test_decide_unknown_problem_exit_two(kb_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["query", kb_path, "decide", "--problem", "d-best", "--bound", "3"])
+    assert info.value.code == 2
+    assert "invalid choice: 'd-best'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.1"])

@@ -315,20 +315,6 @@ def test_the_expected_objective_refuses_evidence(idelium):
         opt.optimal_pure_strategy(idelium.kb, evidence=query)
 
 
-def test_decide_threshold(idelium):
-    best = opt.optimal_pure_strategy(idelium.kb)
-    worst = opt.optimal_pure_strategy(idelium.kb, direction="max")
-    assert opt.decide_threshold(best, 3.0, "d-opt")
-    assert not opt.decide_threshold(best, 2.36, "d-opt")  # strict
-    assert not opt.decide_threshold(worst, 18.05, "d-pes")  # strict
-    assert opt.decide_threshold(worst, 18.0, "d-pes")
-    # monotone in the bound
-    answers = [opt.decide_threshold(best, b, "d-opt") for b in (1.0, 2.0, 3.0, 40.0)]
-    assert answers == sorted(answers)
-    with pytest.raises(ValueError, match="^unknown problem 'd-best'$"):
-        opt.decide_threshold(best, 3.0, "d-best")
-
-
 # --- the pure optimum, row-wise -----------------------------------------------
 
 
@@ -475,6 +461,44 @@ def test_the_evidence_search_is_enumeration_bit_for_bit(random_kb_corpus):
             assert_evidence_search_is_enumeration(kb, query)
 
 
+def assert_reached_is_the_mask(table, rest, scopes, block, worlds):
+    """Row i of worlds lists, in world order, every world where each rest
+    decision d takes block[i]'s value at d's scope row, zero-probability
+    worlds included, which no score can see."""
+    assert worlds.shape[0] == len(block)
+    for strategy, row in zip(block, worlds):
+        mask = np.ones(table.size, dtype=bool)
+        for d in rest:
+            mask &= table.column(d) == strategy.takes[d][table.code(scopes[d])]
+        assert np.array_equal(row, np.flatnonzero(mask))
+
+
+def test_the_reached_worlds_are_the_mask_reference(random_kb_corpus):
+    """For the rest of split_decisions and for every decision as the
+    rest, under both scope policies, also when a scope is declared after
+    its decision.  Some rest decision sees another one, so its scope row
+    reads a bit that the index itself set."""
+    rng = random.Random(89)
+    kbs = [with_scopes(kb, f) for kb, _ in random_kb_corpus for f in (False, True)]
+    kbs += _declared_after_a_decision(rng, 60)
+    shapes = set()
+    for kb in kbs:
+        diagram = kb.diagram
+        table = dg.WorldTable(diagram)
+        scopes = {d: dg.strategy_scope(diagram, d) for d in diagram.decision_nodes}
+        for rest in {opt.split_decisions(diagram)[1], diagram.decision_nodes}:
+            if not rest:
+                continue
+            count, reached = opt._reached_worlds(table, rest, scopes)
+            block = list(opt.enumerate_pure_strategies(diagram, decisions=rest))
+            worlds = reached(block)
+            assert worlds.shape[1] == count == table.size >> len(rest)
+            assert_reached_is_the_mask(table, rest, scopes, block, worlds)
+            shapes.add((rest == diagram.decision_nodes,
+                        any(set(scopes[d]) & set(rest) for d in rest)))
+    assert shapes >= {(False, False), (True, False), (True, True)}
+
+
 def _ss():
     spec = next(spec for spec in bench_specs((1,)) if spec.name == "ss")
     query = EvidenceQuery(*map(parse_concept, spec.concept_pairs[0]))
@@ -506,6 +530,31 @@ def test_the_evidence_search_in_many_blocks_keeps_the_earliest_tie(monkeypatch):
         result = opt.optimal_pure_strategy(kb, objective, query, direction)
         assert rows == [4] * 16
         assert (repr(result.value), result.strategy) == (repr(value), strategy)
+
+
+def test_the_reached_worlds_of_small_blocks_are_the_mask_reference(monkeypatch):
+    """At a world cap of 2^7 the evidence search of ss takes its 64 pure
+    strategies in 16 blocks of 4, and every block's index is the mask
+    reference's."""
+    kb, query = _ss()
+    real, calls = opt._reached_worlds, []
+
+    def recorded(table, rest, scopes):
+        count, reached = real(table, rest, scopes)
+
+        def recording(block):
+            worlds = reached(block)
+            calls.append((table, rest, scopes, block, worlds))
+            return worlds
+
+        return count, recording
+
+    monkeypatch.setattr(dg, "WORLD_CAP", 2**7)
+    monkeypatch.setattr(opt, "_reached_worlds", recorded)
+    opt.optimal_pure_strategy(kb, "dominant-optimistic", query)
+    assert [len(block) for _, _, _, block, _ in calls] == [4] * 16
+    for table, rest, scopes, block, worlds in calls:
+        assert_reached_is_the_mask(table, rest, scopes, block, worlds)
 
 
 def test_a_strategy_with_no_positive_world_still_raises(monkeypatch):
