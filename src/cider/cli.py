@@ -12,6 +12,7 @@ import functools
 import hashlib
 import io
 import math
+import os
 import sys
 
 from . import diagram as dg
@@ -394,10 +395,19 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
-            return _cmd_validate(args, argv)
-        if args.command == "fixtures":
-            return _cmd_fixtures(args, argv)
-        return _cmd_query(args, argv)
+            code = _cmd_validate(args, argv)
+        elif args.command == "fixtures":
+            code = _cmd_fixtures(args, argv)
+        else:
+            code = _cmd_query(args, argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the interpreter flushes stdout again at exit, so what is left
+        # of the report goes to the null device instead of raising
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

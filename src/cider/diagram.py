@@ -18,6 +18,7 @@ all of them at once as numpy columns; the per-world functions
 (``joint_probability``, ``cost_of_valuation``) are its reference.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -48,8 +49,6 @@ __all__ = [
     "world_from_bits",
     "validate",
     "validate_strategy",
-    "influence_set",
-    "strategy_scope",
     "joint_probability",
     "cost_of_valuation",
     "cost_distribution",
@@ -89,7 +88,7 @@ class InfluenceDiagram:
 
     cpt maps each chance variable to {rowkey over its parents: P(v=true)}.
     cost_table maps every rowkey over cost_parents to a real cost.
-    forgetful picks every decision's strategy scope (``strategy_scope``):
+    forgetful picks every decision's strategy scope, held in ``scopes``:
     its influence set by default (no-forgetting), or with forgetful=True
     only its direct parents, as in a LIMID.
     """
@@ -109,6 +108,20 @@ class InfluenceDiagram:
     @property
     def decision_nodes(self):
         return tuple(v for v in self.variables if self.kinds.get(v) == DECISION)
+
+    @functools.cached_property
+    def scopes(self):
+        """Each decision's strategy scope, in declared order: its parents
+        and its decision ancestors through any path, or only its parents
+        when forgetful.  Computed once; ``dataclasses.replace`` makes a
+        new diagram, which computes its own."""
+        out = {}
+        for d in self.decision_nodes:
+            members = set(self.parents.get(d, ()))
+            if not self.forgetful:
+                members |= {a for a in _ancestors(self, d) if self.kinds.get(a) == DECISION}
+            out[d] = tuple(v for v in self.variables if v in members)
+        return out
 
     @property
     def cost_values(self):
@@ -267,28 +280,6 @@ def _ancestors(diagram, v):
     return out
 
 
-def influence_set(diagram, decision):
-    """Decision ancestors (through any path) plus direct parents."""
-    if diagram.kinds.get(decision) != DECISION:
-        raise ValueError(f"{decision!r} is not a decision node")
-    ancestors = _ancestors(diagram, decision)
-    decision_ancestors = {a for a in ancestors if diagram.kinds.get(a) == DECISION}
-    return decision_ancestors | set(diagram.parents.get(decision, ()))
-
-
-def strategy_scope(diagram, decision):
-    """Conditioning variables of a local strategy, in declared order: the
-    influence set, or only the direct parents in a forgetful diagram.
-    """
-    if diagram.forgetful:
-        members = set(diagram.parents.get(decision, ()))
-        if diagram.kinds.get(decision) != DECISION:
-            raise ValueError(f"{decision!r} is not a decision node")
-    else:
-        members = influence_set(diagram, decision)
-    return tuple(v for v in diagram.variables if v in members)
-
-
 @dataclass(frozen=True)
 class LocalStrategy:
     """Conditional table P(decision = true | scope row) for one decision."""
@@ -325,7 +316,7 @@ def validate_strategy(diagram, strategy):
         )
         return out
     for d, local in strategy.locals.items():
-        expected_scope = strategy_scope(diagram, d)
+        expected_scope = diagram.scopes[d]
         if tuple(local.scope) != expected_scope:
             out.append(
                 Violation(d, f"scope {local.scope} differs from {expected_scope}")

@@ -18,8 +18,8 @@ contextual TBox, and optionally named strategy tables:
 
 Row keys concatenate parent values as '0'/'1' characters in declared
 parent order (quote them: YAML would read a bare 01 as the integer 1).
-Strategy rows are keyed over the decision's conditioning scope,
-``diagram.strategy_scope``: its influence set in declared variable
+Strategy rows are keyed over the decision's conditioning scope, held
+in the diagram's ``scopes``: its influence set in declared variable
 order, or just its parents when the diagram is loaded as a LIMID (see
 ``load_kb_text``).
 
@@ -367,10 +367,9 @@ def load_kb_text(text, forgetful=False):
                 raise KBLoadError(
                     f"strategy {name!r}: {decision!r} is not a decision node"
                 )
-            scope = dg.strategy_scope(diagram, decision)
             locals_[decision] = dg.LocalStrategy(
                 decision=decision,
-                scope=scope,
+                scope=diagram.scopes[decision],
                 table=_row_table(rows, f"strategy {name!r} for {decision!r}"),
             )
         strategies[str(name)] = dg.GlobalStrategy(locals=locals_)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from . import diagram as dg
 from ._format import format_float as fmt
 from .contextual import KnowledgeBase, entailment_column
-from .diagram import CHANCE, GlobalStrategy, strategy_scope
+from .diagram import CHANCE, GlobalStrategy
 from .evidence import _greedy_pass
 
 __all__ = [
@@ -88,7 +88,7 @@ def enumerate_pure_strategies(diagram, decisions=None):
     of them raise EnumerationCapError."""
     import numpy as np
     decisions = diagram.decision_nodes if decisions is None else tuple(decisions)
-    scopes = {d: strategy_scope(diagram, d) for d in decisions}
+    scopes = {d: diagram.scopes[d] for d in decisions}
     log2 = sum(2 ** len(scope) for scope in scopes.values())
     if log2 > 62 or (1 << log2) > STRATEGY_CAP:
         raise EnumerationCapError(
@@ -110,7 +110,7 @@ def split_decisions(diagram):
     scopes are equal.  The chain comes largest scope first, the rest in
     declared order.  Perfect recall is an empty rest of unequal scopes.
     """
-    scopes = {d: set(strategy_scope(diagram, d)) for d in diagram.decision_nodes}
+    scopes = {d: set(scope) for d, scope in diagram.scopes.items()}
     chain = []
     for d in sorted(scopes, key=lambda d: -len(scopes[d])):
         if all(scopes[d] | {d} <= scopes[e] or scopes[d] == scopes[e] for e in chain):
@@ -193,7 +193,7 @@ def _row_wise_optimum(table, signed_cost, chain, score):
     """
     import numpy as np
     diagram = table.diagram
-    scopes = {d: strategy_scope(diagram, d) for d in diagram.decision_nodes}
+    scopes = diagram.scopes
     rest = tuple(d for d in scopes if d not in chain)
     groups = _chain_groups(table, chain, scopes)
     chance = table.joint()
@@ -335,7 +335,7 @@ def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError("the fully-mixed lower bound must be finite and nonnegative")
     chain, rest = split_decisions(diagram)
-    scopes = {d: strategy_scope(diagram, d) for d in reversed(chain + rest)}
+    scopes = {d: diagram.scopes[d] for d in reversed(chain + rest)}
     for e, d in itertools.combinations(chain + rest, 2):
         if not ({d, *scopes[d]} <= {*scopes[e]} or {e, *scopes[e]} <= {*scopes[d]}):
             raise InfeasibleEpsilonError(

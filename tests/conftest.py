@@ -136,9 +136,7 @@ def random_diagram(rng, n_vars=None, max_decisions=3, full_observation=False,
             cost_parents=cost_parents,
             cost_table=cost_table,
         )
-        scopes_log2 = sum(
-            2 ** len(dg.strategy_scope(diagram, d)) for d in diagram.decision_nodes
-        )
+        scopes_log2 = sum(2 ** len(scope) for scope in diagram.scopes.values())
         if scopes_log2 <= strategy_cap_log2:
             assert not dg.validate(diagram)
             return diagram
@@ -149,7 +147,7 @@ def random_strategy(rng, diagram, pure=None):
         pure = rng.random() < 0.5
     locals_ = {}
     for d in diagram.decision_nodes:
-        scope = dg.strategy_scope(diagram, d)
+        scope = diagram.scopes[d]
         table = {}
         for key in all_rowkeys(len(scope)):
             table[key] = float(rng.randint(0, 1)) if pure else rng.random()

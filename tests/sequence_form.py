@@ -146,7 +146,7 @@ def ref_kb_sequence_form(diagram):
     recall, where each decision and its scope lie inside the scope of
     every later one; other diagrams raise ValueError.
     """
-    scopes = {d: dg.strategy_scope(diagram, d) for d in diagram.decision_nodes}
+    scopes = diagram.scopes
     order = sorted(scopes, key=lambda d: len(scopes[d]))
     for e, d in zip(order, order[1:]):
         if not set(scopes[e]) | {e} <= set(scopes[d]):

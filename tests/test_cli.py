@@ -1105,6 +1105,33 @@ def test_fully_mixed_one_float_above_the_boundary_exits_three(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("flags", [[], ["--forgetful"]])
+def test_strategies_on_a_cyclic_document(tmp_path, capsys, flags):
+    """The loader reads each decision's scope before validation, and the
+    cycle is still the one violation reported."""
+    path = tmp_path / "cycle.kb"
+    path.write_text(
+        "variables: [A, D, E]\n"
+        "nodes:\n"
+        "  A: {kind: chance, parents: [E], cpt: {'0': 0.5, '1': 0.5}}\n"
+        "  D: {kind: decision, parents: [A]}\n"
+        "  E: {kind: decision, parents: [D]}\n"
+        "cost: {parents: [A], table: {'0': 0, '1': 1}}\n"
+        "strategies:\n"
+        "  s:\n"
+        "    D: {'0': 0, '1': 1}\n"
+        "    E: {'0': 1, '1': 0}\n"
+    )
+    cycle = "A: parent graph has a cycle through this node"
+    code, stdout, err = run(capsys, *flags, "validate", str(path))
+    assert (code, err) == (1, "")
+    assert stdout.endswith(f"result:\n  violations:\n    - {cycle}\n")
+    for query in (["expected-cost", "--strategy", "s"], ["optimize", "--pure"]):
+        code, stdout, err = run(capsys, *flags, "query", str(path), *query)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {path}: knowledge base is not valid: {cycle}\n"
+
+
 def test_forgetful_flag_changes_strategy_scope(tmp_path, capsys):
     path = tmp_path / "chain.kb"
     path.write_text(
@@ -1299,6 +1326,31 @@ def test_very_deep_yaml_exits_two_in_a_fresh_process(tmp_path, style):
     assert proc.stdout == ""
     assert f"nested more than {kbfile.MAX_YAML_DEPTH} levels deep" in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "idelium.kb"],
+        ["query", "idelium.kb", "optimize", "--pure"],
+        ["query", "idelium.kb", "export-game-tree"],
+    ],
+)
+def test_a_closed_stdout_exits_two_with_one_line(tmp_path, argv):
+    (tmp_path / "idelium.kb").write_bytes(fixture_bytes("idelium"))
+    env = dict(os.environ, PYTHONPATH=str(Path(cider.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cider.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            cwd=tmp_path, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: cannot write the report: [Errno 32] Broken pipe\n"
 
 
 def _nested_and(depth):

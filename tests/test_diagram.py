@@ -16,9 +16,7 @@ from cider.diagram import (
     cost_distribution,
     cost_of_valuation,
     expected_cost,
-    influence_set,
     joint_probability,
-    strategy_scope,
     validate,
     validate_strategy,
 )
@@ -117,12 +115,9 @@ def test_validate_reports_a_cost_that_is_not_finite(idelium, bad):
 
 
 def test_influence_set_fixture(idelium):
-    assert influence_set(idelium.kb.diagram, "TA") == {"S"}
-    with pytest.raises(ValueError):
-        influence_set(idelium.kb.diagram, "S")
+    assert idelium.kb.diagram.scopes == {"TA": ("S",)}
     forgetful = dataclasses.replace(idelium.kb.diagram, forgetful=True)
-    with pytest.raises(ValueError, match="^'S' is not a decision node$"):
-        strategy_scope(forgetful, "S")
+    assert "S" not in forgetful.scopes
 
 
 def test_influence_set_through_chance_chain():
@@ -134,10 +129,8 @@ def test_influence_set_through_chance_chain():
         cost_parents=("D2",),
         cost_table={"0": 0.0, "1": 1.0},
     )
-    assert influence_set(d, "D1") == set()
-    assert influence_set(d, "D2") == {"D1", "X"}
-    assert strategy_scope(d, "D2") == ("D1", "X")
-    assert strategy_scope(dataclasses.replace(d, forgetful=True), "D2") == ("X",)
+    assert d.scopes == {"D1": (), "D2": ("D1", "X")}
+    assert dataclasses.replace(d, forgetful=True).scopes == {"D1": (), "D2": ("X",)}
 
 
 def test_joint_probability_fixture_world(idelium):

@@ -154,7 +154,7 @@ def permuted(case, order):
     for name, s in case.strategies.items():
         locals_ = {}
         for d, local in s.locals.items():
-            scope = dg.strategy_scope(diagram, d)
+            scope = diagram.scopes[d]
             table = {
                 key: local.table[dg.rowkey(dg.world_from_bits(key, scope), local.scope)]
                 for key in dg.row_keys(len(scope))

@@ -385,7 +385,7 @@ def test_row_wise_optimum_matches_enumeration(random_kb_corpus):
     assert any(len(chain) >= 2 and rest for chain, rest in splits)
     # some chain solves two or more decisions of one scope as one joint move
     assert any(
-        len(chain) > len({dg.strategy_scope(kb.diagram, d) for d in chain})
+        len(chain) > len({kb.diagram.scopes[d] for d in chain})
         for kb, (chain, _) in zip(cases, splits)
     )
     unique = 0
@@ -441,7 +441,7 @@ def _declared_after_a_decision(rng, count):
         kb = random_kb(rng, _redeclared(diagram, rng))
         position = {v: i for i, v in enumerate(kb.diagram.variables)}
         if any(position[v] > position[d] for d in kb.diagram.decision_nodes
-               for v in dg.strategy_scope(kb.diagram, d)):
+               for v in kb.diagram.scopes[d]):
             kbs.append(kb)
     return kbs
 
@@ -485,7 +485,7 @@ def test_the_reached_worlds_are_the_mask_reference(random_kb_corpus):
     for kb in kbs:
         diagram = kb.diagram
         table = dg.WorldTable(diagram)
-        scopes = {d: dg.strategy_scope(diagram, d) for d in diagram.decision_nodes}
+        scopes = diagram.scopes
         for rest in {opt.split_decisions(diagram)[1], diagram.decision_nodes}:
             if not rest:
                 continue
@@ -497,6 +497,39 @@ def test_the_reached_worlds_are_the_mask_reference(random_kb_corpus):
             shapes.add((rest == diagram.decision_nodes,
                         any(set(scopes[d]) & set(rest) for d in rest)))
     assert shapes >= {(False, False), (True, False), (True, True)}
+
+
+def test_a_search_computes_no_scope(monkeypatch):
+    """Each decision's scope is computed once per diagram, as its
+    ``scopes``: the loader computes them for the named strategies, and
+    the searches and strategy validation read them without walking the
+    parent graph."""
+    calls = []
+    real = dg._ancestors
+
+    def counted(diagram, v):
+        calls.append(v)
+        return real(diagram, v)
+
+    monkeypatch.setattr(dg, "_ancestors", counted)
+    for spec in bench_specs((1,)):
+        if spec.name not in ("ss", "wq"):
+            continue
+        doc = load_kb_text(spec.to_yaml())
+        query = EvidenceQuery(*map(parse_concept, spec.concept_pairs[0]))
+        calls.clear()
+        opt.optimal_pure_strategy(doc.kb)
+        opt.optimal_pure_strategy(doc.kb, "dominant-optimistic", query)
+        opt.optimal_mixed_strategy(doc.kb)
+        for strategy in doc.strategies.values():
+            assert not dg.validate_strategy(doc.kb.diagram, strategy)
+        assert calls == []
+    kb = KnowledgeBase(diagram=dataclasses.replace(doc.kb.diagram), vtbox=())
+    opt.optimal_pure_strategy(kb)
+    assert sorted(calls) == sorted(kb.diagram.decision_nodes)
+    calls.clear()
+    opt.optimal_pure_strategy(kb)
+    assert calls == []
 
 
 def _ss():
@@ -1112,7 +1145,7 @@ def test_mixed_result_reproduces_value_randomized():
 def _perfect_recall(diagram):
     """Of every two decisions, one and its scope lie inside the other's
     scope."""
-    scopes = {d: set(dg.strategy_scope(diagram, d)) for d in diagram.decision_nodes}
+    scopes = {d: set(scope) for d, scope in diagram.scopes.items()}
     return all(
         scopes[a] | {a} <= scopes[b] or scopes[b] | {b} <= scopes[a]
         for a, b in itertools.combinations(scopes, 2)
@@ -1205,7 +1238,7 @@ def test_fully_mixed_matches_the_simplex(random_kb_corpus, idelium):
                     opt.optimal_mixed_strategy(diagram, epsilon)
                 assert "\n" not in str(info.value)
                 e, d = _named_pair(str(info.value))
-                scope = {x: set(dg.strategy_scope(diagram, x)) for x in (e, d)}
+                scope = {x: set(diagram.scopes[x]) for x in (e, d)}
                 assert not (scope[e] | {e} <= scope[d] or scope[d] | {d} <= scope[e])
             seen["no perfect recall"] += 1
             continue
@@ -1283,7 +1316,7 @@ def test_fully_mixed_lp_on_14336_information_sets_needs_no_simplex(monkeypatch):
     it without building any.  The same decisions seeing nothing have no
     perfect recall, and no fully-mixed plan."""
     d = _late_decisions(recall=True)
-    assert sum(1 << len(dg.strategy_scope(d, v)) for v in d.decision_nodes) == 14336
+    assert sum(1 << len(d.scopes[v]) for v in d.decision_nodes) == 14336
     assert opt.split_decisions(d) == (("D2", "D1", "D0"), ())
 
     def fail(*args, **kwargs):

@@ -191,11 +191,7 @@ def test_bounds_match_per_world_reference(random_kb_corpus, bound, sign):
 def _forgets(diagram):
     """Whether some decision's forgetful scope, its parents, differs from
     its influence set."""
-    return any(
-        dg.strategy_scope(dataclasses.replace(diagram, forgetful=True), x)
-        != dg.strategy_scope(diagram, x)
-        for x in diagram.decision_nodes
-    )
+    return dataclasses.replace(diagram, forgetful=True).scopes != diagram.scopes
 
 
 @pytest.fixture(scope="module")
