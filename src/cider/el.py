@@ -19,6 +19,15 @@ a subconcept, so the work stays within the concepts the query can
 reach.  c <= d is entailed exactly when d is in S(c).  The contexts and
 links are the canonical model: where d is not in S(c), the context c is
 an element of c and not of d in a model of the TBox.
+
+The same completion decides many TBoxes at once, as a labelled
+completion in the sense of Baader, Knechtel & Peñaloza (J. Web
+Semantics 2012) whose labels are sets rather than formulas.  Each TBox
+is a group, one bit of an integer; each axiom carries the mask of the
+groups whose TBox holds it, and each fact and link the mask of the
+groups that derive it.  A rule fires for the AND of its premises'
+masks, and bit g of S(c)[d] answers c <= d for group g's TBox.  One
+TBox is the case of one group, where every mask is 1.
 """
 
 from dataclasses import dataclass
@@ -159,21 +168,26 @@ def signature(axioms):
 def is_subsumed(tbox, c, d):
     """Does every model of the TBox satisfy c <= d?
 
-    One goal-directed completion over the concepts themselves, as the
-    module docstring describes; the answer is whether d is derived in
-    the context of c.
+    The completion of the module docstring with one group holding every
+    axiom; the answer is whether d is derived in the context of c.
     """
-    return d in _completion(tbox, c, d)[c]
+    return d in _completion([(gci, 1) for gci in tbox], 1, c, d)[c]
 
 
-def _completion(tbox, c, d):
-    """S(x) for every context x of the completion for c <= d, keyed by x.
+def _completion(axioms, full, c, d):
+    """S(x) for every context x of the completion for c <= d, keyed by x:
+    each concept derived for x, mapped to the mask of the groups that
+    derive it.
 
-    A told axiom fires exactly when its left side is in some S(x).
+    The axioms are ``(gci, groups)`` pairs, ``groups`` the mask of the
+    groups whose TBox holds the gci, and ``full`` is the mask of every
+    group.  A fact passes on only its new bits.  A context is opened
+    with ``full``, since y <= y and y <= top hold in every TBox.  A told
+    axiom fires exactly when its left side is in some S(x).
     """
-    told = {}  # lhs -> [rhs]
-    for gci in tbox:
-        told.setdefault(gci.lhs, []).append(gci.rhs)
+    told = {}  # lhs -> [(rhs, groups)]
+    for gci, groups in axioms:
+        told.setdefault(gci.lhs, []).append((gci.rhs, groups))
     # The concepts R⊓+ and R∃+ may build: every left-hand side and d, with
     # all their subconcepts.  A marked conjunction is indexed by each
     # conjunct, a marked existential by its filler.
@@ -194,35 +208,50 @@ def _completion(tbox, c, d):
             existentials.setdefault(x.filler, []).append((x.role, x))
             stack.append(x.filler)
 
-    subsumers = {c: set()}  # context -> S(context)
-    links = {c: set()}  # context y -> {(x, r)} for every link x -r-> y
-    work = [(c, c), (c, TOP)]  # (context, concept) pairs not yet in S
+    subsumers = {c: {}}  # context -> {concept: groups}
+    links = {c: {}}  # context y -> {(x, r): groups} for every link x -r-> y
+    work = [(c, c, full), (c, TOP, full)]  # (context, concept, groups) to add
     while work:
-        x, e = work.pop()
+        x, e, groups = work.pop()
         s = subsumers[x]
-        if e in s:
+        old = s.get(e, 0)
+        new = groups & ~old
+        if not new:
             continue
-        s.add(e)
+        s[e] = old | new
         # R⊑
-        work += ((x, f) for f in told.get(e, ()))
+        for f, label in told.get(e, ()):
+            if label & new:
+                work.append((x, f, label & new))
         # R⊓− and R⊓+
         if isinstance(e, Conjunction):
-            work += ((x, e.left), (x, e.right))
-        work += ((x, both) for other, both in conjunctions.get(e, ()) if other in s)
+            work.append((x, e.left, new))
+            work.append((x, e.right, new))
+        for other, both in conjunctions.get(e, ()):
+            held = s.get(other, 0) & new
+            if held:
+                work.append((x, both, held))
         # R∃+ over the links into x
-        for source, role in links[x]:
-            work += ((source, ex) for r, ex in existentials.get(e, ()) if r == role)
+        for role, ex in existentials.get(e, ()):
+            for (source, r), linked in links[x].items():
+                if r == role and linked & new:
+                    work.append((source, ex, linked & new))
         # R∃−: open the filler's context, link x to it, and R∃+ over what
         # the filler already has
         if isinstance(e, Existential):
             y = e.filler
             if y not in subsumers:
-                subsumers[y], links[y] = set(), set()
-                work += ((y, y), (y, TOP))
-            if (x, e.role) not in links[y]:
-                links[y].add((x, e.role))
-                for f in subsumers[y]:
-                    work += ((x, ex) for r, ex in existentials.get(f, ()) if r == e.role)
+                subsumers[y], links[y] = {}, {}
+                work.append((y, y, full))
+                work.append((y, TOP, full))
+            old = links[y].get((x, e.role), 0)
+            fresh = new & ~old
+            if fresh:
+                links[y][(x, e.role)] = old | fresh
+                for f, held in subsumers[y].items():
+                    for r, ex in existentials.get(f, ()):
+                        if r == e.role and held & fresh:
+                            work.append((x, ex, held & fresh))
     return subsumers
 
 

@@ -35,6 +35,20 @@ def idelium_model():
     return load_fixture_model()
 
 
+@pytest.fixture()
+def completions(monkeypatch):
+    """The ``full`` mask of every ``el._completion`` call the test makes."""
+    made = []
+    real = el._completion
+
+    def counting(axioms, full, c, d):
+        made.append(full)
+        return real(axioms, full, c, d)
+
+    monkeypatch.setattr(el, "_completion", counting)
+    return made
+
+
 # Cost rows 0.0 and -0.0, equal as floats but printed "0" and "-0", and
 # one CPT row 1.0, whose edges print p=0 and p=1.
 SIGNED_ZERO_KB = """\

@@ -6,6 +6,7 @@ import pytest
 
 from cider import diagram as dg
 from cider import el
+from cider.cli import main
 from cider.contextual import (
     FALSE,
     KnowledgeBase,
@@ -39,6 +40,7 @@ from conftest import (
     random_strategy,
     reachable_axioms,
 )
+from el_reference import is_subsumed as reference_is_subsumed
 
 W_EXA = {"D": True, "S": False, "TA": True, "P": False}
 
@@ -78,20 +80,28 @@ def test_restriction_groups_past_two_renumberings():
     for i, j in [(0, 1), (0, 2), (5, 7), (19, 21), (40, 42), (79, 81), (83, 85)]:
         lhs, rhs = N(f"A{i}"), N(f"A{j}")
         column = entailment_column(kb, table, lhs, rhs)
-        assert column.tolist() == [el.is_subsumed(restrict(vtbox, w), lhs, rhs) for w in worlds]
+        assert column.tolist() == [
+            reference_is_subsumed(restrict(vtbox, w), lhs, rhs) for w in worlds
+        ]
         mixed += 0 < column.sum() < table.size
     assert mixed >= 3
 
 
 def per_world_column(kb, c, d):
-    """Whether each world's restricted TBox entails c <= d, world by world."""
-    return [el.is_subsumed(restrict(kb.vtbox, w), c, d) for w in kb.diagram.worlds()]
+    """Whether each world's restricted TBox entails c <= d, world by world,
+    by the normalize-and-saturate reference, memoized by the restricted
+    TBox."""
+    held = {}
+    return [
+        held[t] if t in held else held.setdefault(t, reference_is_subsumed(t, c, d))
+        for t in (restrict(kb.vtbox, w) for w in kb.diagram.worlds())
+    ]
 
 
 def fired_axioms(kb, c, d):
-    """The axioms whose left side the completion over every axiom of the
-    KB derives in some context, in vtbox order."""
-    subsumers = el._completion([a.gci for a in kb.vtbox], c, d)
+    """The axioms whose left side the one-group completion over every
+    axiom of the KB derives in some context, in vtbox order."""
+    subsumers = el._completion([(a.gci, 1) for a in kb.vtbox], 1, c, d)
     return [a for a in kb.vtbox if any(a.gci.lhs in s for s in subsumers.values())]
 
 
@@ -120,22 +130,15 @@ def test_entailment_column_matches_per_world_reference_on_random_kbs():
 
 def test_entailment_column_matches_per_world_reference_on_the_benchmark_kbs():
     """Every generated KB of every workload with each of its query pairs;
-    the reference decides each world's restriction, memoized by the
-    restricted TBox."""
+    the reference decides each world's restriction."""
     columns = []
     for spec in bench_specs((1, 3, 5)):
         kb = load_kb_text(spec.to_yaml()).kb
         table = dg.WorldTable(kb.diagram)
-        restrictions = [restrict(kb.vtbox, w) for w in kb.diagram.worlds()]
         for lhs, rhs in spec.concept_pairs:
             c, d = el.parse_concept(lhs), el.parse_concept(rhs)
-            held = {}
-            expected = [
-                held[t] if t in held else held.setdefault(t, el.is_subsumed(t, c, d))
-                for t in restrictions
-            ]
             column = entailment_column(kb, table, c, d).tolist()
-            assert column == expected, (spec.name, lhs, rhs)
+            assert column == per_world_column(kb, c, d), (spec.name, lhs, rhs)
             columns.append(sum(column) / len(column))
     assert any(share == 0 for share in columns)
     assert any(0 < share < 1 for share in columns)
@@ -167,13 +170,16 @@ def _two_variable_kb(*axioms):
         # (some r A) <= B fires only where (some r A) is derived
         ([("(some r A)", "B", "X")], ("A", "B"), "0000", 1),
         ([("(some r A)", "B", "X")], ("(some r A)", "B"), "0011", 2),
-        ([("A", "(some r A)", "Y"), ("(some r A)", "B", "X")], ("A", "B"), "0001", 4),
+        ([("A", "(some r A)", "Y"), ("(some r A)", "B", "X")], ("A", "B"), "0001", 2),
         # a chain through a right side
-        ([("A", "(some r B)", "X"), ("(some r B)", "C", "Y")], ("A", "C"), "0001", 4),
-        ([("(some r B)", "C", "Y"), ("A", "(some r B)", "X")], ("A", "C"), "0001", 4),
-        # one GCI under two contexts: the worlds where either holds reuse
-        # the first completion
+        ([("A", "(some r B)", "X"), ("(some r B)", "C", "Y")], ("A", "C"), "0001", 2),
+        ([("(some r B)", "C", "Y"), ("A", "(some r B)", "X")], ("A", "C"), "0001", 2),
+        # one GCI under two contexts: either context labels it
         ([("A", "B", "X"), ("A", "B", "Y")], ("A", "B"), "0111", 2),
+        # the filler B is opened for the groups of the first route to
+        # (some r B), and what B derives must reach the second route's
+        ([("A", "(some r B)", "X"), ("A", "(some r B)", "Y"), ("B", "C", "true"),
+          ("(some r C)", "D", "true")], ("A", "D"), "0111", 2),
         # every name of (and A C) is reached, but C is derived only in
         # the context of the filler, never beside A: the axiom never
         # fires, so only X's truth splits the worlds
@@ -181,25 +187,50 @@ def _two_variable_kb(*axioms):
          ("A", "B"), "0011", 2),
     ],
     ids=["top", "role-unreached", "role-in-query", "role-reached",
-         "chain", "chain-reversed", "twice", "reached-not-fired"],
+         "chain", "chain-reversed", "twice", "filler-two-routes", "reached-not-fired"],
 )
-def test_entailment_column_edge_cases(monkeypatch, axioms, query, held, calls):
-    """Worlds in order XY = 00, 01, 10, 11; calls counts completions."""
+def test_entailment_column_edge_cases(completions, axioms, query, held, calls):
+    """Worlds in order XY = 00, 01, 10, 11; calls counts completions:
+    the one-group pass, and the labelled pass where that one entails."""
     kb = _two_variable_kb(*axioms)
     c, d = (el.parse_concept(text) for text in query)
     expected = per_world_column(kb, c, d)
     assert "".join("1" if h else "0" for h in expected) == held
-    made = []
-    real = el._completion
-
-    def counting(tbox, c, d):
-        made.append(tbox)
-        return real(tbox, c, d)
-
-    monkeypatch.setattr(el, "_completion", counting)
     column = entailment_column(kb, dg.WorldTable(kb.diagram), c, d)
     assert column.tolist() == expected
-    assert len(made) == calls
+    assert len(completions) == calls
+
+
+def chain_kb_text(n):
+    """Root chance variables V0..V(n-1), each true with 0.5, and the
+    axioms A(i) <= A(i+1) under context V(i): every world has its own
+    restriction, and A0 <= An holds only in the world where all hold."""
+    variables = [f"V{i}" for i in range(n)]
+    return "".join([
+        f"variables: [{', '.join(variables)}]\nnodes:\n",
+        *(f"  {v}: {{kind: chance, parents: [], cpt: {{'': 0.5}}}}\n" for v in variables),
+        "cost: {parents: [], table: {'': 0}}\ntbox:\n",
+        *(f"  - {{lhs: A{i}, rhs: A{i + 1}, context: V{i}}}\n" for i in range(n)),
+        "strategies: {none: {}}\n",
+    ])
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_entailment_column_decides_a_chain_in_two_completions(completions, n):
+    """One completion per query, not per restriction: the one-group pass
+    and one pass labelled with all 2^n groups, up to the world cap."""
+    kb = load_kb_text(chain_kb_text(n)).kb
+    table = dg.WorldTable(kb.diagram)
+    column = entailment_column(kb, table, N("A0"), N(f"A{n}"))
+    assert completions == [1, (1 << 2**n) - 1]
+    assert column.nonzero()[0].tolist() == [table.size - 1]
+
+
+def test_prob_subsume_on_a_chain(capsys, tmp_path):
+    path = tmp_path / "chain12.kb"
+    path.write_text(chain_kb_text(12))
+    assert main(["query", str(path), "prob-subsume", "--strategy", "none", "A0", "A12"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "  probability: 0.000244140625"
 
 
 def test_parse_formula_roundtrip():
@@ -371,7 +402,7 @@ def test_prob_subsumption_equals_per_world_oracle(idelium):
     c, d = N("Subject"), N("Benefits")
     total = 0.0
     for w in kb.diagram.worlds():
-        if el.is_subsumed(restrict(kb.vtbox, w), c, d):
+        if reference_is_subsumed(restrict(kb.vtbox, w), c, d):
             total += dg.joint_probability(kb.diagram, s, w)
     assert prob_subsumption(kb, s, c, d) == pytest.approx(total, abs=1e-12)
 

@@ -15,6 +15,7 @@ from cider.el import (
     FiniteInterpretation,
     ParseError,
     TOP,
+    _completion,
     check_gci_on_interpretation,
     is_subsumed,
     parse_concept,
@@ -413,6 +414,31 @@ def test_completion_agrees_with_the_reference_on_random_tboxes():
         assert is_subsumed(tbox, c, d) is expected, (tbox, c, d)
         answers.append(expected)
     assert set(answers) == {True, False}
+
+
+@pytest.mark.parametrize("n_groups, draws", [(1, 1500), (3, 800), (70, 120)])
+def test_labelled_completion_agrees_with_the_reference_per_group(n_groups, draws):
+    """Each axiom of a random TBox is labelled with a random set of
+    groups, and some axioms appear twice under two labels, as one GCI
+    does under two contexts; bit g of the labelled completion's answer
+    is the reference's answer over the axioms labelled with g.  70
+    groups make a mask wider than a machine word."""
+    rng = random.Random(2012 + n_groups)
+    full = (1 << n_groups) - 1
+    masks = set()
+    for _ in range(draws):
+        tbox = sorted(random_tbox(rng, max_axioms=8), key=repr)
+        tbox += rng.sample(tbox, rng.randint(0, len(tbox)))
+        labels = [rng.getrandbits(n_groups) for _ in tbox]
+        c = random_concept(rng, depth=rng.randint(0, 3))
+        d = random_concept(rng, depth=rng.randint(0, 3))
+        held = _completion(list(zip(tbox, labels)), full, c, d)[c].get(d, 0)
+        for g in range(n_groups):
+            group_tbox = [gci for gci, label in zip(tbox, labels) if label >> g & 1]
+            expected = reference_is_subsumed(group_tbox, c, d)
+            assert bool(held >> g & 1) is expected, (tbox, labels, c, d, g)
+        masks.add(0 if held == 0 else full if held == full else -1)
+    assert masks == ({0, full} if n_groups == 1 else {0, -1, full})
 
 
 def test_completion_agrees_with_the_reference_on_the_benchmark_kbs():

@@ -1,7 +1,8 @@
 """The world table against the per-world reference, compared exactly.
 
 The reference loops over ``diagram.worlds()`` with ``joint_probability``,
-``cost_of_valuation``, ``restrict`` and ``el.is_subsumed``, adding in
+``cost_of_valuation``, ``restrict`` and the normalize-and-saturate
+``el_reference.is_subsumed``, adding in
 world order; the evidence bounds are checked against a greedy pass and
 a subset oracle that walk one ``ClassifiedWorld`` object per world.  The
 table must give the same floats bit for bit, so the reports built from
@@ -17,7 +18,6 @@ import numpy as np
 import pytest
 
 from cider import diagram as dg
-from cider import el
 from cider.contextual import (
     entailment_column,
     eval_context,
@@ -45,6 +45,7 @@ from conftest import (
     reachable_axioms,
     with_scopes,
 )
+from el_reference import is_subsumed as reference_is_subsumed
 
 
 def reference_rows(kb, strategy, c, d):
@@ -54,7 +55,7 @@ def reference_rows(kb, strategy, c, d):
         (
             w,
             diagram.bits(w),
-            el.is_subsumed(restrict(kb.vtbox, w), c, d),
+            reference_is_subsumed(restrict(kb.vtbox, w), c, d),
             dg.joint_probability(diagram, strategy, w),
             dg.cost_of_valuation(diagram, w),
         )
@@ -237,21 +238,13 @@ def test_evidence_search_matches_per_world_reference(
             assert (result.value, result.strategy) == best
 
 
-def test_entailment_decided_once_per_truth_vector(idelium, monkeypatch):
-    """One completion over every axiom, then at most one per distinct
-    truth vector of the contexts of the axioms the query's left side
-    reaches, and only the first when it finds no entailment."""
+def test_entailment_decided_once_per_truth_vector(idelium, completions):
+    """One completion over every axiom, then, only when that one finds
+    the entailment, one more labelled with a group per distinct truth
+    vector of the contexts of the axioms the query's left side reaches."""
     kb = idelium.kb
     table = dg.WorldTable(kb.diagram)
     worlds = list(kb.diagram.worlds())
-    calls = []
-    real = el._completion
-
-    def counting(tbox, c, d):
-        calls.append(tbox)
-        return real(tbox, c, d)
-
-    monkeypatch.setattr(el, "_completion", counting)
     for lhs, rhs, n_reachable in [
         ("Subject", "Infectious", 5),  # entailed where D holds
         ("Subject", "Distance", 5),  # entailed where S holds
@@ -259,18 +252,18 @@ def test_entailment_decided_once_per_truth_vector(idelium, monkeypatch):
         ("Infectious", "Subject", 0),  # reaches no axiom
     ]:
         c, d = N(lhs), N(rhs)
-        calls.clear()
+        completions.clear()
         column = entailment_column(kb, table, c, d)
-        n_calls = len(calls)
-        expected = [el.is_subsumed(restrict(kb.vtbox, w), c, d) for w in worlds]
+        expected = [reference_is_subsumed(restrict(kb.vtbox, w), c, d) for w in worlds]
         assert column.tolist() == expected, (lhs, rhs)
         reachable = reachable_axioms(kb.vtbox, c)
         assert len(reachable) == n_reachable
         vectors = {tuple(eval_context(w, a.context) for a in reachable) for w in worlds}
         if any(expected):
-            assert n_calls <= 1 + len(vectors)
+            assert completions[0] == 1 and len(completions) == 2
+            assert completions[1].bit_length() <= len(vectors)
         else:
-            assert n_calls == 1
+            assert completions == [1]
 
 
 def test_a_written_strategy_table_reads_back_per_world(random_kb_corpus):
