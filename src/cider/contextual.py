@@ -11,10 +11,10 @@ Whether each world's restricted TBox entails c <= d is one column over
 the world table.  One completion over every axiom, whatever its
 context, rules the inclusion out in every world at once, since EL
 entailment is monotone in the axiom set.  When it holds there, only the
-axioms that completion fired can fire in any world, so the worlds are
-grouped by the truth vector of those axioms' contexts, each group is one
-bit of an integer mask, and one completion labelled with those masks
-decides every group at once.
+axioms that completion fired can fire in any world.  Each world is one
+bit of an integer mask, each fired axiom is labelled with the mask of
+the worlds where its context holds, and one labelled completion decides
+every world at once.
 """
 
 from dataclasses import dataclass
@@ -45,7 +45,6 @@ __all__ = [
     "eval_context",
     "eval_context_column",
     "restrict",
-    "restriction_groups",
     "entailment_column",
     "satisfies_vgci",
     "is_tbox_model",
@@ -235,40 +234,6 @@ def restrict(vtbox, world):
     return frozenset(a.gci for a in vtbox if eval_context(world, a.context))
 
 
-def restriction_groups(vtbox, table):
-    """The worlds of a table grouped by their axiom-context truth vector.
-
-    Returns the restricted TBox of each group and, per world, the index
-    of its group.
-    """
-    truth, group = _truth_groups(vtbox, table)
-    tboxes = [
-        frozenset(a.gci for a, held in zip(vtbox, row) if held)
-        for row in truth.T.tolist()
-    ]
-    return tboxes, group
-
-
-def _truth_groups(vtbox, table):
-    """The distinct axiom-context truth vectors of a table's worlds.
-
-    Returns the truth of each axiom's context in each group, one row per
-    axiom and one column per group, and, per world, the index of its
-    group.  Each world's truth vector is packed into one integer key,
-    re-numbered densely every 40 axioms so it fits in 64 bits.
-    """
-    import numpy as np
-    truth = np.empty((len(vtbox), table.size), dtype=bool)
-    key = np.zeros(table.size, dtype=np.int64)
-    for i, axiom in enumerate(vtbox):
-        if i and i % 40 == 0:
-            key = np.unique(key, return_inverse=True)[1]
-        truth[i] = eval_context_column(table, axiom.context)
-        key = (key << 1) | truth[i]
-    _keys, first, group = np.unique(key, return_index=True, return_inverse=True)
-    return truth[:, first], group
-
-
 def entailment_column(kb, table, c, d):
     """Whether each world's restricted TBox entails c <= d.
 
@@ -279,26 +244,24 @@ def entailment_column(kb, table, c, d):
     in some context.  The full completion applies every rule that the
     completion over a subset R of the axioms applies, so an axiom outside
     F never fires under R, and R entails c <= d exactly when its axioms
-    in F do.  The worlds are grouped by the truth vector of F's
-    contexts, and each group is one bit of a mask: every axiom of F is
-    labelled with the groups whose restriction holds it, and one
-    labelled completion decides every group at once.
+    in F do.  Each world is one bit of a mask, bit w for world w of the
+    table: every axiom of F is labelled with its context column packed
+    into that mask, and one labelled completion decides every world at
+    once.
     """
     import numpy as np
     subsumers = el._completion([(a.gci, 1) for a in kb.vtbox], 1, c, d)
     if d not in subsumers[c]:
         return np.zeros(table.size, dtype=bool)
     derived = set().union(*subsumers.values())
-    fired = [a for a in kb.vtbox if a.gci.lhs in derived]
-    truth, group = _truth_groups(fired, table)
-    n_groups = truth.shape[1]
-    packed = np.packbits(truth, axis=1, bitorder="little")
-    labelled = [
-        (a.gci, int.from_bytes(row.tobytes(), "little")) for a, row in zip(fired, packed)
-    ]
-    held = el._completion(labelled, (1 << n_groups) - 1, c, d)[c].get(d, 0)
-    bits = np.frombuffer(held.to_bytes(packed.shape[1], "little"), dtype=np.uint8)
-    return np.unpackbits(bits, count=n_groups, bitorder="little").astype(bool)[group]
+    labelled = []
+    for a in kb.vtbox:
+        if a.gci.lhs in derived:
+            worlds = np.packbits(eval_context_column(table, a.context), bitorder="little")
+            labelled.append((a.gci, int.from_bytes(worlds.tobytes(), "little")))
+    held = el._completion(labelled, (1 << table.size) - 1, c, d)[c].get(d, 0)
+    bits = np.frombuffer(held.to_bytes((table.size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(bits, count=table.size, bitorder="little").astype(bool)
 
 
 def satisfies_vgci(interp, world, axiom):

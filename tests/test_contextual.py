@@ -26,7 +26,6 @@ from cider.contextual import (
     prob_subsumption,
     prob_subsumption_in_model,
     restrict,
-    restriction_groups,
     satisfies_vgci,
 )
 from cider.el import GCI, ConceptName as N, FiniteInterpretation
@@ -35,6 +34,7 @@ from cider.kbfile import load_kb_text
 from conftest import (
     bench_specs,
     random_concept,
+    random_diagram,
     random_formula,
     random_kb,
     random_strategy,
@@ -45,14 +45,11 @@ from el_reference import is_subsumed as reference_is_subsumed
 W_EXA = {"D": True, "S": False, "TA": True, "P": False}
 
 
-def test_restriction_groups_past_two_renumberings():
-    """85 axioms: the packed truth-vector key is renumbered densely at
-    axioms 40 and 80.  The axioms form a chain A0 <= A1 <= ... <= A85,
-    so every axiom is distinct and each group is one distinct
-    restriction.  Only the first 21 links have contexts over all four
-    variables; the last 64 see P alone, so packing all 85 bits into one
-    64-bit key without renumbering would drop the bits that tell most
-    worlds apart."""
+def test_entailment_column_on_an_85_axiom_chain():
+    """The axioms form a chain A0 <= A1 <= ... <= A85, so every axiom is
+    distinct.  Only the first 21 links have contexts over all four
+    variables; the last 64 see P alone.  Queries along the chain, near
+    its start and its end, match the per-world reference."""
     rng = random.Random(7)
     variables = ("P", "Q", "R", "S")
     diagram = dg.InfluenceDiagram(
@@ -73,9 +70,6 @@ def test_restriction_groups_past_two_renumberings():
     kb = KnowledgeBase(diagram=diagram, vtbox=vtbox)
     table = dg.WorldTable(diagram)
     worlds = list(diagram.worlds())
-    tboxes, group = restriction_groups(vtbox, table)
-    assert [tboxes[g] for g in group.tolist()] == [restrict(vtbox, w) for w in worlds]
-    assert len(set(tboxes)) == len(tboxes) > 1
     mixed = 0
     for i, j in [(0, 1), (0, 2), (5, 7), (19, 21), (40, 42), (79, 81), (83, 85)]:
         lhs, rhs = N(f"A{i}"), N(f"A{j}")
@@ -126,6 +120,17 @@ def test_entailment_column_matches_per_world_reference_on_random_kbs():
     assert mixed >= 100
     assert pruned >= 100
     assert fewer >= 40
+    # 2 to 128 worlds: masks below, at and past one byte and one 64-bit word
+    for n_vars in (1, 5, 6, 7):
+        mixed = 0
+        for _ in range(300):
+            kb = random_kb(rng, random_diagram(rng, n_vars=n_vars))
+            c, d = random_concept(rng), random_concept(rng)
+            table = dg.WorldTable(kb.diagram)
+            column = entailment_column(kb, table, c, d).tolist()
+            assert column == per_world_column(kb, c, d), (kb.vtbox, c, d)
+            mixed += 0 < sum(column) < table.size
+        assert mixed >= 5, n_vars
 
 
 def test_entailment_column_matches_per_world_reference_on_the_benchmark_kbs():
@@ -231,6 +236,27 @@ def test_prob_subsume_on_a_chain(capsys, tmp_path):
     path.write_text(chain_kb_text(12))
     assert main(["query", str(path), "prob-subsume", "--strategy", "none", "A0", "A12"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "  probability: 0.000244140625"
+
+
+def test_queries_on_one_world(capsys, tmp_path):
+    """With no variables the table has one world, the empty bit string,
+    and a mask one bit wide."""
+    path = tmp_path / "one_world.kb"
+    path.write_text(
+        "variables: []\n"
+        "nodes: {}\n"
+        "cost: {parents: [], table: {'': 3}}\n"
+        "tbox:\n"
+        "  - {lhs: A, rhs: B, context: true}\n"
+        "strategies: {none: {}}\n"
+    )
+    query = ["query", str(path)]
+    assert main([*query, "prob-subsume", "--strategy", "none", "A", "B"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "  probability: 1"
+    assert main([*query, "cond-cost", "--strategy", "none", "--mode", "opt", "A", "B"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        '  conditional: {"value": 3, "evidence_probability": 1, "included_worlds": [""]}'
+    )
 
 
 def test_parse_formula_roundtrip():

@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from cider import diagram as dg
-from cider.contextual import restriction_groups
+from cider.contextual import restrict
 from cider.el import (
     GCI,
     Conjunction,
@@ -447,7 +446,7 @@ def test_completion_agrees_with_the_reference_on_the_benchmark_kbs():
     answers = []
     for spec in bench_specs((1, 3, 5)):
         kb = load_kb_text(spec.to_yaml()).kb
-        tboxes, _ = restriction_groups(kb.vtbox, dg.WorldTable(kb.diagram))
+        tboxes = {restrict(kb.vtbox, w) for w in kb.diagram.worlds()}
         for lhs, rhs in spec.concept_pairs:
             c, d = C(lhs), C(rhs)
             for tbox in tboxes:
