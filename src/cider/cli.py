@@ -123,18 +123,6 @@ def _strategy(doc, name):
     return strategy
 
 
-def _pure_optimum(kb, evidence, mode, direction):
-    """The best pure strategy for optimize --pure's --evidence, --mode
-    and --direction; evidence alone bounds optimistically."""
-    objective, query = "expected", None
-    if evidence:
-        objective = "dominant-pessimistic" if mode == "pes" else "dominant-optimistic"
-        query = _evidence(*evidence)
-    return opt.optimal_pure_strategy(
-        kb, objective=objective, evidence=query, direction=direction
-    )
-
-
 def _strategy_lines(strategy):
     lines = ["strategy:"]
     for d in sorted(strategy.locals):
@@ -272,7 +260,10 @@ def _cmd_query(args, argv):
         else:
             if args.fully_mixed is not None:
                 raise _InputError("--fully-mixed applies to --lp only")
-            result = _pure_optimum(kb, args.evidence, args.mode, args.direction)
+            result = opt.optimal_pure_strategy(
+                kb, args.evidence and _evidence(*args.evidence), args.mode or "opt",
+                args.direction,
+            )
             tolerance = PROB_TOL
         lines = [f"value: {fmt(result.value)}", f"kind: {result.kind}"]
         if result.epsilon:
@@ -292,7 +283,9 @@ def _cmd_query(args, argv):
                 f"--problem {args.problem} takes no --evidence; "
                 "only d-dom-opt and d-dom-pes do"
             )
-        result = _pure_optimum(kb, args.evidence, mode, direction)
+        result = opt.optimal_pure_strategy(
+            kb, args.evidence and _evidence(*args.evidence), mode or "opt", direction
+        )
         # strict in both directions
         answer = result.value > args.bound if direction == "max" else result.value < args.bound
         _report(

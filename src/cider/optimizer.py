@@ -11,9 +11,11 @@ The best pure strategy for expected cost uses the KB's strategy scopes.
 Only the strategies of the other decisions, the rest, are enumerated;
 under perfect recall the rest is empty.  They are scored a block at a
 time with array operations, each over only the worlds it reaches: one
-per valuation of the variables outside the rest.  The evidence
-objectives do not split over rows, so the same search runs them with an
-empty chain, and its value and strategy are exactly enumeration's.
+per valuation of the variables outside the rest.  With an evidence
+inclusion the objective is that evidence's conditional bound, optimistic
+or pessimistic by ``mode``; a bound does not split over rows, so the
+same search runs it with an empty chain, and its value and strategy are
+exactly enumeration's.
 Pure strategies number doubly exponentially, so the constant
 STRATEGY_CAP bounds every enumeration, as ``diagram.WORLD_CAP`` bounds
 the world table.
@@ -126,33 +128,28 @@ class OptimizationResult:
     epsilon: float = 0.0
 
 
-def optimal_pure_strategy(kb, objective="expected", evidence=None, direction="min"):
+def optimal_pure_strategy(kb, evidence=None, mode="opt", direction="min"):
     """Best pure strategy, from the one search ``_row_wise_optimum``.
 
-    objective "expected" scores plain expected cost, solved row-wise
-    over the chain of nested scopes.  Results differ from full
-    enumeration only on ties, within rounding.  "dominant-optimistic"
-    and "dominant-pessimistic" score the corresponding conditional bound
-    given the evidence inclusion; that bound does not split over rows,
-    so the search runs with an empty chain and enumerates every pure
-    strategy, ties kept in enumeration order: value and strategy are
-    exactly enumeration's.  Evidence is required by
-    those two and refused by "expected".  The value is the winning
-    score itself, so the rest's strategies are ranked by the number the
-    report prints.  The world table and the evidence entailment do not
-    depend on the strategy and are built once.
+    With no evidence it scores plain expected cost, solved row-wise over
+    the chain of nested scopes; results differ from full enumeration
+    only on ties, within rounding.  With an evidence inclusion it scores
+    that evidence's conditional bound, optimistic for mode "opt" and
+    pessimistic for "pes"; the bound does not split over rows, so the
+    search runs with an empty chain and enumerates every pure strategy,
+    ties kept in enumeration order: value and strategy are exactly
+    enumeration's.  The value is the winning score itself, so the
+    rest's strategies are ranked by the number the report prints.  The
+    world table and the evidence entailment do not depend on the
+    strategy and are built once.
     """
-    if objective not in ("expected", "dominant-optimistic", "dominant-pessimistic"):
-        raise ValueError(f"unknown objective {objective!r}")
-    if objective != "expected" and evidence is None:
-        raise ValueError(f"objective {objective!r} needs an evidence query")
-    if objective == "expected" and evidence is not None:
-        raise ValueError("objective 'expected' takes no evidence query")
+    if mode not in ("opt", "pes"):
+        raise ValueError(f"unknown mode {mode!r}")
     if direction not in ("min", "max"):
         raise ValueError(f"unknown direction {direction!r}")
     sign = 1.0 if direction == "min" else -1.0
     table = dg.WorldTable(kb.diagram)
-    if objective == "expected":
+    if evidence is None:
         chain = split_decisions(kb.diagram)[0]
 
         def score(w, worlds):
@@ -160,7 +157,7 @@ def optimal_pure_strategy(kb, objective="expected", evidence=None, direction="mi
 
     else:
         forced = entailment_column(kb, table, evidence.lhs, evidence.rhs)
-        bound_sign = +1 if objective == "dominant-optimistic" else -1
+        bound_sign = +1 if mode == "opt" else -1
         chain = ()
 
         def score(w, worlds):

@@ -604,16 +604,23 @@ EVIDENCE = ("--evidence", "Subject", "Infectious")
 
 
 @pytest.mark.parametrize(
-    "problem, extra, objective, direction",
+    "problem, extra, mode, direction",
     [
-        ("d-opt", (), "expected", "min"),
-        ("d-pes", (), "expected", "max"),
-        ("d-dom-opt", EVIDENCE, "dominant-optimistic", "min"),
-        ("d-dom-pes", EVIDENCE, "dominant-pessimistic", "min"),
+        ("d-opt", (), "opt", "min"),
+        ("d-pes", (), "opt", "max"),
+        ("d-dom-opt", EVIDENCE, "opt", "min"),
+        ("d-dom-pes", EVIDENCE, "pes", "min"),
+    ],
+    # each id names the objective its problem scores
+    ids=[
+        "d-opt-extra0-expected-min",
+        "d-pes-extra1-expected-max",
+        "d-dom-opt-extra2-dominant-optimistic-min",
+        "d-dom-pes-extra3-dominant-pessimistic-min",
     ],
 )
 def test_decide_is_strict_in_its_problems_direction(
-    kb_path, capsys, problem, extra, objective, direction
+    kb_path, capsys, problem, extra, mode, direction
 ):
     """A bound equal to the printed optimum, or to the search's exact
     value, answers false; a bound past the optimum on the answering side,
@@ -630,7 +637,7 @@ def test_decide_is_strict_in_its_problems_direction(
     optimum = answer("0")["optimum"]
     kb = load_kb_text(fixture_bytes("idelium").decode()).kb
     query = EvidenceQuery(N(extra[1]), N(extra[2])) if extra else None
-    value = opt.optimal_pure_strategy(kb, objective, query, direction).value
+    value = opt.optimal_pure_strategy(kb, query, mode, direction).value
     assert fmt(value) == optimum
     past = float(optimum) + (1.0 if direction == "min" else -1.0)
     bounds = (optimum, repr(value), repr(past))

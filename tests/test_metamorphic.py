@@ -34,7 +34,6 @@ from conftest import bench_specs, random_concept
 TOL = float(PROB_TOL)
 LP_TOL = 1e-7
 EPSILON = 0.001
-OBJECTIVES = {"opt": "dominant-optimistic", "pes": "dominant-pessimistic"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,11 +96,9 @@ def answers(case, lp=True):
     for direction in ("min", "max"):
         out["pure", direction] = opt.optimal_pure_strategy(kb, direction=direction).value
         query = ev.EvidenceQuery(*case.pairs[0])
-        for mode, objective in OBJECTIVES.items():
+        for mode in ("opt", "pes"):
             out["dominant", mode, direction] = _guard(
-                lambda: opt.optimal_pure_strategy(
-                    kb, objective=objective, evidence=query, direction=direction
-                ).value
+                lambda: opt.optimal_pure_strategy(kb, query, mode, direction).value
             )
     if lp:
         out["lp",] = opt.optimal_mixed_strategy(kb).value

@@ -284,35 +284,33 @@ def test_optimal_pure_reproduces_value(idelium):
 
 def test_dominant_objectives(idelium):
     query = EvidenceQuery(N("Subject"), N("Infectious"))
-    dom_opt = opt.optimal_pure_strategy(
-        idelium.kb, objective="dominant-optimistic", evidence=query
-    )
+    dom_opt = opt.optimal_pure_strategy(idelium.kb, evidence=query, mode="opt")
     check = optimistic_expected_cost(idelium.kb, dom_opt.strategy, query)
     assert dom_opt.value == pytest.approx(check.value, abs=1e-9)
     for pure in opt.enumerate_pure_strategies(idelium.kb.diagram):
         other = optimistic_expected_cost(idelium.kb, pure.to_strategy(), query)
         assert dom_opt.value <= other.value + 1e-9
-    dom_pes = opt.optimal_pure_strategy(
-        idelium.kb, objective="dominant-pessimistic", evidence=query
-    )
+    dom_pes = opt.optimal_pure_strategy(idelium.kb, evidence=query, mode="pes")
     assert dom_pes.value <= 11.081 + 1e-3  # at least as good as the worked strategy
 
 
 def test_objective_validation(idelium):
-    with pytest.raises(ValueError):
-        opt.optimal_pure_strategy(idelium.kb, objective="dominant-optimistic")
-    with pytest.raises(ValueError):
-        opt.optimal_pure_strategy(idelium.kb, objective="nonsense")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown mode 'nonsense'$"):
+        opt.optimal_pure_strategy(idelium.kb, mode="nonsense")
+    with pytest.raises(ValueError, match="^unknown direction 'sideways'$"):
         opt.optimal_pure_strategy(idelium.kb, direction="sideways")
 
 
-def test_the_expected_objective_refuses_evidence(idelium):
-    """Expected cost would ignore the evidence and answer 2.36, where the
-    pessimistic bound's optimum is 6."""
+def test_evidence_alone_bounds_optimistically(idelium):
+    """Evidence alone scores the optimistic bound, as --evidence alone
+    does; mode "pes" scores the pessimistic one, whose optimum is 6."""
     query = EvidenceQuery(N("Subject"), N("Infectious"))
-    with pytest.raises(ValueError, match="^objective 'expected' takes no evidence query$"):
-        opt.optimal_pure_strategy(idelium.kb, evidence=query)
+    alone = opt.optimal_pure_strategy(idelium.kb, evidence=query)
+    optimistic = opt.optimal_pure_strategy(idelium.kb, evidence=query, mode="opt")
+    assert (repr(alone.value), alone.strategy) == (
+        repr(optimistic.value), optimistic.strategy
+    )
+    assert fmt(opt.optimal_pure_strategy(idelium.kb, evidence=query, mode="pes").value) == "6"
 
 
 # --- the pure optimum, row-wise -----------------------------------------------
@@ -396,16 +394,16 @@ def test_row_wise_optimum_matches_enumeration(random_kb_corpus):
     assert unique > len(cases)  # most optima are unique up to unreached rows
 
 
-EVIDENCE_OBJECTIVES = ("dominant-optimistic", "dominant-pessimistic")
+MODES = ("opt", "pes")
 
 
-def enumerated_bound(kb, query, objective, direction):
+def enumerated_bound(kb, query, mode, direction):
     """(value, strategy, every value): the first strictly best
     ``greedy_bound`` over ``enumerate_pure_strategies``, each strategy's
     joint over every world."""
     table = dg.WorldTable(kb.diagram)
     forced = entailment_column(kb, table, query.lhs, query.rhs)
-    sign = +1 if objective == "dominant-optimistic" else -1
+    sign = +1 if mode == "opt" else -1
     better = 1.0 if direction == "min" else -1.0
     values, best = [], None
     for pure in opt.enumerate_pure_strategies(kb.diagram):
@@ -421,12 +419,12 @@ def assert_evidence_search_is_enumeration(kb, query):
     meets its optimality condition exactly."""
     table = dg.WorldTable(kb.diagram)
     forced = entailment_column(kb, table, query.lhs, query.rhs)
-    for objective, direction in itertools.product(EVIDENCE_OBJECTIVES, ("min", "max")):
-        value, strategy, _ = enumerated_bound(kb, query, objective, direction)
-        result = opt.optimal_pure_strategy(kb, objective, query, direction)
+    for mode, direction in itertools.product(MODES, ("min", "max")):
+        value, strategy, _ = enumerated_bound(kb, query, mode, direction)
+        result = opt.optimal_pure_strategy(kb, query, mode, direction)
         assert repr(result.value) == repr(value)
         assert result.strategy == strategy
-        sign = +1 if objective == "dominant-optimistic" else -1
+        sign = +1 if mode == "opt" else -1
         joint = table.joint(result.strategy)
         certify_bound(table, forced, joint, sign, greedy_bound(table, forced, joint, sign))
 
@@ -519,7 +517,7 @@ def test_a_search_computes_no_scope(monkeypatch):
         query = EvidenceQuery(*map(parse_concept, spec.concept_pairs[0]))
         calls.clear()
         opt.optimal_pure_strategy(doc.kb)
-        opt.optimal_pure_strategy(doc.kb, "dominant-optimistic", query)
+        opt.optimal_pure_strategy(doc.kb, query)
         opt.optimal_mixed_strategy(doc.kb)
         for strategy in doc.strategies.values():
             assert not dg.validate_strategy(doc.kb.diagram, strategy)
@@ -545,7 +543,7 @@ def test_the_evidence_search_in_many_blocks_keeps_the_earliest_tie(monkeypatch):
     extreme cost a strategy reaches, and under --mode opt the least one
     ties across three blocks; the earliest strategy wins."""
     kb, query = _ss()
-    value, strategy, values = enumerated_bound(kb, query, "dominant-optimistic", "min")
+    value, strategy, values = enumerated_bound(kb, query, "opt", "min")
     ties = [i for i, v in enumerate(values) if v == value]
     assert len(values) == 64 and ties[0] // 4 < ties[-1] // 4
     assert strategy == list(opt.enumerate_pure_strategies(kb.diagram))[ties[0]].to_strategy()
@@ -557,10 +555,10 @@ def test_the_evidence_search_in_many_blocks_keeps_the_earliest_tie(monkeypatch):
 
     monkeypatch.setattr(dg, "WORLD_CAP", 2**7)
     monkeypatch.setattr(opt, "_greedy_pass", counted)
-    for objective, direction in itertools.product(EVIDENCE_OBJECTIVES, ("min", "max")):
+    for mode, direction in itertools.product(MODES, ("min", "max")):
         rows.clear()
-        value, strategy, _ = enumerated_bound(kb, query, objective, direction)
-        result = opt.optimal_pure_strategy(kb, objective, query, direction)
+        value, strategy, _ = enumerated_bound(kb, query, mode, direction)
+        result = opt.optimal_pure_strategy(kb, query, mode, direction)
         assert rows == [4] * 16
         assert (repr(result.value), result.strategy) == (repr(value), strategy)
 
@@ -584,7 +582,7 @@ def test_the_reached_worlds_of_small_blocks_are_the_mask_reference(monkeypatch):
 
     monkeypatch.setattr(dg, "WORLD_CAP", 2**7)
     monkeypatch.setattr(opt, "_reached_worlds", recorded)
-    opt.optimal_pure_strategy(kb, "dominant-optimistic", query)
+    opt.optimal_pure_strategy(kb, query)
     assert [len(block) for _, _, _, block, _ in calls] == [4] * 16
     for table, rest, scopes, block, worlds in calls:
         assert_reached_is_the_mask(table, rest, scopes, block, worlds)
@@ -607,14 +605,14 @@ def test_a_strategy_with_no_positive_world_still_raises(monkeypatch):
 
     monkeypatch.setattr(dg.WorldTable, "joint", without_v02)
     monkeypatch.setattr(opt, "_greedy_pass", counted)
-    for objective in EVIDENCE_OBJECTIVES:
+    for mode in MODES:
         with pytest.raises(UndefinedConditionalError, match="no world has positive"):
-            enumerated_bound(kb, query, objective, "min")
+            enumerated_bound(kb, query, mode, "min")
         for cap, n_blocks in ((2**7, 13), (2**20, 1)):
             monkeypatch.setattr(dg, "WORLD_CAP", cap)
             blocks.clear()
             with pytest.raises(UndefinedConditionalError, match="no world has positive"):
-                opt.optimal_pure_strategy(kb, objective, query)
+                opt.optimal_pure_strategy(kb, query, mode)
             assert len(blocks) == n_blocks
 
 

@@ -208,11 +208,11 @@ def forgetful_corpus():
     return pairs
 
 
-@pytest.mark.parametrize("objective, sign", [
-    ("dominant-optimistic", +1), ("dominant-pessimistic", -1),
-])
+# the ids name each bound as the decide problems d-dom-opt and d-dom-pes do
+@pytest.mark.parametrize("mode, sign", [("opt", +1), ("pes", -1)],
+                         ids=["dominant-optimistic-1", "dominant-pessimistic--1"])
 def test_evidence_search_matches_per_world_reference(
-    random_kb_corpus, forgetful_corpus, objective, sign
+    random_kb_corpus, forgetful_corpus, mode, sign
 ):
     """Every pure strategy scored per world; the first strictly better
     one wins, in either direction, with or without forgetful scopes."""
@@ -232,9 +232,7 @@ def test_evidence_search_matches_per_world_reference(
                 value = reference_bound(classified(rows, joint), sign)[0]
                 if best is None or better * value < better * best[0]:
                     best = (value, strategy)
-            result = optimal_pure_strategy(
-                scoped, objective=objective, evidence=query, direction=direction
-            )
+            result = optimal_pure_strategy(scoped, query, mode, direction)
             assert (result.value, result.strategy) == best
 
 
