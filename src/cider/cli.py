@@ -135,12 +135,11 @@ def _strategy_lines(strategy):
 
 
 def _conditional_json(result):
-    worlds = ", ".join(f'"{b}"' for b in dg.bit_strings(result.included))
     return (
         "{"
         + f'"value": {fmt(result.value)}, '
         + f'"evidence_probability": {fmt(result.evidence_probability)}, '
-        + f'"included_worlds": [{worlds}]'
+        + f'"included_worlds": {dg.bit_strings_json(result.included)}'
         + "}"
     )
 

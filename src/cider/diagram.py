@@ -5,11 +5,14 @@ Chance variables carry conditional probability tables; decision
 variables are resolved by strategies supplied separately.  Table rows
 are keyed by the parent values concatenated as '0'/'1' characters in
 declared parent order (the root row key is the empty string).  Past
-the loader, only this module spells row keys (``row_keys``,
-``bit_strings``) and reads or writes row tables: ``WorldTable.rows``
-reads a CPT, strategy or cost table as its values per row and every
-world's row, and ``local_strategy`` writes a column over scope rows as
-a strategy table.
+the loader, only this module spells row keys and reads or writes row
+tables.  ``row_keys`` spells every key over n variables;
+``bit_strings`` and ``bit_strings_json`` spell the keys of the rows
+where a mask holds, as a list and as the text of a JSON array, both
+in bulk from one numpy byte buffer.  ``WorldTable.rows`` reads a CPT,
+strategy or cost table as its values per row and every world's row,
+and ``local_strategy`` writes a column over scope rows as a strategy
+table.
 
 Worlds (total valuations) are plain ``{variable: bool}`` mappings and
 are always enumerated in binary counting order over the declared
@@ -45,6 +48,7 @@ __all__ = [
     "row_keys",
     "rowkey",
     "bit_strings",
+    "bit_strings_json",
     "local_strategy",
     "world_from_bits",
     "validate",
@@ -76,10 +80,33 @@ def bit_strings(mask):
     """Row keys of the rows where a mask holds, for a mask over all 2^n
     rows of n variables (such as the world table's worlds), in row
     order, which is also sorted order."""
+    return _spell_rows(mask, b"", b",").split(",")[:-1]
+
+
+def bit_strings_json(mask):
+    """The text of a JSON array of ``bit_strings(mask)``, as
+    ``"[" + ", ".join(f'"{key}"' for key in keys) + "]"`` spells it."""
+    return "[" + _spell_rows(mask, b'"', b'", ')[:-2] + "]"
+
+
+def _spell_rows(mask, before, after):
+    """The row key of every row where a mask holds, in row order, each
+    between the bytes before and after, as one ASCII text.
+
+    Every key fills one row of a byte matrix, whose fixed columns come
+    from one template row: the key's n digits are the last n bits of
+    the low bytes of its row index, unpacked highest byte first.  No
+    Python code runs per row, and each digit passes through one byte,
+    never through an int64."""
     import numpy as np
     n = (mask.size - 1).bit_length()
-    # the leading 1 keeps the zero padding, and leaves "" when n is 0
-    return [format(i | 1 << n, "b")[1:] for i in np.flatnonzero(mask).tolist()]
+    width = -(-n // 8)  # bytes that hold n bits
+    index = mask.nonzero()[0].astype("<i8", copy=False)  # low bytes first
+    low = index.view(np.uint8).reshape(-1, 8)[:, :width][:, ::-1]
+    out = np.empty((index.size, len(before) + n + len(after)), dtype=np.uint8)
+    out[:] = np.frombuffer(before + b"0" * n + after, dtype=np.uint8)
+    out[:, len(before):len(before) + n] += np.unpackbits(low, axis=1)[:, 8 * width - n:]
+    return out.tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -123,8 +150,9 @@ class InfluenceDiagram:
             out[d] = tuple(v for v in self.variables if v in members)
         return out
 
-    @property
+    @functools.cached_property
     def cost_values(self):
+        """The distinct costs of the cost table, ascending; computed once."""
         return tuple(sorted(set(self.cost_table.values())))
 
     def worlds(self):
@@ -382,7 +410,8 @@ class WorldTable:
     world's row, so a caller can work once per row and hand the result
     to each world.  ``gather`` gives every world its row's value.  A
     table is built per query and keeps no result from one call to the
-    next.
+    next; ``cost_index``, which depends on the diagram alone, is
+    computed at its first use and kept.
     """
 
     def __init__(self, diagram):
@@ -400,6 +429,14 @@ class WorldTable:
 
     def column(self, v):
         return self.values[self.position[v]]
+
+    @functools.cached_property
+    def cost_index(self):
+        """Every world's cost as an index into ``diagram.cost_values``,
+        which ``distribution`` and ``mean`` read; a query that reads no
+        cost distribution never computes it."""
+        import numpy as np
+        return np.searchsorted(self.diagram.cost_values, self.cost)
 
     def code(self, variables):
         """Every world's row key over some variables, as an integer."""
@@ -466,8 +503,7 @@ class WorldTable:
         """
         import numpy as np
         values = self.diagram.cost_values
-        index = np.searchsorted(values, self.cost)
-        p = np.bincount(index, weights=probability, minlength=len(values))
+        p = np.bincount(self.cost_index, weights=probability, minlength=len(values))
         return dict(zip(values, p.tolist()))
 
     def mean(self, probability, worlds):
@@ -484,7 +520,7 @@ class WorldTable:
         """
         import numpy as np
         values = self.diagram.cost_values
-        index = flat_index(np.searchsorted(values, self.cost[worlds]), len(values))
+        index = flat_index(self.cost_index[worlds], len(values))
         p = np.bincount(index.ravel(), weights=probability.ravel(),
                         minlength=len(probability) * len(values))
         rows = p.reshape(len(probability), -1).tolist()

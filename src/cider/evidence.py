@@ -71,7 +71,9 @@ class ConditionalCostResult:
     """A conditional bound and the worlds whose full mass attains it.
 
     ``included`` is a Boolean mask over the world table; the worlds
-    become bit strings only when ``included_worlds`` is read.
+    become bit strings only when ``included_worlds`` is read, spelled
+    by ``diagram.bit_strings``.  ``cond-cost`` prints the same keys as
+    one JSON array from ``diagram.bit_strings_json``.
     """
 
     value: float

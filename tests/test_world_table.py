@@ -32,6 +32,7 @@ from cider.evidence import (
     classify_worlds,
     optimistic_expected_cost,
     pessimistic_expected_cost,
+    _greedy_pass,
 )
 from cider.optimizer import enumerate_pure_strategies, optimal_pure_strategy
 
@@ -292,12 +293,41 @@ def test_a_written_strategy_table_reads_back_per_world(random_kb_corpus):
 
 
 def test_bit_strings_name_the_rows_where_a_mask_holds():
-    assert dg.bit_strings(np.array([True])) == [""]
-    assert dg.bit_strings(np.array([False])) == []
+    """Both spellers against the keys of ``row_keys`` picked one at a
+    time, on empty, full and random masks over 0 to 12 variables, on
+    rows of the greedy pass's included matrix and on strided views."""
+
+    def check(mask):
+        n = (mask.size - 1).bit_length()
+        assert mask.size == 1 << n
+        keys = [key for key, m in zip(dg.row_keys(n), mask.tolist()) if m]
+        assert dg.bit_strings(mask) == keys
+        assert dg.bit_strings_json(mask) == "[" + ", ".join(f'"{k}"' for k in keys) + "]"
+        return keys
+
+    assert check(np.array([True])) == [""]
+    assert check(np.array([False])) == []
+    assert dg.bit_strings_json(np.array([True])) == '[""]'
     rng = random.Random(67)
-    for n in range(1, 7):
-        mask = np.array([rng.random() < 0.5 for _ in range(1 << n)])
-        assert dg.bit_strings(mask) == [key for key, m in zip(dg.row_keys(n), mask) if m]
+    for n in range(13):
+        size = 1 << n
+        check(np.zeros(size, dtype=bool))
+        assert len(check(np.ones(size, dtype=bool))) == size
+        for p in (0.1, 0.5, 0.9):
+            check(np.array([rng.random() < p for _ in range(size)]))
+        wide = np.array([rng.random() < 0.5 for _ in range(2 * size)])
+        check(wide[::2])
+    n, rows = 5, 8
+    cost = np.array([[rng.choice((0.0, 1.0, 2.5, 7.0)) for _ in range(1 << n)]
+                     for _ in range(rows)])
+    forced = np.array([[rng.random() < 0.2 for _ in range(1 << n)] for _ in range(rows)])
+    probability = np.array([[rng.random() for _ in range(1 << n)] for _ in range(rows)])
+    for sign in (+1, -1):
+        included = _greedy_pass(cost, forced, probability, sign)[2]
+        for row in included:
+            check(row)
+        for column in included.T:  # a strided view over 8 rows
+            check(column)
 
 
 def test_world_cap_refuses_before_allocating():
