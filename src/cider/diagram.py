@@ -409,9 +409,10 @@ class WorldTable:
     CPT, a local strategy or the cost table, one per row, and every
     world's row, so a caller can work once per row and hand the result
     to each world.  ``gather`` gives every world its row's value.  A
-    table is built per query and keeps no result from one call to the
-    next; ``cost_index``, which depends on the diagram alone, is
-    computed at its first use and kept.
+    table is built per query.  It keeps the joint of the strategy it
+    last computed, read-only, so the calls of one query that read one
+    strategy's joint compute it once; ``cost_index``, which depends on
+    the diagram alone, is computed at its first use and kept.
     """
 
     def __init__(self, diagram):
@@ -426,6 +427,7 @@ class WorldTable:
         for j in range(n):
             self.values[j] = (index >> (n - 1 - j)) & 1
         self.cost = self.gather(diagram.cost_table, diagram.cost_parents)
+        self._joint = None  # (strategy, its joint) last computed
 
     def column(self, v):
         return self.values[self.position[v]]
@@ -468,8 +470,15 @@ class WorldTable:
         where v holds, and 1 - P(v true) where it does not.  Factors are
         multiplied in declared variable order, as ``joint_probability``
         multiplies them, so the two agree exactly.
+
+        The joint is kept with the strategy object it was computed for
+        (None for the chance factors alone), and asked again for that
+        same object the table returns the same array.  It is read-only,
+        so no caller changes what another reads.
         """
         import numpy as np
+        if self._joint is not None and self._joint[0] is strategy:
+            return self._joint[1]
         diagram = self.diagram
         p = np.ones(self.size)
         for v in diagram.variables:
@@ -481,6 +490,8 @@ class WorldTable:
             else:
                 continue
             p *= np.where(self.column(v), p_true, 1.0 - p_true)
+        p.flags.writeable = False
+        self._joint = (strategy, p)
         return p
 
     @staticmethod

@@ -459,28 +459,38 @@ def export_game_tree_dot(tree):
             pairs = [(f"{v}=0 p={fmt(1.0 - p)}", f"{v}=1 p={fmt(p)}") for p in p_rows.tolist()]
             edges.append([pairs[r] for r in rows[:: 1 << (n - d)].tolist()])
     costs, rows = table.rows(diagram.cost_table, diagram.cost_parents)
-    texts = [fmt(c) for c in costs.tolist()]
-    leaves = [texts[r] for r in rows.tolist()]
+    texts = [f'[shape=diamond label="cost={fmt(c)}"];' for c in costs.tolist()]
+    leaves = [texts[r] for r in rows.tolist()]  # per leaf: its shape
     lines = ["digraph game_tree {"]
-    _dot_subtree(lines, shapes, edges, leaves, 0, 0, 0)
+    if n:
+        _dot_subtree(lines, shapes, edges, leaves, 0, 0, 0)
+    else:
+        lines.append(f"  n0 {leaves[0]}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def _dot_subtree(lines, shapes, edges, leaves, depth, x, node):
     """Append the lines of node x on level depth, numbered node, then of
-    each child's subtree followed by the edge to that child.
+    each child's subtree followed by the edge to that child.  A node on
+    the last level, n - 1, appends its line, its two leaves and their
+    edges as one block of five lines.
 
-    The recursion is at most 21 deep under the world cap.  It is a
+    The recursion is at most 20 deep under the world cap.  It is a
     module function, not a closure that names itself, so no reference
     cycle keeps the lines alive after the export returns.
     """
     n = len(shapes)
-    if depth == n:
-        lines.append(f'  n{node} [shape=diamond label="cost={leaves[x]}"];')
+    labels = edges[depth][x]
+    if depth == n - 1:
+        leaf0, leaf1 = leaves[2 * x], leaves[2 * x + 1]
+        lines.append(f'  n{node} {shapes[depth]}\n'
+                     f'  n{node + 1} {leaf0}\n'
+                     f'  n{node} -> n{node + 1} [label="{labels[0]}"];\n'
+                     f'  n{node + 2} {leaf1}\n'
+                     f'  n{node} -> n{node + 2} [label="{labels[1]}"];')
         return
     lines.append(f"  n{node} {shapes[depth]}")
-    labels = edges[depth][x]
     # the false child's subtree holds 2^(n - depth) - 1 nodes
     for value, child in enumerate((node + 1, node + (1 << (n - depth)))):
         _dot_subtree(lines, shapes, edges, leaves, depth + 1, 2 * x + value, child)

@@ -13,13 +13,16 @@ on the optional worlds of the extreme cost, so that cost is the bound.
 The other checks add up the worlds one at a time: each world's joint is
 the chain-rule product of the float entries read as fractions, and
 ``prob-subsume``'s excluded mass asks each world's restricted TBox.
+The pure optimum enumerates the pure strategies and adds up, for each,
+the worlds it reaches.
 """
 
+import math
 from fractions import Fraction
 
 from cider import el
 from cider.contextual import restrict
-from cider.diagram import CHANCE, rowkey
+from cider.diagram import CHANCE, row_keys, rowkey
 
 # the report's tolerance: a world costing within it of the bound may
 # be in or out, and the reported numbers may miss the exact ones by it
@@ -102,3 +105,39 @@ def exact_prob_subsumption(kb, joint, c, d):
         if not entailed[tbox]:
             excluded += p
     return 1 - excluded
+
+
+def exact_pure_optimum(diagram, direction):
+    """The least (direction "min") or greatest ("max") expected cost of
+    the diagram's pure strategies, enumerated.
+
+    A pure strategy is one bit per decision and row of its scope.  It
+    reaches the worlds where every decision takes its bit at the
+    world's scope row, and its expected cost adds the chance factors
+    times the cost over those worlds.  Every such product of floats is
+    a dyadic fraction, so the sums run on integers over one common
+    denominator.
+    """
+    scopes = diagram.scopes
+    bit = {}  # (decision, scope row key) -> its bit in a strategy's number
+    for d, scope in scopes.items():
+        for key in row_keys(len(scope)):
+            bit[d, key] = 1 << len(bit)
+    weights, rules = [], []
+    for world in diagram.worlds():
+        p = Fraction(diagram.cost_table[rowkey(world, diagram.cost_parents)])
+        for v in diagram.chance_nodes:
+            row = Fraction(diagram.cpt[v][rowkey(world, diagram.parents.get(v, ()))])
+            p *= row if world[v] else 1 - row
+        mask = value = 0
+        for d, scope in scopes.items():
+            b = bit[d, rowkey(world, scope)]
+            mask |= b
+            value |= b if world[d] else 0
+        weights.append(p)
+        rules.append((mask, value))
+    denominator = math.lcm(*(w.denominator for w in weights))
+    numerators = [w.numerator * (denominator // w.denominator) for w in weights]
+    totals = [sum(n for n, (mask, value) in zip(numerators, rules) if s & mask == value)
+              for s in range(1 << len(bit))]
+    return Fraction(min(totals) if direction == "min" else max(totals), denominator)

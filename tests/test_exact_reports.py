@@ -1,5 +1,6 @@
-"""The reports of ``expected-cost``, ``prob-subsume`` and ``cond-cost``
-against exact arithmetic, on every benchmark KB at seeds 1, 3 and 5.
+"""The reports of ``expected-cost``, ``prob-subsume``, ``cond-cost`` and
+``optimize --pure`` against exact arithmetic, on every benchmark KB at
+seeds 1, 3 and 5.
 
 The bound is |printed - exact| <= 1e-14 + 5e-9 |exact|.  The relative
 term is the rounding of the 9-significant-digit format; the absolute
@@ -30,6 +31,7 @@ from exact import (
     exact_expected_cost,
     exact_joint,
     exact_prob_subsumption,
+    exact_pure_optimum,
 )
 
 BOUNDS = {"opt": (+1, optimistic_expected_cost), "pes": (-1, pessimistic_expected_cost)}
@@ -116,3 +118,41 @@ def test_printed_conditional_bounds_are_exact(tmp_path, capsys):
                     assert _close(printed["evidence_probability"], mass), where
                     checked += 1
     assert checked >= 300
+
+
+def _printed_strategy(rows):
+    """The strategy of a report's lines after ``strategy:``."""
+    locals_ = {}
+    for row in rows:
+        if len(row) == 1:  # "D (scope A,B):", the scope "-" when empty
+            d, scope = row[0].removesuffix("):").split(" (scope ")
+            scope = () if scope == "-" else tuple(scope.split(","))
+            local = locals_[d] = dg.LocalStrategy(decision=d, scope=scope, table={})
+        else:
+            key, value = row
+            local.table[json.loads(key)] = float(value)
+    return dg.GlobalStrategy(locals=locals_)
+
+
+def test_printed_pure_optimum_is_exact(tmp_path, capsys):
+    """``optimize --pure`` in both directions prints a value within the
+    bound of the exact optimum over the enumerated pure strategies, and
+    a strategy whose exact expected cost is that optimum: of tied
+    strategies, any may be printed."""
+    checked = 0
+    for spec in bench_specs((1, 3, 5)):
+        path = tmp_path / f"{spec.name}.kb"
+        path.write_text(spec.to_yaml(), encoding="utf-8")
+        diagram = load_kb_text(spec.to_yaml()).kb.diagram
+        for direction in ("min", "max"):
+            exact = exact_pure_optimum(diagram, direction)
+            argv = ["query", str(path), "optimize", "--pure", "--direction", direction]
+            (key, value), kind, (heading,), *rows = _result(capsys, *argv)
+            assert (key, kind, heading) == ("value", ("kind", "pure"), "strategy:")
+            assert _close(value, exact), (path, direction)
+            strategy = _printed_strategy(rows)
+            assert not dg.validate_strategy(diagram, strategy)
+            assert exact_expected_cost(diagram, exact_joint(diagram, strategy)) == exact, \
+                (path, direction)
+            checked += 1
+    assert checked >= 270

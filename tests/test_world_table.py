@@ -9,6 +9,7 @@ table must give the same floats bit for bit, so the reports built from
 it stay byte-identical.
 """
 
+import copy
 import dataclasses
 import itertools
 import random
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from cider import diagram as dg
+from cider.cli import main
 from cider.contextual import (
     entailment_column,
     eval_context,
@@ -34,10 +36,12 @@ from cider.evidence import (
     pessimistic_expected_cost,
     _greedy_pass,
 )
+from cider.kbfile import load_kb_text
 from cider.optimizer import enumerate_pure_strategies, optimal_pure_strategy
 
 from conftest import (
     all_rowkeys,
+    bench_specs,
     random_concept,
     random_diagram,
     random_formula,
@@ -173,6 +177,54 @@ def test_table_matches_per_world_reference(random_kb_corpus):
             dist[cost] += p
         assert dg.cost_distribution(kb.diagram, s) == dist
         assert dg.expected_cost(kb.diagram, s) == sum(r * p for r, p in dist.items())
+
+
+def test_a_table_keeps_the_joint_of_the_strategy_it_last_computed(random_kb_corpus):
+    """Asked again for the same strategy object, a table returns the same
+    read-only array.  Another strategy object, an equal copy included,
+    or None after a strategy, gives a new array, bit for bit a fresh
+    table's joint."""
+    rng = random.Random(33)
+    for kb, s in random_kb_corpus[:40]:
+        diagram = kb.diagram
+        table = dg.WorldTable(diagram)
+        joint = table.joint(s)
+        assert table.joint(s) is joint
+        with pytest.raises(ValueError):
+            joint[0] = 0.5
+        for strategy in (random_strategy(rng, diagram), copy.copy(s), None, s):
+            again = table.joint(strategy)
+            assert again is not joint
+            assert again.tobytes() == dg.WorldTable(diagram).joint(strategy).tobytes()
+            assert table.joint(strategy) is again
+            joint = again
+
+
+def test_expected_cost_reads_each_table_once(random_kb_corpus, tmp_path, monkeypatch):
+    """The distribution and the mean on one table, as ``expected-cost``
+    asks for them, read each CPT and local strategy once between them,
+    and the cost table once: the table computes the joint once."""
+    real, calls = dg.WorldTable.rows, []
+
+    def counted(self, table, scope):
+        calls.append(scope)
+        return real(self, table, scope)
+
+    monkeypatch.setattr(dg.WorldTable, "rows", counted)
+    for kb, s in random_kb_corpus[:40]:
+        calls.clear()
+        table = dg.WorldTable(kb.diagram)
+        dg.cost_distribution(table, s)
+        dg.expected_cost(table, s)
+        assert len(calls) == len(kb.diagram.variables) + 1
+    for spec in bench_specs((1,)):
+        path = tmp_path / f"{spec.name}.kb"
+        path.write_text(spec.to_yaml(), encoding="utf-8")
+        n = len(load_kb_text(spec.to_yaml()).kb.diagram.variables)
+        for name in sorted(spec.strategies):
+            calls.clear()
+            assert main(["query", str(path), "expected-cost", "--strategy", name]) == 0
+            assert len(calls) == n + 1, (spec.name, name)
 
 
 @pytest.mark.parametrize("bound, sign", [
