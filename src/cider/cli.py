@@ -173,6 +173,14 @@ def _cmd_query(args, argv):
     doc, source = _valid_doc(args)
     kb = doc.kb
     sub = args.subcommand
+    tolerance = PROB_TOL
+
+    if sub == "export-game-tree":
+        if args.forgetful:
+            raise _InputError("--forgetful does not apply to export-game-tree")
+        tree = opt.build_game_tree(kb.diagram)
+        sys.stdout.write(opt.export_game_tree_dot(tree))
+        return 0
 
     if sub == "subsume":
         try:
@@ -180,10 +188,10 @@ def _cmd_query(args, argv):
         except ValueError as exc:
             raise _InputError(str(exc)) from exc
         held = el.is_subsumed(restrict(kb.vtbox, world), _concept(args.lhs), _concept(args.rhs))
-        _report(argv, source, [f"subsumed: {str(held).lower()}"])
-        return 0
+        lines = [f"subsumed: {str(held).lower()}"]
+        tolerance = None
 
-    if sub == "prob-subsume":
+    elif sub == "prob-subsume":
         strategy = _strategy(doc, args.strategy)
         context = TRUE if args.context is None else _formula(args.context, kb.diagram.variables)
         p = prob_subsumption(
@@ -193,20 +201,17 @@ def _cmd_query(args, argv):
             _concept(args.rhs),
             context=context,
         )
-        _report(argv, source, [f"probability: {fmt(p)}"], tolerance=PROB_TOL)
-        return 0
+        lines = [f"probability: {fmt(p)}"]
 
-    if sub == "expected-cost":
+    elif sub == "expected-cost":
         strategy = _strategy(doc, args.strategy)
         table = dg.WorldTable(kb.diagram)
         dist = dg.cost_distribution(table, strategy)
         lines = [f"expected_cost: {fmt(dg.expected_cost(table, strategy))}"]
         lines.append("distribution:")
         lines.extend(f"  {fmt(r)}: {fmt(p)}" for r, p in sorted(dist.items()))
-        _report(argv, source, lines, tolerance=PROB_TOL)
-        return 0
 
-    if sub == "cond-cost":
+    elif sub == "cond-cost":
         strategy = _strategy(doc, args.strategy)
         query = _evidence(args.lhs, args.rhs)
         bound = (
@@ -214,16 +219,9 @@ def _cmd_query(args, argv):
             if args.mode == "opt"
             else ev.pessimistic_expected_cost
         )
-        result = bound(kb, strategy, query)
-        _report(
-            argv,
-            source,
-            [f"conditional: {_conditional_json(result)}"],
-            tolerance=PROB_TOL,
-        )
-        return 0
+        lines = [f"conditional: {_conditional_json(bound(kb, strategy, query))}"]
 
-    if sub == "worlds":
+    elif sub == "worlds":
         strategy = _strategy(doc, args.strategy)
         diagram = kb.diagram
         table = dg.WorldTable(diagram)
@@ -233,10 +231,9 @@ def _cmd_query(args, argv):
         rows = zip(bits, table.joint(strategy).tolist(), code.tolist())
         lines = ["worlds:"]
         lines.extend(f"  - {b} probability={fmt(p)} cost={texts[c]}" for b, p, c in rows)
-        _report(argv, source, lines)
-        return 0
+        tolerance = None
 
-    if sub == "optimize":
+    elif sub == "optimize":
         if args.mode and not args.evidence:
             raise _InputError("--mode applies to --evidence only")
         if args.lp:
@@ -254,7 +251,10 @@ def _cmd_query(args, argv):
                 raise _InputError(
                     f"--fully-mixed must be a finite nonnegative number, got {epsilon}"
                 )
-            result = opt.optimal_mixed_strategy(kb, fully_mixed=epsilon)
+            if epsilon is None:
+                result = opt.optimal_pure_strategy(kb)
+            else:
+                result = opt.optimal_mixed_strategy(kb.diagram, epsilon)
             tolerance = "1e-07"
         else:
             if args.fully_mixed is not None:
@@ -263,15 +263,12 @@ def _cmd_query(args, argv):
                 kb, args.evidence and _evidence(*args.evidence), args.mode or "opt",
                 args.direction,
             )
-            tolerance = PROB_TOL
         lines = [f"value: {fmt(result.value)}", f"kind: {result.kind}"]
         if result.epsilon:
             lines.append(f"epsilon: {fmt(result.epsilon)}")
         lines.extend(_strategy_lines(result.strategy))
-        _report(argv, source, lines, tolerance=tolerance)
-        return 0
 
-    if sub == "decide":
+    else:  # decide
         if not math.isfinite(args.bound):
             raise _InputError(f"--bound must be a finite number, got {args.bound}")
         mode, direction = _PROBLEMS[args.problem]
@@ -287,26 +284,16 @@ def _cmd_query(args, argv):
         )
         # strict in both directions
         answer = result.value > args.bound if direction == "max" else result.value < args.bound
-        _report(
-            argv,
-            source,
-            [
-                f"answer: {str(answer).lower()}",
-                f"problem: {args.problem}",
-                f"bound: {fmt(args.bound)}",
-                f"optimum: {fmt(result.value)}",
-            ],
-        )
-        return 0
+        lines = [
+            f"answer: {str(answer).lower()}",
+            f"problem: {args.problem}",
+            f"bound: {fmt(args.bound)}",
+            f"optimum: {fmt(result.value)}",
+        ]
+        tolerance = None
 
-    if sub == "export-game-tree":
-        if args.forgetful:
-            raise _InputError("--forgetful does not apply to export-game-tree")
-        tree = opt.build_game_tree(kb.diagram)
-        sys.stdout.write(opt.export_game_tree_dot(tree))
-        return 0
-
-    raise _InputError(f"unknown query subcommand {sub!r}")
+    _report(argv, source, lines, tolerance)
+    return 0
 
 
 @functools.cache

@@ -285,9 +285,25 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _exponent_hint(value):
+    """Why a number with an exponent loaded as a string, if it did: YAML
+    1.1 reads a plain scalar as a float only with a '.' and a signed
+    exponent, so PyYAML reads 1e-3 as a string."""
+    if not (isinstance(value, str) and "e" in value.lower()):
+        return ""
+    try:
+        float(value)
+    except ValueError:
+        return ""
+    if Resolver().resolve(ScalarNode, value, (True, False)) != Resolver.DEFAULT_SCALAR_TAG:
+        return ""  # quoted: unquoted it would be a number
+    return (f"; YAML 1.1 reads {value!r} as a string: a number with an exponent "
+            "needs a '.' and a sign, as in 1.0e-3 or 1.0e+3")
+
+
 def _number(value, what):
     if not _is_number(value):
-        raise KBLoadError(f"{what} is not a number")
+        raise KBLoadError(f"{what} is not a number{_exponent_hint(value)}")
     try:
         return float(value)
     except OverflowError:  # an integer past the largest float

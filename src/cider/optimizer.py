@@ -21,7 +21,8 @@ STRATEGY_CAP bounds every enumeration, as ``diagram.WORLD_CAP`` bounds
 the world table.
 
 Expected cost is multilinear in the strategy tables, so the best
-arbitrary strategy is a pure one.  Under perfect recall the same pass
+arbitrary strategy is a pure one, and the plain LP optimum is
+``optimal_pure_strategy``'s.  Under perfect recall the same pass
 solves the sequence form of Koller, Megiddo and von Stengel keyed by
 (decision, scope row), minimize  a.mu  s.t.  R mu = r, mu >= E, for
 every lower bound E in closed form.  The game tree is only drawn.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 from . import diagram as dg
 from ._format import format_float as fmt
-from .contextual import KnowledgeBase, entailment_column
+from .contextual import entailment_column
 from .diagram import CHANCE, GlobalStrategy
 from .evidence import _greedy_pass
 
@@ -300,12 +301,8 @@ def _chain_takes(groups, moves, reach):
     }
 
 
-def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
-    """Optimal arbitrary strategy over the KB's own strategy scopes.
-
-    Expected cost is multilinear in the strategies' table entries, so a
-    pure strategy is optimal: without fully_mixed this is the answer of
-    ``optimal_pure_strategy``.
+def optimal_mixed_strategy(diagram, fully_mixed):
+    """Optimal fully-mixed strategy over the diagram's own strategy scopes.
 
     fully_mixed E bounds every entry of the realization plan of the
     sequence form keyed by (decision, scope row), which needs perfect
@@ -325,9 +322,6 @@ def optimal_mixed_strategy(kb_or_diagram, fully_mixed=None):
     result is mixed when E > 0 and there is a decision.
     """
     import numpy as np
-    diagram = getattr(kb_or_diagram, "diagram", kb_or_diagram)
-    if fully_mixed is None:
-        return optimal_pure_strategy(KnowledgeBase(diagram=diagram, vtbox=()))
     epsilon = float(fully_mixed)
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError("the fully-mixed lower bound must be finite and nonnegative")

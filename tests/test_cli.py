@@ -856,6 +856,33 @@ def test_yaml_boolean_is_not_a_number(tmp_path, capsys, cpt, cost):
     assert "is not a number" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text, hinted",
+    [("1e-3", True), ("5E-4", True), ("1.0e3", True), ("'1e-3'", True), ("'1.0e-3'", False)],
+)
+def test_yaml_exponent_read_as_a_string_names_the_rule(tmp_path, capsys, text, hinted):
+    """YAML 1.1 reads a plain float only with a '.' and a signed exponent,
+    so these load as strings; the message says so and shows the form,
+    unless the text is a quoted number that would load unquoted."""
+    path = tmp_path / "exponent.kb"
+    path.write_text(
+        "variables: [A]\n"
+        "nodes:\n"
+        f"  A: {{kind: chance, parents: [], cpt: {{'': {text}}}}}\n"
+        "cost: {parents: [A], table: {'0': 0, '1': 1}}\n"
+    )
+    code, stdout, err = run(capsys, "validate", str(path))
+    assert (code, stdout) == (2, "")
+    value = text.strip("'")
+    hint = (
+        f"; YAML 1.1 reads '{value}' as a string: a number with an exponent "
+        "needs a '.' and a sign, as in 1.0e-3 or 1.0e+3"
+    )
+    assert err == f"error: {path}: node 'A' cpt: row '' value is not a number{hint * hinted}\n"
+    path.write_text(path.read_text().replace(text, "1.0e-3"))
+    assert run(capsys, "validate", str(path))[0] == 0
+
+
 @pytest.mark.parametrize("cost", [".inf", "-.inf", ".nan"])
 def test_cost_that_is_not_finite_is_a_violation(tmp_path, capsys, recwarn, cost):
     path = tmp_path / "inf.kb"
@@ -1071,7 +1098,7 @@ def test_fully_mixed_on_14336_information_sets_answers(tmp_path, capsys, monkeyp
     )
     assert code == 0 and err == ""
     kb = load_kb_text(Path(path).read_text()).kb
-    result = opt.optimal_mixed_strategy(kb, fully_mixed=epsilon)
+    result = opt.optimal_mixed_strategy(kb.diagram, fully_mixed=epsilon)
     assert sum(1 << len(local.scope) for local in result.strategy.locals.values()) == 14336
     assert f"  value: {fmt(result.value)}\n  kind: mixed\n  epsilon: 1e-06\n" in stdout
     code, stdout, _ = run(capsys, "query", path, "optimize", "--lp")

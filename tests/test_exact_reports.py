@@ -1,6 +1,6 @@
 """The reports of ``expected-cost``, ``prob-subsume``, ``cond-cost`` and
 ``optimize --pure`` against exact arithmetic, on every benchmark KB at
-seeds 1, 3 and 5.
+seeds 1, 3 and 5, and the numbers they would print on the random corpus.
 
 The bound is |printed - exact| <= 1e-14 + 5e-9 |exact|.  The relative
 term is the rounding of the 9-significant-digit format; the absolute
@@ -13,11 +13,17 @@ the tens can be printed more than 1e-9 from its exact value.
 import json
 from fractions import Fraction
 
+import pytest
+
 from cider import diagram as dg
+from cider import optimizer as opt
+from cider._format import format_float as fmt
 from cider.cli import main
+from cider.contextual import prob_subsumption
 from cider.el import parse_concept
 from cider.evidence import (
     EvidenceQuery,
+    UndefinedConditionalError,
     classify_worlds,
     optimistic_expected_cost,
     pessimistic_expected_cost,
@@ -156,3 +162,51 @@ def test_printed_pure_optimum_is_exact(tmp_path, capsys):
                 (path, direction)
             checked += 1
     assert checked >= 270
+
+
+def test_printed_numbers_of_the_random_corpus_are_exact(random_kb_corpus):
+    """On each of the 200 random (kb, strategy) pairs, the text each
+    command would print for the library's answer is within the bound of
+    exact: the expected cost and each distribution entry;
+    ``prob-subsume`` and both conditional bounds for each axiom's own
+    inclusion, each bound certified and its printed numbers N(S) / D(S)
+    and D(S) over its included worlds S; and the pure optimum in both
+    directions, whose strategy's exact expected cost is the optimum."""
+    bounds = 0
+    for kb, strategy in random_kb_corpus:
+        diagram = kb.diagram
+        joint = exact_joint(diagram, strategy)
+        table = dg.WorldTable(diagram)
+        assert _close(fmt(dg.expected_cost(table, strategy)), exact_expected_cost(diagram, joint))
+        dist = sorted(exact_cost_distribution(diagram, joint).items())
+        printed = sorted(dg.cost_distribution(table, strategy).items())
+        assert len(printed) == len(dist)
+        for (cost, p), (r, q) in zip(printed, dist):
+            assert _close(fmt(cost), r) and _close(fmt(p), q)
+        keys = dg.row_keys(len(diagram.variables))
+        mass_of = dict(zip(keys, joint))
+        cost_of = dict(zip(keys, map(Fraction, table.cost.tolist())))
+        for axiom in kb.vtbox:
+            c, d = axiom.gci.lhs, axiom.gci.rhs
+            p = prob_subsumption(kb, strategy, c, d)
+            assert _close(fmt(p), exact_prob_subsumption(kb, joint, c, d))
+            query = EvidenceQuery(c, d)
+            for sign, bound in BOUNDS.values():
+                if not any(joint):
+                    with pytest.raises(UndefinedConditionalError):
+                        bound(kb, strategy, query)
+                    continue
+                result = bound(kb, strategy, query)
+                certify_bound(*classify_worlds(kb, strategy, query), sign, result)
+                worlds = dg.bit_strings(result.included)
+                mass = sum(mass_of[w] for w in worlds)
+                weighted = sum(mass_of[w] * cost_of[w] for w in worlds)
+                assert _close(fmt(result.value), weighted / mass)
+                assert _close(fmt(result.evidence_probability), mass)
+                bounds += 1
+        for direction in ("min", "max"):
+            exact = exact_pure_optimum(diagram, direction)
+            result = opt.optimal_pure_strategy(kb, direction=direction)
+            assert _close(fmt(result.value), exact), direction
+            assert exact_expected_cost(diagram, exact_joint(diagram, result.strategy)) == exact
+    assert len(random_kb_corpus) == 200 and bounds >= 800

@@ -101,9 +101,9 @@ def answers(case, lp=True):
                 lambda: opt.optimal_pure_strategy(kb, query, mode, direction).value
             )
     if lp:
-        out["lp",] = opt.optimal_mixed_strategy(kb).value
+        out["lp",] = opt.optimal_pure_strategy(kb).value
         out["lp", EPSILON] = _guard(
-            lambda: opt.optimal_mixed_strategy(kb, fully_mixed=EPSILON).value
+            lambda: opt.optimal_mixed_strategy(kb.diagram, fully_mixed=EPSILON).value
         )
     return out
 

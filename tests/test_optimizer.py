@@ -13,6 +13,7 @@ oracle.
 """
 
 import collections
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -48,6 +49,12 @@ from conftest import (
     random_strategy,
     with_scopes,
 )
+
+
+def _pure_optimum(diagram):
+    """The best pure strategy of a diagram with no axioms: the plain LP
+    optimum, since expected cost is multilinear in the strategy tables."""
+    return opt.optimal_pure_strategy(KnowledgeBase(diagram=diagram, vtbox=()))
 
 
 # --- the recursive reference ------------------------------------------------
@@ -518,7 +525,8 @@ def test_a_search_computes_no_scope(monkeypatch):
         calls.clear()
         opt.optimal_pure_strategy(doc.kb)
         opt.optimal_pure_strategy(doc.kb, query)
-        opt.optimal_mixed_strategy(doc.kb)
+        with contextlib.suppress(opt.InfeasibleEpsilonError):
+            opt.optimal_mixed_strategy(doc.kb.diagram, 0.0)
         for strategy in doc.strategies.values():
             assert not dg.validate_strategy(doc.kb.diagram, strategy)
         assert calls == []
@@ -743,12 +751,12 @@ def test_the_game_tree_refuses_a_forgetful_diagram():
     with pytest.raises(ValueError, match="forgetful") as info:
         opt.build_game_tree(forgetful.diagram)
     assert "\n" not in str(info.value)
-    result = opt.optimal_mixed_strategy(forgetful)
+    result = opt.optimal_pure_strategy(forgetful)
     assert result.value == pytest.approx(0.2, rel=1e-12)
     assert dg.validate_strategy(forgetful.diagram, result.strategy) == []
     with pytest.raises(opt.InfeasibleEpsilonError, match="^no fully-mixed plan: .* D1 and D2 "):
-        opt.optimal_mixed_strategy(forgetful, fully_mixed=0.1)
-    assert opt.optimal_mixed_strategy(load_kb_text(LIMID_KB).kb).value == 0.0
+        opt.optimal_mixed_strategy(forgetful.diagram, fully_mixed=0.1)
+    assert opt.optimal_pure_strategy(load_kb_text(LIMID_KB).kb).value == 0.0
 
 
 def test_perfect_recall_enumerates_nothing(monkeypatch):
@@ -868,10 +876,10 @@ def test_game_tree_reads_each_cpt_once_per_use(idelium, random_kb_corpus, monkey
     assert {len(d.chance_nodes) for d in diagrams} >= {1, 2, 3}
     for diagram in diagrams:
         c = len(diagram.chance_nodes)
-        assert reads(lambda: opt.optimal_mixed_strategy(diagram)) == c + 1
+        assert reads(lambda: _pure_optimum(diagram)) == c + 1
         assert reads(lambda: opt.build_game_tree(diagram)) == 1
         assert reads(lambda: opt.export_game_tree_dot(opt.build_game_tree(diagram))) == c + 2
-    assert reads(lambda: opt.optimal_mixed_strategy(idelium.kb.diagram)) == 4
+    assert reads(lambda: _pure_optimum(idelium.kb.diagram)) == 4
 
 
 def test_tree_without_decisions():
@@ -908,7 +916,7 @@ def test_tree_single_decision_no_chance():
     )
     tree = opt.build_game_tree(d)
     assert len(tree.leaves) == 2
-    result = opt.optimal_mixed_strategy(d)
+    result = _pure_optimum(d)
     assert result.value == pytest.approx(3.0)
     assert result.strategy.locals["D0"].table[""] == pytest.approx(0.0)
 
@@ -978,7 +986,7 @@ def test_no_decision_constraints():
 
 
 def test_lp_fixture_value(idelium):
-    result = opt.optimal_mixed_strategy(idelium.kb)
+    result = opt.optimal_pure_strategy(idelium.kb)
     assert result.value == pytest.approx(2.36, abs=1e-7)
     assert result.kind == "pure"
     # plays the cheap test everywhere
@@ -1000,13 +1008,13 @@ def test_lp_zero_objective(idelium):
         cost_parents=d.cost_parents,
         cost_table={k: 0.0 for k in d.cost_table},
     )
-    assert opt.optimal_mixed_strategy(flat).value == pytest.approx(0.0, abs=1e-9)
+    assert _pure_optimum(flat).value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fully_mixed_perturbation(idelium):
-    exact = opt.optimal_mixed_strategy(idelium.kb)
+    exact = opt.optimal_pure_strategy(idelium.kb)
     eps = 1e-6
-    perturbed = opt.optimal_mixed_strategy(idelium.kb, fully_mixed=eps)
+    perturbed = opt.optimal_mixed_strategy(idelium.kb.diagram, fully_mixed=eps)
     assert perturbed.epsilon == eps
     assert perturbed.kind == "mixed"
     assert perturbed.value >= exact.value - 1e-12
@@ -1017,10 +1025,10 @@ def test_fully_mixed_perturbation(idelium):
 
 def test_fully_mixed_infeasible(idelium):
     with pytest.raises(opt.InfeasibleEpsilonError):
-        opt.optimal_mixed_strategy(idelium.kb, fully_mixed=0.7)
+        opt.optimal_mixed_strategy(idelium.kb.diagram, fully_mixed=0.7)
     for bad in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            opt.optimal_mixed_strategy(idelium.kb, fully_mixed=bad)
+            opt.optimal_mixed_strategy(idelium.kb.diagram, fully_mixed=bad)
 
 
 def test_lp_matches_backward_induction_randomized():
@@ -1032,7 +1040,7 @@ def test_lp_matches_backward_induction_randomized():
     recall = 0
     for _ in range(40):
         d = random_diagram(rng)
-        result = opt.optimal_mixed_strategy(d)
+        result = _pure_optimum(d)
         value, _ = backward_induction(sf.ref_build_game_tree(d))
         assert value <= result.value + 1e-7
         if _perfect_recall(d):
@@ -1042,26 +1050,50 @@ def test_lp_matches_backward_induction_randomized():
     assert recall >= 30
 
 
+def assert_closed_form_plays_the_pure_optimum(d, pure):
+    """The closed form at E = 0 solves the plain LP: its value is the
+    pure optimum's to 1e-12 relative, and each row plays the pure move,
+    or the uniform row where the pure optimum, never reaching that row,
+    takes false."""
+    mixed = opt.optimal_mixed_strategy(d, 0.0)
+    assert mixed.kind == "pure"
+    assert abs(mixed.value - pure.value) <= 1e-12 * max(1.0, abs(pure.value))
+    for x, local in pure.strategy.locals.items():
+        for key, p in local.table.items():
+            q = mixed.strategy.locals[x].table[key]
+            assert q == p or (q, p) == (0.5, 0.0), (x, key)
+
+
 def test_lp_below_pure_minimum_randomized():
-    """A pure strategy attains the LP optimum: the LP answers with the
-    pure optimum itself."""
+    """A pure strategy attains the LP optimum, so the plain LP answers
+    with the pure optimum itself.  Under perfect recall the closed form
+    at E = 0 agrees with it; without, there is no plan."""
     rng = random.Random(31337)
+    recall = 0
     for _ in range(40):
         d = random_diagram(rng)
-        kb = KnowledgeBase(diagram=d, vtbox=())
-        pure = opt.optimal_pure_strategy(kb)
-        mixed = opt.optimal_mixed_strategy(d)
-        assert (mixed.value, mixed.strategy, mixed.kind) == (pure.value, pure.strategy, "pure")
+        pure = _pure_optimum(d)
+        assert pure.kind == "pure"
+        if not _perfect_recall(d):
+            with pytest.raises(opt.InfeasibleEpsilonError, match="do not nest"):
+                opt.optimal_mixed_strategy(d, 0.0)
+            continue
+        assert_closed_form_plays_the_pure_optimum(d, pure)
+        recall += 1
+    assert recall >= 25
 
 
 def test_lp_equals_pure_on_fully_observed_family():
+    """Every decision sees every earlier variable: the pure optimum is
+    the perfect-information tree's, and the closed form at E = 0 plays
+    it."""
     rng = random.Random(404)
     for _ in range(25):
         d = random_diagram(rng, full_observation=True)
-        kb = KnowledgeBase(diagram=d, vtbox=())
-        pure = opt.optimal_pure_strategy(kb)
-        mixed = opt.optimal_mixed_strategy(d)
-        assert mixed.value == pytest.approx(pure.value, abs=1e-7)
+        pure = _pure_optimum(d)
+        value, _ = backward_induction(sf.ref_build_game_tree(d))
+        assert pure.value == pytest.approx(value, abs=1e-7)
+        assert_closed_form_plays_the_pure_optimum(d, pure)
 
 
 def test_lp_strictly_beats_hidden_information_strategy():
@@ -1077,9 +1109,8 @@ def test_lp_strictly_beats_hidden_information_strategy():
         cost_parents=("C0", "D0"),
         cost_table={"00": 0.0, "01": 10.0, "10": 10.0, "11": 0.0},
     )
-    kb = KnowledgeBase(diagram=d, vtbox=())
-    pure = opt.optimal_pure_strategy(kb)
-    mixed = opt.optimal_mixed_strategy(d)
+    pure = _pure_optimum(d)
+    mixed = opt.optimal_mixed_strategy(d, 0.0)
     assert pure.value == pytest.approx(5.0, abs=1e-9)
     assert backward_induction(sf.ref_build_game_tree(d))[0] == pytest.approx(0.0, abs=1e-9)
     assert mixed.value == pure.value
@@ -1131,7 +1162,7 @@ def test_mixed_result_reproduces_value_randomized():
     rng = random.Random(909)
     for _ in range(20):
         d = random_diagram(rng)
-        result = opt.optimal_mixed_strategy(d)
+        result = _pure_optimum(d)
         assert dg.expected_cost(d, result.strategy) == pytest.approx(
             result.value, abs=1e-7
         )
@@ -1195,8 +1226,7 @@ def test_backward_induction_matches_the_simplex(random_kb_corpus, idelium):
         form = sf.ref_kb_sequence_form(diagram)
         lp_plan, lp_value = sf.solve_lp(sf.assemble_lp(form))
         below = _below_a_tie(form)
-        for result in (opt.optimal_mixed_strategy(diagram),
-                       opt.optimal_mixed_strategy(diagram, 0.0)):
+        for result in (_pure_optimum(diagram), opt.optimal_mixed_strategy(diagram, 0.0)):
             assert abs(result.value - lp_value) <= 1e-12 * max(1.0, abs(lp_value))
             plan = sf.pure_plan(form, result.strategy)
             assert set(plan.entries.tolist()) <= {0.0, 1.0}
@@ -1280,7 +1310,7 @@ def test_lp_exact_tie_takes_false():
         "00": 0.5, "01": 0.5, "10": 0.0, "11": 0.0
     }
     assert result.kind == "pure"  # the uniform rows are never reached
-    plain = opt.optimal_mixed_strategy(d)
+    plain = _pure_optimum(d)
     assert plain.value == 0.5
     assert plain.strategy.locals["D1"].table == {"00": 0.0, "01": 0.0, "10": 0.0, "11": 0.0}
 
@@ -1331,12 +1361,12 @@ def test_fully_mixed_lp_on_14336_information_sets_needs_no_simplex(monkeypatch):
     plan = sf.pure_plan(form, result.strategy)
     assert np.all(plan.entries >= epsilon - 1e-15)
     assert abs(result.value - dg.expected_cost(d, result.strategy)) <= 1e-12
-    plain = opt.optimal_mixed_strategy(d)
+    plain = _pure_optimum(d)
     assert plain.value == 1.0 and plain.kind == "pure"
     forgetting = _late_decisions(recall=False)
     with pytest.raises(opt.InfeasibleEpsilonError, match="decisions D0 and D1 do not nest$"):
         opt.optimal_mixed_strategy(forgetting, fully_mixed=epsilon)
-    assert opt.optimal_mixed_strategy(forgetting).value == 1.5  # D2 does not see C00
+    assert _pure_optimum(forgetting).value == 1.5  # D2 does not see C00
 
 
 # --- DOT export -------------------------------------------------------------
