@@ -404,11 +404,15 @@ class WorldTable:
 
     World i is the i-th valuation in binary counting order, so the first
     declared variable is its most significant bit.  ``values`` holds one
-    Boolean row per variable and ``cost`` the cost of every world.
-    ``rows`` is the one reader of row tables: it gives the values of a
-    CPT, a local strategy or the cost table, one per row, and every
-    world's row, so a caller can work once per row and hand the result
-    to each world.  ``gather`` gives every world its row's value.  A
+    Boolean row per variable, the j-th filled as 2^j blocks of false
+    then true, and ``cost`` the cost of every world.  ``rows`` is the
+    one reader of row tables: it gives the values of a CPT, a local
+    strategy or the cost table, one per row, and every world's row, so
+    a caller can work once per row and hand the result to each world.
+    ``code`` and ``rows`` read over every world, or over the valuations
+    of the first ``width`` declared variables, each the world where the
+    later variables are all false: a table over a prefix is copied out
+    to every world by repeating each entry 2^(n - width) times.  A
     table is built per query.  It keeps the joint of the strategy it
     last computed, read-only, so the calls of one query that read one
     strategy's joint compute it once; ``cost_index``, which depends on
@@ -422,11 +426,12 @@ class WorldTable:
         self.diagram = diagram
         self.size = 1 << n
         self.position = {v: j for j, v in enumerate(diagram.variables)}
-        index = np.arange(self.size)
-        self.values = np.empty((n, self.size), dtype=bool)
+        self.values = np.zeros((n, self.size), dtype=bool)
         for j in range(n):
-            self.values[j] = (index >> (n - 1 - j)) & 1
-        self.cost = self.gather(diagram.cost_table, diagram.cost_parents)
+            self.values[j].reshape(1 << j, 2, -1)[:, 1] = True
+        width = self._width(diagram.cost_parents)
+        costs, code = self.rows(diagram.cost_table, diagram.cost_parents, width)
+        self.cost = self._widen(costs[code], width, n)
         self._joint = None  # (strategy, its joint) last computed
 
     def column(self, v):
@@ -440,36 +445,59 @@ class WorldTable:
         import numpy as np
         return np.searchsorted(self.diagram.cost_values, self.cost)
 
-    def code(self, variables):
-        """Every world's row key over some variables, as an integer."""
+    def _width(self, variables):
+        """The length of the shortest declared prefix that holds the
+        variables."""
+        return 1 + max(map(self.position.__getitem__, variables), default=-1)
+
+    def _widen(self, prefix, width, wider):
+        """A column over the first width variables' valuations as one over
+        the first wider variables': each entry repeated 2^(wider - width)
+        times, or the column itself at the same width."""
+        return prefix if wider == width else prefix.repeat(1 << (wider - width))
+
+    def code(self, variables, width=None):
+        """Every world's row key over some variables, as an index
+        (``np.intp``, which indexing reads without a cast); or with a
+        width, the row key of every valuation of the first width
+        declared variables, which must hold the variables."""
         import numpy as np
-        code = np.zeros(self.size, dtype=np.int32)
-        for v in variables:
+        n = len(self.position)
+        width = n if width is None else width
+        step = 1 << (n - width)
+        if not variables:
+            return np.zeros(1 << width, dtype=np.intp)
+        first, *rest = variables
+        code = self.values[self.position[first], ::step].astype(np.intp)
+        for v in rest:
             code <<= 1
-            code |= self.column(v)
+            code |= self.values[self.position[v], ::step]
         return code
 
-    def rows(self, table, scope):
+    def rows(self, table, scope, width=None):
         """(values, code) of a table keyed by row keys over scope: the
         value of row r at values[r], row r being the row whose key reads
-        r in binary, and every world's row as ``code(scope)``."""
+        r in binary, and every world's row as ``code(scope, width)``."""
         import numpy as np
         values = np.array([table[key] for key in row_keys(len(scope))], dtype=float)
-        return values, self.code(scope)
-
-    def gather(self, table, scope):
-        """Every world's entry of a table keyed by row keys over scope."""
-        values, code = self.rows(table, scope)
-        return values[code]
+        return values, self.code(scope, width)
 
     def joint(self, strategy=None):
         """Joint probability of every world under a strategy, or with no
         strategy the product of the chance factors alone.
 
-        A factor is P(v true) gathered from v's CPT or local strategy
-        where v holds, and 1 - P(v true) where it does not.  Factors are
-        multiplied in declared variable order, as ``joint_probability``
-        multiplies them, so the two agree exactly.
+        A factor is P(v true) from v's CPT or local strategy where v
+        holds, and 1 - P(v true) where it does not: each row's two
+        factors sit side by side, and a world picks one by its row and
+        v's value, with no full-size temporary but the index and the
+        factors picked.  Factors are multiplied in declared variable
+        order, as ``joint_probability`` multiplies them, so the two
+        agree exactly.  The product is kept over the valuations of a
+        declared prefix, from the empty one on, and a factor widens it
+        first to the shortest prefix that holds its variable and its
+        scope.  Each world still meets the same factors in the same
+        order; with every scope declared before its variable the work
+        is at most 2^(n + 1) factors, not n 2^n, and never more.
 
         The joint is kept with the strategy object it was computed for
         (None for the chance factors alone), and asked again for that
@@ -479,17 +507,26 @@ class WorldTable:
         import numpy as np
         if self._joint is not None and self._joint[0] is strategy:
             return self._joint[1]
-        diagram = self.diagram
-        p = np.ones(self.size)
+        diagram, position = self.diagram, self.position
+        p, width = np.ones(1), 0
         for v in diagram.variables:
             if diagram.kinds[v] == CHANCE:
-                p_true = self.gather(diagram.cpt[v], diagram.parents.get(v, ()))
+                table, scope = diagram.cpt[v], diagram.parents.get(v, ())
             elif strategy is not None:
                 local = strategy.locals[v]
-                p_true = self.gather(local.table, local.scope)
+                table, scope = local.table, local.scope
             else:
                 continue
-            p *= np.where(self.column(v), p_true, 1.0 - p_true)
+            need = self._width((v, *scope))
+            if need > width:
+                p, width = self._widen(p, width, need), need
+            values, code = self.rows(table, scope, width)
+            code <<= 1  # 2r where v fails in row r, 2r + 1 where it holds
+            code |= self.values[position[v], :: self.size >> width]
+            factors = values.repeat(2)
+            np.subtract(1.0, values, out=factors[::2])
+            p *= factors[code]
+        p = self._widen(p, width, len(position))
         p.flags.writeable = False
         self._joint = (strategy, p)
         return p

@@ -434,8 +434,9 @@ def export_game_tree_dot(tree):
 
     Nodes are numbered in preorder, and the edge to a child follows the
     lines of the child's subtree.  Each chance level d reads its CPT's
-    rows from the tree's table, with every world's row strided at
-    2^(n - d) to give each node the row of its leftmost leaf.  Labels
+    rows from the tree's table over the valuations of the d variables
+    above it, which hold its parents in expansion order: one row per
+    node, the row of its leftmost leaf.  Labels
     are formatted once per CPT row and once per cost row, and each node
     takes the labels of its row.
     """
@@ -448,10 +449,10 @@ def export_game_tree_dot(tree):
             shapes.append(f'[shape=box label="{v}"];')
             edges.append([(f"{v}=0", f"{v}=1")] * (1 << d))
         else:
-            p_rows, rows = table.rows(diagram.cpt[v], diagram.parents.get(v, ()))
+            p_rows, rows = table.rows(diagram.cpt[v], diagram.parents.get(v, ()), d)
             shapes.append(f'[shape=circle label="{v}"];')
             pairs = [(f"{v}=0 p={fmt(1.0 - p)}", f"{v}=1 p={fmt(p)}") for p in p_rows.tolist()]
-            edges.append([pairs[r] for r in rows[:: 1 << (n - d)].tolist()])
+            edges.append([pairs[r] for r in rows.tolist()])
     costs, rows = table.rows(diagram.cost_table, diagram.cost_parents)
     texts = [f'[shape=diamond label="cost={fmt(c)}"];' for c in costs.tolist()]
     leaves = [texts[r] for r in rows.tolist()]  # per leaf: its shape

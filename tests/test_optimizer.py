@@ -145,11 +145,13 @@ def assert_tree_matches_reference(diagram):
     )
     # a chance node's probability is its CPT's value at the row of its
     # leftmost leaf, every world's row strided at the level's 2^(n - d)
-    p_true = [
-        None if diagram.kinds[v] != dg.CHANCE
-        else tree.table.gather(diagram.cpt[v], diagram.parents.get(v, ()))[:: 1 << (n - d)].tolist()
-        for d, v in enumerate(tree.order)
-    ]
+    p_true = []
+    for d, v in enumerate(tree.order):
+        if diagram.kinds[v] != dg.CHANCE:
+            p_true.append(None)
+            continue
+        values, code = tree.table.rows(diagram.cpt[v], diagram.parents.get(v, ()))
+        p_true.append(values[code[:: 1 << (n - d)]].tolist())
     assert p_true == _p_true_by_level(ref)
     assert opt.export_game_tree_dot(tree) == ref_export_dot(ref)
 
@@ -861,9 +863,9 @@ def test_game_tree_reads_each_cpt_once_per_use(idelium, random_kb_corpus, monkey
     the DOT export reads each CPT once itself."""
     real, calls = dg.WorldTable.rows, []
 
-    def counted(self, table, scope):
+    def counted(self, table, scope, *width):
         calls.append(scope)
-        return real(self, table, scope)
+        return real(self, table, scope, *width)
 
     monkeypatch.setattr(dg.WorldTable, "rows", counted)
 

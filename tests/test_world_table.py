@@ -200,15 +200,125 @@ def test_a_table_keeps_the_joint_of_the_strategy_it_last_computed(random_kb_corp
             joint = again
 
 
+def _chance_joint(diagram, world):
+    """``joint_probability`` with the decisions' factors left out, the
+    joint a table computes with no strategy."""
+    p = 1.0
+    for v in diagram.chance_nodes:
+        row = diagram.cpt[v][dg.rowkey(world, diagram.parents.get(v, ()))]
+        p *= row if world[v] else 1.0 - row
+    return p
+
+
+def _diagram(variables, nodes, cost_parents, forgetful=False):
+    """A diagram from {variable: (parents, CPT or None for a decision)},
+    with cost 2^i in the i-th row over the cost parents."""
+    return dg.InfluenceDiagram(
+        variables=variables,
+        kinds={v: dg.DECISION if cpt is None else dg.CHANCE for v, (_, cpt) in nodes.items()},
+        parents={v: parents for v, (parents, _) in nodes.items()},
+        cpt={v: cpt for v, (_, cpt) in nodes.items() if cpt is not None},
+        cost_parents=cost_parents,
+        cost_table={key: 2.0**i for i, key in enumerate(all_rowkeys(len(cost_parents)))},
+        forgetful=forgetful,
+    )
+
+
+def _scope_declared_later(diagram, strategy):
+    """Whether some factor's scope holds a variable declared after the
+    factor's own."""
+    position = {v: j for j, v in enumerate(diagram.variables)}
+    scopes = {v: diagram.parents.get(v, ()) for v in diagram.chance_nodes}
+    scopes.update((d, local.scope) for d, local in strategy.locals.items())
+    return any(position[u] > position[v] for v, scope in scopes.items() for u in scope)
+
+
+def widening_diagrams(random_kb_corpus, forgetful_corpus):
+    """Diagrams whose joint widens its prefix before it reaches the
+    variable of a factor: a child declared before its parent, a decision
+    declared before a scope variable, a forgetful diagram declared in
+    reverse, and shuffled declarations of the shared corpus and of the
+    forgetful one with forgetful scopes; then the diagram with no
+    variables."""
+    rng = random.Random(67)
+    diagrams = [
+        _diagram(("B", "A"), {"A": ((), {"": 0.3}), "B": (("A",), {"0": 0.6, "1": 0.2})},
+                 ("A",)),
+        _diagram(("D", "E", "C"), {
+            "C": ((), {"": 0.25}),
+            "D": (("C",), None),
+            "E": (("D",), {"0": 0.9, "1": 0.15}),
+        }, ("D", "E")),
+        _diagram(("D1", "C1", "D0", "C0"), {
+            "C0": ((), {"": 0.375}),
+            "D0": (("C0",), None),
+            "C1": (("D0",), {"0": 0.125, "1": 0.8}),
+            "D1": (("C1",), None),
+        }, ("C0", "D1"), forgetful=True),
+    ]
+    assert diagrams[2].scopes == {"D1": ("C1",), "D0": ("C0",)}
+    shuffled = [kb.diagram for kb, _ in random_kb_corpus[:60]]
+    shuffled += [with_scopes(kb, True).diagram for kb, _ in forgetful_corpus]
+    for diagram in shuffled:
+        variables = list(diagram.variables)
+        rng.shuffle(variables)
+        diagrams.append(dataclasses.replace(diagram, variables=tuple(variables)))
+    diagrams.append(dg.InfluenceDiagram(
+        variables=(), kinds={}, parents={}, cpt={}, cost_parents=(), cost_table={"": 3.0}
+    ))
+    return [(d, random_strategy(rng, d)) for d in diagrams]
+
+
+def test_the_joint_over_widening_prefixes_is_the_reference_bit_for_bit(
+    random_kb_corpus, forgetful_corpus
+):
+    """With a strategy and with none, the joint equals the per-world
+    product in every world, also where a scope variable is declared
+    after its factor's variable; the cost column equals the per-world
+    cost."""
+    pairs = widening_diagrams(random_kb_corpus, forgetful_corpus)
+    assert sum(d.forgetful for d, _ in pairs) > len(forgetful_corpus)
+    assert [_scope_declared_later(d, s) for d, s in pairs[:3]] == [True] * 3
+    assert sum(_scope_declared_later(d, s) for d, s in pairs) > 60
+    for diagram, s in pairs:
+        worlds = list(diagram.worlds())
+        table = dg.WorldTable(diagram)
+        assert table.joint(s).tolist() == [dg.joint_probability(diagram, s, w) for w in worlds]
+        table = dg.WorldTable(diagram)
+        assert table.joint().tolist() == [_chance_joint(diagram, w) for w in worlds]
+        assert table.cost.tolist() == [dg.cost_of_valuation(diagram, w) for w in worlds]
+
+
+def test_columns_and_codes_over_every_prefix(random_kb_corpus):
+    """Column j is bit n - 1 - j of the world index, and a code over the
+    first w variables is the code over every world strided at 2^(n - w),
+    for every w and for scopes that reach past the prefix."""
+    rng = random.Random(71)
+    empty = dg.InfluenceDiagram(
+        variables=(), kinds={}, parents={}, cpt={}, cost_parents=(), cost_table={"": 3.0}
+    )
+    for diagram in [empty] + [kb.diagram for kb, _ in random_kb_corpus[:40]]:
+        table = dg.WorldTable(diagram)
+        n = len(diagram.variables)
+        assert table.values.shape == (n, 2**n) and table.values.dtype == bool
+        for j in range(n):
+            assert np.array_equal(table.values[j], (np.arange(2**n) >> (n - 1 - j)) & 1)
+        for k in range(n + 1):
+            variables = tuple(rng.sample(diagram.variables, k))
+            code = table.code(variables)
+            for w in range(n + 1):
+                assert table.code(variables, w).tolist() == code[:: 1 << (n - w)].tolist()
+
+
 def test_expected_cost_reads_each_table_once(random_kb_corpus, tmp_path, monkeypatch):
     """The distribution and the mean on one table, as ``expected-cost``
     asks for them, read each CPT and local strategy once between them,
     and the cost table once: the table computes the joint once."""
     real, calls = dg.WorldTable.rows, []
 
-    def counted(self, table, scope):
+    def counted(self, table, scope, *width):
         calls.append(scope)
-        return real(self, table, scope)
+        return real(self, table, scope, *width)
 
     monkeypatch.setattr(dg.WorldTable, "rows", counted)
     for kb, s in random_kb_corpus[:40]:
@@ -314,10 +424,9 @@ def test_entailment_decided_in_one_pass_labelled_by_world(idelium, completions):
 
 
 def test_a_written_strategy_table_reads_back_per_world(random_kb_corpus):
-    """``local_strategy`` writes a column over scope rows, ``rows`` reads
-    it back per row with every world's row, and ``gather`` reads every
-    world's row of it back: random scopes in random order,
-    the empty scope, and a diagram with no variables."""
+    """``local_strategy`` writes a column over scope rows, and ``rows``
+    reads it back per row with every world's row: random scopes in
+    random order, the empty scope, and a diagram with no variables."""
     rng = random.Random(61)
     empty = dg.InfluenceDiagram(
         variables=(), kinds={}, parents={}, cpt={}, cost_parents=(), cost_table={"": 3.0}
@@ -340,8 +449,6 @@ def test_a_written_strategy_table_reads_back_per_world(random_kb_corpus):
                 values, code = table.rows(local.table, scope)
                 assert values.tolist() == column.astype(float).tolist()
                 assert np.array_equal(code, table.code(scope))
-                got = table.gather(local.table, scope).tolist()
-                assert got == column[table.code(scope)].tolist()
 
 
 def test_bit_strings_name_the_rows_where_a_mask_holds():
