@@ -1,11 +1,7 @@
 """Context-annotated TBoxes over the variables of an influence diagram.
 
 Each axiom carries a propositional context formula; the axiom is only
-required to hold in worlds satisfying the formula.  A probabilistic
-interpretation tags finitely many finite EL interpretations with worlds
-and weights; it models a knowledge base w.r.t. a strategy when every
-entry satisfies every contextual axiom and the per-world weight totals
-match the strategy-induced joint distribution.
+required to hold in worlds satisfying the formula.
 
 Whether each world's restricted TBox entails c <= d is one column over
 the world table.  One completion over every axiom, whatever its
@@ -23,8 +19,6 @@ from . import diagram as dg
 from . import el
 from ._sexpr import Scanner
 
-WEIGHT_TOL = 1e-9
-
 __all__ = [
     "ContextFormula",
     "Var",
@@ -37,21 +31,12 @@ __all__ = [
     "FALSE",
     "VGCI",
     "KnowledgeBase",
-    "ModelEntry",
-    "ProbabilisticInterpretation",
     "parse_formula",
-    "print_formula",
     "formula_variables",
     "eval_context",
     "eval_context_column",
     "restrict",
     "entailment_column",
-    "satisfies_vgci",
-    "is_tbox_model",
-    "is_consistent_with",
-    "is_model",
-    "build_trivial_model",
-    "prob_subsumption_in_model",
     "prob_subsumption",
 ]
 
@@ -139,22 +124,6 @@ def _parse_formula(scanner):
     if name == "false":
         return FALSE
     return Var(name)
-
-
-def print_formula(f):
-    if isinstance(f, Truth):
-        return "true"
-    if isinstance(f, Falsity):
-        return "false"
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Not):
-        return f"(not {print_formula(f.arg)})"
-    if isinstance(f, And):
-        return f"(and {print_formula(f.left)} {print_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"(or {print_formula(f.left)} {print_formula(f.right)})"
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def formula_variables(f):
@@ -262,92 +231,6 @@ def entailment_column(kb, table, c, d):
     held = el._completion(labelled, (1 << table.size) - 1, c, d)[c].get(d, 0)
     bits = np.frombuffer(held.to_bytes((table.size + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(bits, count=table.size, bitorder="little").astype(bool)
-
-
-def satisfies_vgci(interp, world, axiom):
-    """Vacuous when the context fails, otherwise a model check."""
-    if not eval_context(world, axiom.context):
-        return True
-    return el.check_gci_on_interpretation(interp, axiom.gci)
-
-
-@dataclass(frozen=True)
-class ModelEntry:
-    """One weighted, world-tagged finite interpretation."""
-
-    interp: el.FiniteInterpretation
-    world: dict
-    weight: float
-
-
-@dataclass(frozen=True)
-class ProbabilisticInterpretation:
-    """Finitely many world-tagged interpretations with a distribution."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        total = 0.0
-        for e in self.entries:
-            if e.weight < 0:
-                raise ValueError("negative weight")
-            total += e.weight
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights sum to {total}, not 1")
-
-
-def is_tbox_model(pi, vtbox):
-    return all(
-        satisfies_vgci(e.interp, e.world, a) for e in pi.entries for a in vtbox
-    )
-
-
-def is_consistent_with(pi, diagram, strategy):
-    """Per-world weight totals match the strategy-induced joint distribution."""
-    import numpy as np
-    table = dg.WorldTable(diagram)
-    totals = [0.0] * table.size
-    for e in pi.entries:
-        totals[table.index(e.world)] += e.weight
-    return not np.any(np.abs(np.array(totals) - table.joint(strategy)) > WEIGHT_TOL)
-
-
-def is_model(pi, kb, strategy):
-    return is_tbox_model(pi, kb.vtbox) and is_consistent_with(
-        pi, kb.diagram, strategy
-    )
-
-
-def build_trivial_model(kb, strategy):
-    """One universal single-element interpretation per world, weighted by
-    the joint distribution.
-
-    The universal interpretation puts its one element in every concept
-    of the TBox signature and loops it through every role, so every
-    extension evaluates to the whole domain and every inclusion holds
-    (an empty-extension element would miss axioms with top on the
-    left).  The result therefore always models the KB.
-    """
-    concepts, roles = el.signature(a.gci for a in kb.vtbox)
-    universal = el.FiniteInterpretation(
-        domain=frozenset({"d0"}),
-        concept_ext={name: frozenset({"d0"}) for name in concepts},
-        role_ext={role: frozenset({("d0", "d0")}) for role in roles},
-    )
-    weights = dg.WorldTable(kb.diagram).joint(strategy).tolist()
-    entries = tuple(
-        ModelEntry(interp=universal, world=world, weight=weight)
-        for world, weight in zip(kb.diagram.worlds(), weights)
-    )
-    return ProbabilisticInterpretation(entries=entries)
-
-
-def prob_subsumption_in_model(pi, c, d, context=TRUE):
-    """Weight of the entries satisfying the contextual inclusion."""
-    axiom = VGCI(el.GCI(c, d), context)
-    return sum(
-        e.weight for e in pi.entries if satisfies_vgci(e.interp, e.world, axiom)
-    )
 
 
 def prob_subsumption(kb, strategy, c, d, context=TRUE):

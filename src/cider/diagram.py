@@ -17,8 +17,7 @@ table.
 Worlds (total valuations) are plain ``{variable: bool}`` mappings and
 are always enumerated in binary counting order over the declared
 variable order, so outputs are deterministic.  A ``WorldTable`` holds
-all of them at once as numpy columns; the per-world functions
-(``joint_probability``, ``cost_of_valuation``) are its reference.
+all of them at once as numpy columns.
 """
 
 import functools
@@ -53,8 +52,6 @@ __all__ = [
     "world_from_bits",
     "validate",
     "validate_strategy",
-    "joint_probability",
-    "cost_of_valuation",
     "cost_distribution",
     "expected_cost",
 ]
@@ -355,30 +352,6 @@ def validate_strategy(diagram, strategy):
     return out
 
 
-def joint_probability(diagram, strategy, world):
-    """Chain-rule probability of a total valuation under a strategy.
-
-    Chance factors come from the CPTs, decision factors from the local
-    strategy evaluated on its conditioning scope.
-    """
-    p = 1.0
-    for v in diagram.variables:
-        if diagram.kinds[v] == CHANCE:
-            row = diagram.cpt[v][rowkey(world, diagram.parents.get(v, ()))]
-        else:
-            local = strategy.locals[v]
-            row = local.table[rowkey(world, local.scope)]
-        p *= row if world[v] else 1.0 - row
-        if p == 0.0:
-            return 0.0
-    return p
-
-
-def cost_of_valuation(diagram, world):
-    """Cost-table row selected by the world restricted to the cost parents."""
-    return diagram.cost_table[rowkey(world, diagram.cost_parents)]
-
-
 class WorldCapError(RuntimeError):
     """Too many worlds to tabulate."""
 
@@ -441,9 +414,14 @@ class WorldTable:
     def cost_index(self):
         """Every world's cost as an index into ``diagram.cost_values``,
         which ``distribution`` and ``mean`` read; a query that reads no
-        cost distribution never computes it."""
+        cost distribution never computes it.  It is searched over the
+        costs of the shortest declared prefix that holds the cost
+        parents, and widened as ``cost`` is."""
         import numpy as np
-        return np.searchsorted(self.diagram.cost_values, self.cost)
+        n = len(self.position)
+        width = self._width(self.diagram.cost_parents)
+        prefix = self.cost[:: 1 << (n - width)]
+        return self._widen(np.searchsorted(self.diagram.cost_values, prefix), width, n)
 
     def _width(self, variables):
         """The length of the shortest declared prefix that holds the
@@ -491,7 +469,7 @@ class WorldTable:
         factors sit side by side, and a world picks one by its row and
         v's value, with no full-size temporary but the index and the
         factors picked.  Factors are multiplied in declared variable
-        order, as ``joint_probability`` multiplies them, so the two
+        order, the order of one world's chain-rule product, so the two
         agree exactly.  The product is kept over the valuations of a
         declared prefix, from the empty one on, and a factor widens it
         first to the shortest prefix that holds its variable and its
@@ -573,9 +551,6 @@ class WorldTable:
                         minlength=len(probability) * len(values))
         rows = p.reshape(len(probability), -1).tolist()
         return np.array([sum(map(operator.mul, values, row)) for row in rows])
-
-    def index(self, world):
-        return int(self.diagram.bits(world) or "0", 2)
 
 
 def cost_distribution(diagram, strategy):

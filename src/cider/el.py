@@ -1,4 +1,4 @@
-"""EL concept language: parsing, subsumption, and finite-model checking.
+"""EL concept language: parsing and subsumption.
 
 Whether a TBox entails c <= d is decided by one goal-directed
 completion (Baader, Brandt & Lutz, IJCAI 2005), run over subconcepts as
@@ -41,13 +41,9 @@ __all__ = [
     "Conjunction",
     "Existential",
     "GCI",
-    "FiniteInterpretation",
     "ParseError",
     "parse_concept",
-    "print_concept",
     "is_subsumed",
-    "check_gci_on_interpretation",
-    "signature",
 ]
 
 TOP_KEY = "top"
@@ -130,39 +126,6 @@ def _parse_concept(scanner):
     if name == TOP_KEY:
         return TOP
     return ConceptName(name)
-
-
-def print_concept(concept):
-    """Canonical, fully parenthesized rendering; parse(print(c)) == c."""
-    if isinstance(concept, Top):
-        return "top"
-    if isinstance(concept, ConceptName):
-        return concept.name
-    if isinstance(concept, Conjunction):
-        return f"(and {print_concept(concept.left)} {print_concept(concept.right)})"
-    if isinstance(concept, Existential):
-        return f"(some {concept.role} {print_concept(concept.filler)})"
-    raise TypeError(f"not a concept: {concept!r}")
-
-
-def signature(axioms):
-    """Distinct concept names and role names occurring in the axioms."""
-    concepts, roles = set(), set()
-
-    def walk(c):
-        if isinstance(c, ConceptName):
-            concepts.add(c.name)
-        elif isinstance(c, Conjunction):
-            walk(c.left)
-            walk(c.right)
-        elif isinstance(c, Existential):
-            roles.add(c.role)
-            walk(c.filler)
-
-    for gci in axioms:
-        walk(gci.lhs)
-        walk(gci.rhs)
-    return concepts, roles
 
 
 def is_subsumed(tbox, c, d):
@@ -253,41 +216,3 @@ def _completion(axioms, full, c, d):
                         if r == e.role and held & fresh:
                             work.append((x, ex, held & fresh))
     return subsumers
-
-
-@dataclass(frozen=True)
-class FiniteInterpretation:
-    """Explicit finite interpretation: a domain plus concept/role extensions."""
-
-    domain: frozenset
-    concept_ext: dict
-    role_ext: dict
-
-    def __post_init__(self):
-        for name, ext in self.concept_ext.items():
-            stray = set(ext) - self.domain
-            if stray:
-                raise ValueError(f"extension of {name} leaves the domain: {stray}")
-        for role, pairs in self.role_ext.items():
-            for x, y in pairs:
-                if x not in self.domain or y not in self.domain:
-                    raise ValueError(f"extension of role {role} leaves the domain")
-
-    def extension(self, concept):
-        """Evaluate a complex concept bottom-up over the finite domain."""
-        if isinstance(concept, Top):
-            return set(self.domain)
-        if isinstance(concept, ConceptName):
-            return set(self.concept_ext.get(concept.name, ()))
-        if isinstance(concept, Conjunction):
-            return self.extension(concept.left) & self.extension(concept.right)
-        if isinstance(concept, Existential):
-            filler = self.extension(concept.filler)
-            pairs = self.role_ext.get(concept.role, ())
-            return {x for x, y in pairs if y in filler}
-        raise TypeError(f"not a concept: {concept!r}")
-
-
-def check_gci_on_interpretation(interp, gci):
-    """Model checking: the lhs extension is contained in the rhs extension."""
-    return interp.extension(gci.lhs) <= interp.extension(gci.rhs)

@@ -21,7 +21,6 @@ __all__ = [
     "UndefinedConditionalError",
     "EvidenceQuery",
     "ConditionalCostResult",
-    "conditional_expectation",
     "classify_worlds",
     "greedy_bound",
     "optimistic_expected_cost",
@@ -42,18 +41,6 @@ class EvidenceQuery:
 
     lhs: el.Concept
     rhs: el.Concept
-
-
-def conditional_expectation(outcomes):
-    """Expectation of (probability, cost) outcomes normalized by total mass."""
-    total = 0.0
-    weighted = 0.0
-    for p, c in outcomes:
-        total += p
-        weighted += p * c
-    if total <= 0.0:
-        raise UndefinedConditionalError("total probability is zero")
-    return weighted / total
 
 
 def classify_worlds(kb, strategy, query):
@@ -183,19 +170,19 @@ def pessimistic_expected_cost(kb, strategy, query):
     return greedy_bound(*classify_worlds(kb, strategy, query), -1)
 
 
-def brute_force_conditional_bounds(kb, strategy, query, limit=ORACLE_LIMIT):
+def brute_force_conditional_bounds(kb, strategy, query):
     """Exact (min, max) conditional expectation over all optional subsets.
 
     Testing oracle: enumerating subsets suffices because partially
     including a world's mass never beats including all of it or none of
-    it in a weighted average.  Refuses beyond ``limit`` optional worlds.
+    it in a weighted average.  Refuses beyond ``ORACLE_LIMIT`` optional worlds.
     """
     import numpy as np
     table, forced, probability = classify_worlds(kb, strategy, query)
     forced, optional = _split(forced, probability)
     count = int(np.count_nonzero(optional))
-    if count > limit:
-        raise ValueError(f"{count} optional worlds exceed the oracle limit {limit}")
+    if count > ORACLE_LIMIT:
+        raise ValueError(f"{count} optional worlds exceed the oracle limit {ORACLE_LIMIT}")
     if not forced.any() and not count:
         raise UndefinedConditionalError("no world has positive probability")
     weight = probability * table.cost

@@ -2,7 +2,7 @@
 
 from importlib import resources
 
-from .kbfile import load_kb_text, load_model_text
+from .kbfile import load_kb_text
 
 __all__ = [
     "fixture_names",
@@ -10,7 +10,6 @@ __all__ = [
     "fixture_bytes",
     "write_fixture",
     "load_fixture_kb",
-    "load_fixture_model",
 ]
 
 _FILES = {
@@ -45,7 +44,3 @@ def write_fixture(name, out_path):
 
 def load_fixture_kb(name="idelium", forgetful=False):
     return load_kb_text(fixture_bytes(name).decode("utf-8"), forgetful)
-
-
-def load_fixture_model(name="idelium_model"):
-    return load_model_text(fixture_bytes(name).decode("utf-8"))

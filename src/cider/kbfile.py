@@ -23,12 +23,7 @@ in the diagram's ``scopes``: its influence set in declared variable
 order, or just its parents when the diagram is loaded as a LIMID (see
 ``load_kb_text``).
 
-A model document (see the bundled ``idelium_model`` fixture) instead
-stores an explicit weighted family of world-tagged interpretations plus
-optional named (probability, cost) overlays for conditional-cost
-experiments.
-
-Both are read by ``_parse_yaml``: one pass over the events of libyaml's
+It is read by ``_parse_yaml``: one pass over the events of libyaml's
 parser builds the data directly, with PyYAML's resolver and safe
 constructors for scalars.  The data equals ``yaml.safe_load``'s, anchors
 and aliases included, except that merge keys (``<<``) and collections
@@ -57,16 +52,14 @@ from yaml.resolver import Resolver
 
 from . import diagram as dg
 from . import el
-from .contextual import KnowledgeBase, ModelEntry, ProbabilisticInterpretation, VGCI
+from .contextual import KnowledgeBase, VGCI
 from .contextual import FALSE, TRUE, parse_formula
 from .el import parse_concept
 
 __all__ = [
     "KBLoadError",
     "KBDocument",
-    "ModelDocument",
     "load_kb_text",
-    "load_model_text",
 ]
 
 
@@ -74,8 +67,8 @@ class KBLoadError(ValueError):
     """The document does not match the KB file schema."""
 
 
-# Deepest nesting of YAML nodes a document may use.  KB and model
-# documents need about five levels.
+# Deepest nesting of YAML nodes a document may use.  KB documents need
+# about five levels.
 MAX_YAML_DEPTH = 100
 
 
@@ -139,7 +132,7 @@ class _Loader(CParser, SafeConstructor, Resolver):
                     if tag is None or tag == "!":
                         tag = self.resolve(ScalarNode, text, event.implicit)
                     if tag == "tag:yaml.org,2002:merge":
-                        # a YAML 1.1 type that no field of a KB or model document needs
+                        # a YAML 1.1 type that no field of a KB document needs
                         raise KBLoadError(f"not valid YAML: merge key at {_at(event.start_mark)}")
                     if key is want_key and tag == "tag:yaml.org,2002:value":
                         value = text  # as flatten_mapping reads a "=" key
@@ -161,7 +154,7 @@ class _Loader(CParser, SafeConstructor, Resolver):
                 tag = event.tag
                 plain = "tag:yaml.org,2002:map" if cls is MappingStartEvent else "tag:yaml.org,2002:seq"
                 if tag is not None and tag != "!" and tag != plain:
-                    # no field of a KB or model document holds one
+                    # no field of a KB document holds one
                     raise KBLoadError(
                         f"not valid YAML: tagged collection {tag} at {_at(event.start_mark)}"
                     )
@@ -390,73 +383,3 @@ def load_kb_text(text, forgetful=False):
             )
         strategies[str(name)] = dg.GlobalStrategy(locals=locals_)
     return KBDocument(kb=kb, strategies=strategies)
-
-
-@dataclass(frozen=True)
-class ModelDocument:
-    variables: tuple
-    model: ProbabilisticInterpretation
-    cost_overlays: dict  # name -> [(probability, cost), ...]
-
-
-def _pairs(raw, what):
-    pairs = _require_list(raw, what)
-    for j, pair in enumerate(pairs):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise KBLoadError(f"{what}[{j}] is not a pair")
-    return pairs
-
-
-def load_model_text(text):
-    raw = _require_mapping(_parse_yaml(text), "document")
-    variables = tuple(_names(raw.get("variables", []), "'variables'"))
-    domain = frozenset(_names(raw.get("domain", []), "'domain'"))
-    entries = []
-    for i, item in enumerate(_require_list(raw.get("entries", []) or [], "'entries'")):
-        what = f"entries[{i}]"
-        item = _require_mapping(item, what)
-        for field in ("world", "weight"):
-            if field not in item:
-                raise KBLoadError(f"{what}: missing field {field!r}")
-        bits = _text(item["world"], f"{what}: 'world'")
-        try:
-            world = dg.world_from_bits(bits, variables)
-        except ValueError as exc:
-            raise KBLoadError(f"{what}: {exc}") from None
-        concept_ext = {
-            str(name): frozenset(_names(elems, f"{what}.concepts.{name}"))
-            for name, elems in _require_mapping(
-                item.get("concepts", {}), f"{what}.concepts"
-            ).items()
-        }
-        role_ext = {
-            str(role): frozenset(
-                tuple(_names(pair, f"{what}.roles.{role}[{j}]"))
-                for j, pair in enumerate(_pairs(pairs, f"{what}.roles.{role}"))
-            )
-            for role, pairs in _require_mapping(
-                item.get("roles", {}) or {}, f"{what}.roles"
-            ).items()
-        }
-        try:
-            interp = el.FiniteInterpretation(
-                domain=domain, concept_ext=concept_ext, role_ext=role_ext
-            )
-        except ValueError as exc:
-            raise KBLoadError(f"{what}: {exc}") from None
-        weight = _number(item["weight"], f"{what}: 'weight'")
-        entries.append(ModelEntry(interp=interp, world=world, weight=weight))
-    overlays = {}
-    for name, pairs in _require_mapping(
-        raw.get("cost_overlays", {}) or {}, "'cost_overlays'"
-    ).items():
-        what = f"cost overlay {name!r}"
-        overlays[str(name)] = [
-            (_number(p, f"{what}: probability"), _number(c, f"{what}: cost"))
-            for p, c in _pairs(pairs, what)
-        ]
-    try:
-        model = ProbabilisticInterpretation(entries=tuple(entries))
-    except ValueError as exc:
-        raise KBLoadError(f"'entries': {exc}") from None
-    return ModelDocument(variables=variables, model=model, cost_overlays=overlays)

@@ -19,7 +19,9 @@ from cider.contextual import (
     Var,
     VGCI,
 )
-from cider.fixtures import load_fixture_kb, load_fixture_model
+from cider.fixtures import fixture_bytes, load_fixture_kb
+
+from semantics import load_model_text, signature
 
 CONCEPT_POOL = ("A", "B", "C", "E", "F")
 ROLE_POOL = ("r", "s")
@@ -32,7 +34,7 @@ def idelium():
 
 @pytest.fixture(scope="session")
 def idelium_model():
-    return load_fixture_model()
+    return load_model_text(fixture_bytes("idelium_model").decode("utf-8"))
 
 
 @pytest.fixture()
@@ -222,11 +224,11 @@ def random_kb(rng, diagram=None):
 
 def reachable_axioms(vtbox, c):
     """The contextual axioms reachable from sig(c), recomputed from
-    ``el.signature`` until nothing changes: an axiom is reachable when the
+    ``signature`` until nothing changes: an axiom is reachable when the
     concept and role names of its left side are among those of c and of
     the right sides of reachable axioms."""
     def names(concept):
-        return el.signature([el.GCI(concept, el.TOP)])
+        return signature([el.GCI(concept, el.TOP)])
 
     def inside(concept):
         lhs_concepts, lhs_roles = names(concept)

@@ -25,9 +25,8 @@ from cider.el import (
     Conjunction,
     Existential,
     Top,
-    print_concept,
-    signature,
 )
+from semantics import print_concept, signature
 
 _FRESH_NAME_RE = re.compile(r"_n[0-9]+\Z")
 

@@ -18,6 +18,7 @@ import numpy as np
 from cider import diagram as dg
 from cider import optimizer as opt
 from cider import simplex
+from semantics import cost_of_valuation
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ def ref_build_game_tree(diagram):
         if depth == len(order):
             leaf = Leaf(
                 world=dict(world),
-                cost=dg.cost_of_valuation(diagram, world),
+                cost=cost_of_valuation(diagram, world),
                 chance_weight=weight,
                 seq1=seq_index[seq1],
             )
@@ -190,7 +191,7 @@ def ref_kb_sequence_form(diagram):
         leaves.append(
             Leaf(
                 world=world,
-                cost=dg.cost_of_valuation(diagram, world),
+                cost=cost_of_valuation(diagram, world),
                 chance_weight=weight,
                 seq1=last_move(world, diagram.variables),
             )

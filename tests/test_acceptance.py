@@ -10,21 +10,17 @@ import random
 
 from cider import diagram as dg
 from cider import optimizer as opt
-from cider.contextual import (
-    KnowledgeBase,
-    prob_subsumption,
-    prob_subsumption_in_model,
-)
+from cider.contextual import KnowledgeBase, prob_subsumption
 from cider.el import ConceptName as N, TOP, is_subsumed, parse_concept
 from cider.evidence import (
     EvidenceQuery,
     brute_force_conditional_bounds,
-    conditional_expectation,
     optimistic_expected_cost,
     pessimistic_expected_cost,
 )
 
 from conftest import random_concept, random_diagram, random_tbox
+from semantics import conditional_expectation, prob_subsumption_in_model
 from test_el import SUITE
 
 

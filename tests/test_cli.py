@@ -22,10 +22,11 @@ from cider.el import ConceptName as N
 from cider.evidence import EvidenceQuery
 from cider.cli import main
 from cider.fixtures import fixture_bytes, fixture_names
-from cider.kbfile import KBLoadError, load_kb_text, load_model_text
+from cider.kbfile import KBLoadError, load_kb_text
 
 import sequence_form as sf
 from conftest import LIMID_KB, SIGNED_ZERO_KB
+from semantics import load_model_text
 
 
 @pytest.fixture(autouse=True)

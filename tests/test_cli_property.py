@@ -22,11 +22,11 @@ from cider import diagram as dg
 from cider import evidence as ev
 from cider._format import format_float as fmt
 from cider.cli import main
-from cider.contextual import print_formula
-from cider.el import parse_concept, print_concept
+from cider.el import parse_concept
 from cider.kbfile import load_kb_text
 
 from conftest import bench_specs, random_concept, random_formula, random_kb, random_strategy
+from semantics import print_concept, print_formula
 
 PROPERTY = settings(
     max_examples=25,

@@ -10,25 +10,16 @@ from cider.cli import main
 from cider.contextual import (
     FALSE,
     KnowledgeBase,
-    ModelEntry,
-    ProbabilisticInterpretation,
     TRUE,
     VGCI,
     Var,
-    build_trivial_model,
     entailment_column,
     eval_context,
-    is_consistent_with,
-    is_model,
-    is_tbox_model,
     parse_formula,
-    print_formula,
     prob_subsumption,
-    prob_subsumption_in_model,
     restrict,
-    satisfies_vgci,
 )
-from cider.el import GCI, ConceptName as N, FiniteInterpretation
+from cider.el import GCI, ConceptName as N
 from cider.kbfile import load_kb_text
 
 from conftest import (
@@ -41,6 +32,19 @@ from conftest import (
     reachable_axioms,
 )
 from el_reference import is_subsumed as reference_is_subsumed
+from semantics import (
+    FiniteInterpretation,
+    ModelEntry,
+    ProbabilisticInterpretation,
+    build_trivial_model,
+    is_consistent_with,
+    is_model,
+    is_tbox_model,
+    joint_probability,
+    print_formula,
+    prob_subsumption_in_model,
+    satisfies_vgci,
+)
 
 W_EXA = {"D": True, "S": False, "TA": True, "P": False}
 
@@ -429,7 +433,7 @@ def test_prob_subsumption_equals_per_world_oracle(idelium):
     total = 0.0
     for w in kb.diagram.worlds():
         if reference_is_subsumed(restrict(kb.vtbox, w), c, d):
-            total += dg.joint_probability(kb.diagram, s, w)
+            total += joint_probability(kb.diagram, s, w)
     assert prob_subsumption(kb, s, c, d) == pytest.approx(total, abs=1e-12)
 
 
@@ -467,7 +471,7 @@ def test_prob_subsumption_infimum_is_attained(idelium):
         ModelEntry(
             interp=universal if w["D"] else uninfected,
             world=w,
-            weight=dg.joint_probability(kb.diagram, s, w),
+            weight=joint_probability(kb.diagram, s, w),
         )
         for w in kb.diagram.worlds()
     )

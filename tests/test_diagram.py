@@ -14,14 +14,13 @@ from cider.diagram import (
     InfluenceDiagram,
     LocalStrategy,
     cost_distribution,
-    cost_of_valuation,
     expected_cost,
-    joint_probability,
     validate,
     validate_strategy,
 )
 
 from conftest import random_diagram, random_strategy
+from semantics import cost_of_valuation, joint_probability
 
 
 def reference_joint(diagram, strategy, world):

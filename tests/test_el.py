@@ -11,20 +11,18 @@ from cider.el import (
     Conjunction,
     ConceptName,
     Existential,
-    FiniteInterpretation,
     ParseError,
     TOP,
     _completion,
-    check_gci_on_interpretation,
     is_subsumed,
     parse_concept,
-    print_concept,
 )
 from cider.kbfile import load_kb_text
 
 from conftest import bench_specs, random_concept, random_tbox
 from el_reference import FreshName, normal_form_of, normalize, saturate
 from el_reference import is_subsumed as reference_is_subsumed
+from semantics import FiniteInterpretation, check_gci_on_interpretation, print_concept
 
 
 def N(name):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from cider import diagram as dg
+from cider import evidence
 from cider.cli import _conditional_json
 from cider.contextual import VGCI, KnowledgeBase, Var
 from cider.el import GCI, ConceptName as N, parse_concept
@@ -17,7 +18,6 @@ from cider.evidence import (
     UndefinedConditionalError,
     brute_force_conditional_bounds,
     classify_worlds,
-    conditional_expectation,
     optimistic_expected_cost,
     pessimistic_expected_cost,
 )
@@ -26,6 +26,7 @@ from cider.kbfile import load_kb_text
 
 from conftest import bench_specs, random_concept
 from exact import certify_bound
+from semantics import conditional_expectation
 
 SUB_INF = EvidenceQuery(N("Subject"), N("Infectious"))
 TAUTOLOGY = EvidenceQuery(N("Anything"), N("Anything"))
@@ -139,11 +140,12 @@ def test_oracle_fixture(idelium):
     assert both[0] == both[1] == pytest.approx(4.604, abs=1e-9)
 
 
-def test_oracle_refuses_large_instances(idelium):
+def test_oracle_refuses_large_instances(idelium, monkeypatch):
     bare = KnowledgeBase(diagram=idelium.kb.diagram, vtbox=())
     s = idelium.strategy("uniform")
+    monkeypatch.setattr(evidence, "ORACLE_LIMIT", 3)
     with pytest.raises(ValueError, match="exceed"):
-        brute_force_conditional_bounds(bare, s, EvidenceQuery(N("A"), N("B")), limit=3)
+        brute_force_conditional_bounds(bare, s, EvidenceQuery(N("A"), N("B")))
 
 
 def test_result_serialization(idelium):

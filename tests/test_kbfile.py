@@ -24,9 +24,10 @@ from cider import kbfile
 from cider.cli import main
 from cider.fixtures import fixture_bytes
 from cider.contextual import FALSE, TRUE
-from cider.kbfile import MAX_YAML_DEPTH, KBLoadError, load_kb_text, load_model_text
+from cider.kbfile import MAX_YAML_DEPTH, KBLoadError, load_kb_text
 
 from conftest import bench_specs
+from semantics import load_model_text
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 

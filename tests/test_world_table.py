@@ -51,6 +51,7 @@ from conftest import (
     with_scopes,
 )
 from el_reference import is_subsumed as reference_is_subsumed
+from semantics import cost_of_valuation, joint_probability
 
 
 def reference_rows(kb, strategy, c, d):
@@ -61,8 +62,8 @@ def reference_rows(kb, strategy, c, d):
             w,
             diagram.bits(w),
             reference_is_subsumed(restrict(kb.vtbox, w), c, d),
-            dg.joint_probability(diagram, strategy, w),
-            dg.cost_of_valuation(diagram, w),
+            joint_probability(diagram, strategy, w),
+            cost_of_valuation(diagram, w),
         )
         for w in diagram.worlds()
     ]
@@ -275,7 +276,7 @@ def test_the_joint_over_widening_prefixes_is_the_reference_bit_for_bit(
     """With a strategy and with none, the joint equals the per-world
     product in every world, also where a scope variable is declared
     after its factor's variable; the cost column equals the per-world
-    cost."""
+    cost, and the cost index the search over every world's cost."""
     pairs = widening_diagrams(random_kb_corpus, forgetful_corpus)
     assert sum(d.forgetful for d, _ in pairs) > len(forgetful_corpus)
     assert [_scope_declared_later(d, s) for d, s in pairs[:3]] == [True] * 3
@@ -283,10 +284,12 @@ def test_the_joint_over_widening_prefixes_is_the_reference_bit_for_bit(
     for diagram, s in pairs:
         worlds = list(diagram.worlds())
         table = dg.WorldTable(diagram)
-        assert table.joint(s).tolist() == [dg.joint_probability(diagram, s, w) for w in worlds]
+        assert table.joint(s).tolist() == [joint_probability(diagram, s, w) for w in worlds]
         table = dg.WorldTable(diagram)
         assert table.joint().tolist() == [_chance_joint(diagram, w) for w in worlds]
-        assert table.cost.tolist() == [dg.cost_of_valuation(diagram, w) for w in worlds]
+        assert table.cost.tolist() == [cost_of_valuation(diagram, w) for w in worlds]
+        search = np.searchsorted(diagram.cost_values, table.cost)
+        assert table.cost_index.tolist() == search.tolist()
 
 
 def test_columns_and_codes_over_every_prefix(random_kb_corpus):
@@ -391,7 +394,7 @@ def test_evidence_search_matches_per_world_reference(
             best = None
             for pure in enumerate_pure_strategies(scoped.diagram):
                 strategy = pure.to_strategy()
-                joint = [dg.joint_probability(kb.diagram, strategy, w) for w, *_ in rows]
+                joint = [joint_probability(kb.diagram, strategy, w) for w, *_ in rows]
                 value = reference_bound(classified(rows, joint), sign)[0]
                 if best is None or better * value < better * best[0]:
                     best = (value, strategy)
